@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the full verification sweep and write machine-readable reports.
 
-Covers, per order m: positive definiteness sampling (even m), the finite
-Hilbert inequality constants, the sine bounds on both spectral radii, the
-dimension monotonicity sweep, and the eigenpair embedding residuals.
+Per order m it writes the rows of ``hilbert-tensors bounds --n 1..MAX_DIM``
+(sine bounds on both spectral radii, dimension monotonicity, eigenpair
+embedding residuals), then positive definiteness sampling (even m); the
+finite Hilbert inequality constants follow at the end.
 
 Usage:
     python scripts/verify_theorems.py --orders 2,3,4 --max-dim 8 --out results/
@@ -13,15 +14,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from hilbert_tensors import (
-    HilbertTensor,
-    bound_sweep,
-    check_positive_definite,
-    embedding_check,
-    hilbert_inequality_check,
-    monotonicity_sweep,
-)
-from hilbert_tensors.reporting import make_row, render
+from hilbert_tensors import HilbertTensor, check_positive_definite, hilbert_inequality_check
+from hilbert_tensors.analysis import dimension_sweep
+from hilbert_tensors.reporting import SLACK_NOISE, make_row, render, sweep_rows
 
 
 def main() -> int:
@@ -35,6 +30,8 @@ def main() -> int:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default="results")
     args = parser.parse_args()
+    if args.max_dim < 2:
+        parser.error("--max-dim must be >= 2")
 
     orders = [int(s) for s in args.orders.split(",")]
     dims = list(range(2, args.max_dim + 1))
@@ -45,27 +42,20 @@ def main() -> int:
 
     for m in orders:
         print(f"== order m = {m}")
-        for rep in bound_sweep(m, dims, tol=args.tol, max_iter=args.max_iter):
-            rows.append(make_row(m, rep.n, "H", rep.rho_h, rep.bound_h, rep.slack_h,
-                                 rep.certified, rep.iterations_h))
-            rows.append(make_row(m, rep.n, "Z", rep.rho_z, rep.bound_z, rep.slack_z,
-                                 rep.certified, rep.iterations_z))
-            ok = rep.certified and rep.slack_h >= -1e-8 and rep.slack_z >= -1e-8
+        sweep = dimension_sweep(m, [1] + dims, tol=args.tol, max_iter=args.max_iter)
+        rows += sweep_rows(sweep)
+        for rep in sweep.bounds:
+            ok = rep.certified and rep.slack_h >= -SLACK_NOISE and rep.slack_z >= -SLACK_NOISE
             failures += 0 if ok else 1
             print(f"  n={rep.n}: rho_h={rep.rho_h:.8f} (bound {rep.bound_h:.4f})  "
                   f"rho_z={rep.rho_z:.8f} (bound {rep.bound_z:.4f})  "
                   f"{'ok' if ok else 'VIOLATION'}")
 
-        mono = monotonicity_sweep(m, [1] + dims, tol=args.tol, max_iter=args.max_iter)
+        mono = sweep.monotonicity
         print(f"  monotone: strict rho(F) {mono.strict_h}, "
               f"nondecreasing rho(T) {mono.nondecreasing_z}")
         failures += 0 if (mono.strict_h and mono.nondecreasing_z) else 1
-
-        for n in range(1, args.max_dim):
-            emb = embedding_check(m, n, n + 1, tol=args.tol, max_iter=args.max_iter)
-            rows.append(make_row(m, n + 1, "H-embed", emb.restricted_residual, 1e-8,
-                                 1e-8 - emb.restricted_residual, emb.converged, None))
-            failures += 0 if emb.restricted_residual <= 1e-8 else 1
+        failures += sum(0 if emb.restricted_residual <= SLACK_NOISE else 1 for emb in sweep.embeddings)
 
         if m % 2 == 0:
             for n in dims:

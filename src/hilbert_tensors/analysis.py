@@ -19,12 +19,12 @@ Covered claims, each turned into a report with explicit slack:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import HilbertTensor, spectral_bound_h, spectral_bound_z
-from .eigensolvers import h_spectral_radius, z_spectral_radius
+from .eigensolvers import EigenResult, h_spectral_radius, z_spectral_radius
 from .rng import SplitMix64
 
 
@@ -180,6 +180,93 @@ def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> Inequ
     )
 
 
+def solve_dims(
+    m: int,
+    dims,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+) -> list[tuple[EigenResult, EigenResult]]:
+    """The (H, Z) eigenpairs of H_n for each n in ``dims``: one solve of each kind per entry.
+
+    The pairs come without their iteration history: no report reads it, and
+    a sweep would otherwise hold every iterate of every solve until its
+    reports are built.
+    """
+    pairs = []
+    for n in dims:
+        t = HilbertTensor(m, n)
+        h = h_spectral_radius(t, tol=tol, max_iter=max_iter)
+        z = z_spectral_radius(t, tol=tol, max_iter=max_iter)
+        pairs.append((replace(h, trace=[]), replace(z, trace=[])))
+    return pairs
+
+
+def bound_report(m: int, n: int, h: EigenResult, z: EigenResult) -> BoundReport:
+    """Compare one dimension's solved eigenvalues against the sine bounds."""
+    bound_h = spectral_bound_h(m, n)
+    bound_z = spectral_bound_z(m, n)
+    return BoundReport(
+        m=m,
+        n=n,
+        rho_h=h.value,
+        rho_z=z.value,
+        bound_h=bound_h,
+        bound_z=bound_z,
+        slack_h=bound_h - h.value,
+        slack_z=bound_z - z.value,
+        certified=h.converged and z.converged,
+        iterations_h=h.iterations,
+        iterations_z=z.iterations,
+    )
+
+
+def monotonicity_report(m: int, dims, pairs, tol: float) -> MonotonicityReport:
+    """rho(F_n) and rho(T_n) from the solved (H, Z) pairs of ascending ``dims``."""
+    rho_f = [h.value ** (1.0 / (m - 1)) for h, _ in pairs]
+    rho_t = [z.value for _, z in pairs]
+    return MonotonicityReport(
+        m=m,
+        dims=list(dims),
+        rho_h_seq=rho_f,
+        rho_z_seq=rho_t,
+        strict_h=all(b - a > tol for a, b in zip(rho_f, rho_f[1:])),
+        nondecreasing_z=all(b - a >= -2 * tol for a, b in zip(rho_t, rho_t[1:])),
+        certified=all(h.converged and z.converged for h, z in pairs),
+        tolerance=tol,
+        vectors_h=[[float(v) for v in h.vector] for h, _ in pairs],
+    )
+
+
+def embedding_report(m: int, k: int, h: EigenResult) -> EmbeddingReport:
+    """Zero-pad the solved H-eigenpair of H_n into H_k and measure both residuals.
+
+    On the embedded block the padded pair satisfies the H_k eigen-equation
+    up to solver accuracy; beyond it the contraction is strictly positive
+    against a zero right-hand side, so ``full_residual`` stays positive.
+    """
+    n = len(h.vector)
+    padded = np.zeros(k)
+    padded[:n] = h.vector.values
+    y = HilbertTensor(m, k).apply_fast(padded).values
+    diff = np.abs(y - h.value * padded ** (m - 1))
+    return EmbeddingReport(
+        m=m,
+        n=n,
+        k=k,
+        eigenvalue=h.value,
+        restricted_residual=float(diff[:n].max()),
+        full_residual=float(diff.max()),
+        converged=h.converged,
+    )
+
+
+def _check_dims(dims: list[int]) -> None:
+    if len(dims) < 1 or any(n < 1 for n in dims):
+        raise ValueError("dims must be positive")
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise ValueError("dims must be strictly ascending")
+
+
 def bound_sweep(
     m: int,
     dims,
@@ -192,29 +279,8 @@ def bound_sweep(
         raise ValueError("order must be >= 2")
     if any(n < 2 for n in dims):
         raise ValueError("bound rows need n >= 2; the sine bound is vacuous at n = 1")
-    reports = []
-    for n in dims:
-        t = HilbertTensor(m, n)
-        h = h_spectral_radius(t, tol=tol, max_iter=max_iter)
-        z = z_spectral_radius(t, tol=tol, max_iter=max_iter)
-        bound_h = spectral_bound_h(m, n)
-        bound_z = spectral_bound_z(m, n)
-        reports.append(
-            BoundReport(
-                m=m,
-                n=n,
-                rho_h=h.value,
-                rho_z=z.value,
-                bound_h=bound_h,
-                bound_z=bound_z,
-                slack_h=bound_h - h.value,
-                slack_z=bound_z - z.value,
-                certified=h.converged and z.converged,
-                iterations_h=h.iterations,
-                iterations_z=z.iterations,
-            )
-        )
-    return reports
+    pairs = solve_dims(m, dims, tol, max_iter)
+    return [bound_report(m, n, h, z) for n, (h, z) in zip(dims, pairs)]
 
 
 def monotonicity_sweep(
@@ -225,37 +291,8 @@ def monotonicity_sweep(
 ) -> MonotonicityReport:
     """Track rho(F_n) and rho(T_n) over strictly ascending dimensions."""
     dims = list(dims)
-    if len(dims) < 1 or any(n < 1 for n in dims):
-        raise ValueError("dims must be positive")
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dims must be strictly ascending")
-
-    rho_f: list[float] = []
-    rho_t: list[float] = []
-    vectors: list[list[float]] = []
-    certified = True
-    for n in dims:
-        t = HilbertTensor(m, n)
-        h = h_spectral_radius(t, tol=tol, max_iter=max_iter)
-        z = z_spectral_radius(t, tol=tol, max_iter=max_iter)
-        certified = certified and h.converged and z.converged
-        rho_f.append(h.value ** (1.0 / (m - 1)))
-        rho_t.append(z.value)
-        vectors.append([float(v) for v in h.vector])
-
-    strict_h = all(b - a > tol for a, b in zip(rho_f, rho_f[1:]))
-    nondecreasing_z = all(b - a >= -2 * tol for a, b in zip(rho_t, rho_t[1:]))
-    return MonotonicityReport(
-        m=m,
-        dims=dims,
-        rho_h_seq=rho_f,
-        rho_z_seq=rho_t,
-        strict_h=strict_h,
-        nondecreasing_z=nondecreasing_z,
-        certified=certified,
-        tolerance=tol,
-        vectors_h=vectors,
-    )
+    _check_dims(dims)
+    return monotonicity_report(m, dims, solve_dims(m, dims, tol, max_iter), tol)
 
 
 def embedding_check(
@@ -265,26 +302,44 @@ def embedding_check(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> EmbeddingReport:
-    """Zero-pad the H-eigenpair of H_n into H_k and measure both residuals.
-
-    On the embedded block the padded pair satisfies the H_k eigen-equation
-    up to solver accuracy; beyond it the contraction is strictly positive
-    against a zero right-hand side, so ``full_residual`` stays positive.
-    """
+    """Solve the H-eigenpair of H_n and check it zero-padded into H_k (see ``embedding_report``)."""
     if not 1 <= n < k:
         raise ValueError("need 1 <= n < k")
-    pair = h_spectral_radius(HilbertTensor(m, n), tol=tol, max_iter=max_iter)
-    padded = np.zeros(k)
-    padded[:n] = pair.vector.values
-    y = HilbertTensor(m, k).apply_fast(padded).values
-    target = pair.value * padded ** (m - 1)
-    diff = np.abs(y - target)
-    return EmbeddingReport(
+    return embedding_report(m, k, h_spectral_radius(HilbertTensor(m, n), tol=tol, max_iter=max_iter))
+
+
+@dataclass
+class DimensionSweep:
+    """Every report of the ``bounds`` command for one order, from one solve pass."""
+
+    m: int
+    bounds: list[BoundReport]  # the dimensions n >= 2
+    monotonicity: MonotonicityReport | None  # None for a single dimension
+    embeddings: list[EmbeddingReport]  # each consecutive pair of dimensions
+
+
+def dimension_sweep(
+    m: int,
+    dims,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+) -> DimensionSweep:
+    """Solve H and Z once per dimension some report needs; derive all reports from them.
+
+    With a single dimension only its bound report is made (none at n = 1),
+    so nothing is solved that no report reads.
+    """
+    dims = list(dims)
+    _check_dims(dims)
+    bound_dims = [n for n in dims if n >= 2]
+    solved = dims if len(dims) >= 2 else bound_dims
+    pairs = dict(zip(solved, solve_dims(m, solved, tol, max_iter)))
+    mono = None
+    if len(dims) >= 2:
+        mono = monotonicity_report(m, dims, [pairs[n] for n in dims], tol)
+    return DimensionSweep(
         m=m,
-        n=n,
-        k=k,
-        eigenvalue=pair.value,
-        restricted_residual=float(diff[:n].max()),
-        full_residual=float(diff.max()),
-        converged=pair.converged,
+        bounds=[bound_report(m, n, *pairs[n]) for n in bound_dims],
+        monotonicity=mono,
+        embeddings=[embedding_report(m, k, pairs[n][0]) for n, k in zip(dims, dims[1:])],
     )

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import analysis, infinite, reporting
 from .core import HilbertTensor, max_elements_budget
+from .reporting import SLACK_NOISE
 from .eigensolvers import h_spectral_radius, z_spectral_radius
 
 EXIT_OK = 0
@@ -34,8 +35,6 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_UNCONVERGED = 3
 
-# reporting slack below this is a genuine violation, not numerical noise
-SLACK_NOISE = 1e-8
 SLACK_NOISE_INFINITE = 1e-9
 
 
@@ -132,52 +131,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_bounds(cfg: RunConfig) -> int:
     if not cfg.dims:
         raise UsageError("bounds needs a dimension range, e.g. --n 2..8")
-    bound_dims = [n for n in cfg.dims if n >= 2]
+    if any(b <= a for a, b in zip(cfg.dims, cfg.dims[1:])):
+        raise UsageError("dims must be strictly ascending")
+    sweep = analysis.dimension_sweep(cfg.m, cfg.dims, tol=cfg.tol, max_iter=cfg.max_iter)
+    cfg.rows.extend(reporting.sweep_rows(sweep))
+
     status = EXIT_OK
-
-    reports = analysis.bound_sweep(cfg.m, bound_dims, tol=cfg.tol, max_iter=cfg.max_iter)
-    for rep in reports:
-        cfg.rows.append(
-            reporting.make_row(
-                rep.m, rep.n, "H", rep.rho_h, rep.bound_h, rep.slack_h, rep.certified, rep.iterations_h
-            )
-        )
-        cfg.rows.append(
-            reporting.make_row(
-                rep.m, rep.n, "Z", rep.rho_z, rep.bound_z, rep.slack_z, rep.certified, rep.iterations_z
-            )
-        )
-
-    mono = None
-    if len(cfg.dims) >= 2:
-        mono = analysis.monotonicity_sweep(cfg.m, cfg.dims, tol=cfg.tol, max_iter=cfg.max_iter)
-        for cur, a, b in zip(mono.dims[1:], mono.rho_h_seq, mono.rho_h_seq[1:]):
-            gap = b - a
-            cfg.rows.append(
-                reporting.make_row(cfg.m, cur, "H-gap", gap, cfg.tol, gap - cfg.tol, mono.certified, None)
-            )
-        for cur, a, b in zip(mono.dims[1:], mono.rho_z_seq, mono.rho_z_seq[1:]):
-            gap = b - a
-            cfg.rows.append(
-                reporting.make_row(
-                    cfg.m, cur, "Z-gap", gap, -2 * cfg.tol, gap + 2 * cfg.tol, mono.certified, None
-                )
-            )
-        for prev, cur in zip(cfg.dims, cfg.dims[1:]):
-            emb = analysis.embedding_check(cfg.m, prev, cur, tol=cfg.tol, max_iter=cfg.max_iter)
-            cfg.rows.append(
-                reporting.make_row(
-                    cfg.m,
-                    cur,
-                    "H-embed",
-                    emb.restricted_residual,
-                    SLACK_NOISE,
-                    SLACK_NOISE - emb.restricted_residual,
-                    emb.converged,
-                    None,
-                )
-            )
-
     for row in cfg.rows:
         if row["certified"] and row["slack"] is not None and row["slack"] < -SLACK_NOISE:
             print(
@@ -188,6 +147,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
             status = EXIT_VIOLATION
     if status == EXIT_OK and any(not row["certified"] for row in cfg.rows):
         status = EXIT_UNCONVERGED
+    mono = sweep.monotonicity
     if mono is not None:
         print(
             f"monotonicity m={cfg.m}: strict_h={mono.strict_h} "

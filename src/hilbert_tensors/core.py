@@ -100,6 +100,20 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def real_root(y: np.ndarray, k: int) -> np.ndarray:
+    """Entrywise real k-th root, sign kept.
+
+    For even k, negatives above -1e-12 (1 + max|y|) are float noise and are
+    clamped to 0; anything more negative raises with its 1-based index.
+    """
+    if k % 2 == 0:
+        scale = float(np.max(np.abs(y))) if y.size else 0.0
+        y = np.where((y < 0) & (y > -1e-12 * (1.0 + scale)), 0.0, y)
+        if np.any(y < 0):
+            raise ValueError(f"even root of negative component at index {int(np.argmin(y)) + 1}")
+    return np.copysign(np.abs(y) ** (1.0 / k), y)
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratingVector:
     """Hankel generating sequence with values[s] = 1/(s+1) at offset s."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HilbertTensor, SequenceVector, as_vector
+from .core import HilbertTensor, SequenceVector, as_vector, real_root
 
 
 @dataclass
@@ -197,14 +197,7 @@ def f_operator(t: HilbertTensor):
     k = t.order - 1
 
     def apply_f(x) -> SequenceVector:
-        y = t.apply_fast(x).values
-        if k % 2 == 0:
-            scale = float(np.max(np.abs(y))) if y.size else 0.0
-            y = np.where((y < 0) & (y > -1e-12 * (1.0 + scale)), 0.0, y)
-            if np.any(y < 0):
-                bad = int(np.argmin(y)) + 1
-                raise ValueError(f"even root of negative component at index {bad}")
-        return SequenceVector(np.copysign(np.abs(y) ** (1.0 / k), y))
+        return SequenceVector(real_root(t.apply_fast(x).values, k))
 
     return apply_f
 

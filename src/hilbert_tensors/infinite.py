@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GeneratingVector, SequenceVector, as_vector, hankel_apply
+from .core import GeneratingVector, SequenceVector, as_vector, hankel_apply, real_root
 from .rng import SplitMix64
 
 PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
@@ -102,14 +102,7 @@ def f_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> Ce
     l1 = float(np.abs(xv).sum())
     if l1 == 0.0:
         return CertifiedNorm(0.0, 0.0, p, out_len)
-    head = apply_infinite(xv, order, out_len).values
-    if k % 2 == 0:
-        scale = float(np.max(np.abs(head)))
-        head = np.where((head < 0) & (head > -1e-12 * (1.0 + scale)), 0.0, head)
-        if np.any(head < 0):
-            bad = int(np.argmin(head)) + 1
-            raise ValueError(f"even root of negative component at index {bad}")
-    roots = np.copysign(np.abs(head) ** (1.0 / k), head)
+    roots = real_root(apply_infinite(xv, order, out_len).values, k)
     value = float(np.sum(np.abs(roots) ** p) ** (1.0 / p))
     # |(F x)_i| <= ||x||_1 i^{-1/k}, so the tail p-sum is bounded with q = p/k.
     tail = l1 * zeta_tail_bound(p / k, out_len) ** (1.0 / p)

@@ -1,4 +1,4 @@
-"""Deterministic JSON / CSV emission for report rows.
+"""Report rows and their deterministic JSON / CSV emission.
 
 Every row is a flat mapping with the fixed key order
 (m, n, kind, value, bound, slack, certified, iterations).  Floats are
@@ -10,6 +10,10 @@ rows give byte-identical files.
 from __future__ import annotations
 
 ROW_KEYS = ("m", "n", "kind", "value", "bound", "slack", "certified", "iterations")
+
+# reporting slack below this is a genuine violation, not numerical noise;
+# also the bound on the restricted residual of H-embed rows
+SLACK_NOISE = 1e-8
 
 
 def make_row(m, n, kind, value, bound, slack, certified, iterations) -> dict:
@@ -23,6 +27,27 @@ def make_row(m, n, kind, value, bound, slack, certified, iterations) -> dict:
         "certified": certified,
         "iterations": iterations,
     }
+
+
+def sweep_rows(sweep) -> list[dict]:
+    """The H, Z, H-gap, Z-gap and H-embed rows of an ``analysis.DimensionSweep``, in that order."""
+    m = sweep.m
+    rows = []
+    for rep in sweep.bounds:
+        cert = rep.certified
+        rows.append(make_row(m, rep.n, "H", rep.rho_h, rep.bound_h, rep.slack_h, cert, rep.iterations_h))
+        rows.append(make_row(m, rep.n, "Z", rep.rho_z, rep.bound_z, rep.slack_z, cert, rep.iterations_z))
+    mono = sweep.monotonicity
+    if mono is not None:
+        tol = mono.tolerance
+        for n, a, b in zip(mono.dims[1:], mono.rho_h_seq, mono.rho_h_seq[1:]):
+            rows.append(make_row(m, n, "H-gap", b - a, tol, b - a - tol, mono.certified, None))
+        for n, a, b in zip(mono.dims[1:], mono.rho_z_seq, mono.rho_z_seq[1:]):
+            rows.append(make_row(m, n, "Z-gap", b - a, -2 * tol, b - a + 2 * tol, mono.certified, None))
+    for emb in sweep.embeddings:
+        res = emb.restricted_residual
+        rows.append(make_row(m, emb.k, "H-embed", res, SLACK_NOISE, SLACK_NOISE - res, emb.converged, None))
+    return rows
 
 
 def _fmt(value) -> str:

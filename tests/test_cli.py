@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hilbert_tensors import cli
+from hilbert_tensors import cli, eigensolvers
 from hilbert_tensors.reporting import ROW_KEYS, to_csv, to_json_lines
 
 
@@ -105,6 +105,29 @@ def test_bounds_non_ascending_dims_usage_error(capsys):
     code, _, err = run_cli(["bounds", "--m", "2", "--n", "5,3"], capsys)
     assert code == 1
     assert "ascending" in err
+
+
+@pytest.mark.parametrize(
+    "spec, solved",
+    [("2..5", [2, 3, 4, 5]), ("1..3", [1, 2, 3]), ("4", [4]), ("1", []), ("5,3", [])],
+)
+def test_bounds_solves_each_dimension_once(capsys, monkeypatch, spec, solved):
+    calls = []
+    for name in ("h_spectral_radius", "z_spectral_radius"):
+        orig = getattr(eigensolvers, name)
+
+        def counted(t, *args, _orig=orig, **kwargs):
+            res = _orig(t, *args, **kwargs)
+            calls.append((res.kind, t.dim))
+            return res
+
+        # every module that imported the solver by name gets the counting binding
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("hilbert_tensors") and getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli(["bounds", "--m", "2", "--n", spec], capsys)
+    assert code == (1 if spec == "5,3" else 0)
+    assert sorted(calls) == sorted([("H", n) for n in solved] + [("Z", n) for n in solved])
 
 
 def test_bounds_csv_format(capsys):

@@ -13,8 +13,12 @@ from hilbert_tensors import (
     SequenceVector,
     SplitMix64,
     convolution_power,
+    f_infinity,
+    f_operator,
     hankel_apply,
+    infinite,
 )
+from hilbert_tensors.core import real_root
 
 
 # -- entries ------------------------------------------------------------------
@@ -300,3 +304,38 @@ def test_convolution_power_fft_path_matches_direct():
     direct = np.convolve(np.convolve(x, x), x)
     fast = convolution_power(x, 3)
     np.testing.assert_allclose(fast, direct, atol=1e-9 * (1 + np.abs(direct).max()))
+
+
+# -- clamped real root ---------------------------------------------------------------
+
+
+def test_real_root_odd_keeps_sign():
+    np.testing.assert_allclose(real_root(np.array([-8.0, 27.0]), 3), [-2.0, 3.0])
+
+
+def _f_operator_root(y, monkeypatch):
+    monkeypatch.setattr(HilbertTensor, "apply_fast", lambda self, x: SequenceVector(y))
+    return f_operator(HilbertTensor(3, len(y)))(np.ones(len(y))).values
+
+
+def _f_infinity_value(y, monkeypatch):
+    monkeypatch.setattr(infinite, "apply_infinite", lambda x, order, out_len: SequenceVector(y))
+    return f_infinity([1.0], 3, 4.0, out_len=len(y)).value
+
+
+@pytest.mark.parametrize("route", ["helper", "f_operator", "f_infinity"])
+def test_even_root_clamps_noise_and_rejects_negatives(route, monkeypatch):
+    noisy = np.array([4.0, -1e-15, 9.0])
+    negative = np.array([4.0, 9.0, -1e-3])
+    apply = {
+        "helper": lambda y: real_root(y, 2),
+        "f_operator": lambda y: _f_operator_root(y, monkeypatch),
+        "f_infinity": lambda y: _f_infinity_value(y, monkeypatch),
+    }[route]
+    out = apply(noisy)
+    if route == "f_infinity":
+        assert out == pytest.approx((2.0**4 + 3.0**4) ** 0.25, rel=1e-12)
+    else:
+        assert out.tolist() == [2.0, 0.0, 3.0]
+    with pytest.raises(ValueError, match="even root of negative component at index 3"):
+        apply(negative)
