@@ -12,16 +12,24 @@ Machine-readable rows (JSON lines or CSV, see :mod:`reporting`) go to
 stderr so that report files are byte-identical across runs for a fixed
 configuration and seed.
 
+Every flag is checked by :func:`validate` before any work: --m >= 2, --n
+parses and every dimension is >= 1, --tol finite and > 0, --max-iter >= 1;
+for ``infinite`` --op is T, F or both, --p finite with p > 1 (T) and
+p > m-1 (F), --x is e<k> (k >= 1) or finite comma-separated floats,
+--trunc >= 1, --trials >= 0, --support >= 1; for ``bench`` --repeats >= 1.
+
 Exit codes: 0 all checks passed; 1 usage error; 2 a certified row violated
-a claimed bound; 3 a solver failed to converge.
+a claimed bound; 3 a solver failed to converge; 4 internal error (the
+traceback and a one-line cause go to stderr, no rows are written).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+import traceback
 
 import numpy as np
 
@@ -34,84 +42,112 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_UNCONVERGED = 3
+EXIT_INTERNAL = 4
 
 SLACK_NOISE_INFINITE = 1e-9
 
+# --op value -> the operators it evaluates
+_OPS = {"T": ("T",), "F": ("F",), "both": ("T", "F")}
 
-class UsageError(ValueError):
+
+class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Normalized arguments for one command invocation."""
-
-    command: str
-    m: int = 2
-    dims: tuple[int, ...] = ()
-    tol: float = 1e-10
-    max_iter: int = 10_000
-    trunc: int = infinite.DEFAULT_TRUNCATION
-    trials: int = 100
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    p: float = 2.0
-    op: str = "T"
-    x_spec: str = "e1"
-    search: bool = False
-    support: int = 16
-    show_vector: bool = False
-    repeats: int = 3
-    rows: list = field(default_factory=list, repr=False)
-
-
 def parse_dims(spec: str) -> tuple[int, ...]:
-    """Accept '3', '2..8', or '10,100,1000'."""
+    """Accept '3', '2..8', or '10,100,1000'; raise ValueError otherwise."""
     spec = spec.strip()
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise UsageError(f"empty range {spec!r}")
-            return tuple(range(lo, hi + 1))
-        if "," in spec:
-            return tuple(int(part) for part in spec.split(","))
-        return (int(spec),)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse dimension spec {spec!r}") from exc
+            dims = tuple(range(int(lo), int(hi) + 1))
+        else:
+            dims = tuple(int(part) for part in spec.split(","))
+    except ValueError:
+        dims = ()
+    if not dims:
+        raise ValueError(f"cannot parse dimension spec {spec!r}")
+    return dims
 
 
 def parse_x(spec: str) -> np.ndarray:
+    """Accept 'e<k>' or comma-separated floats; raise ValueError otherwise."""
     spec = spec.strip()
-    if spec.startswith("e"):
-        try:
-            k = int(spec[1:])
-        except ValueError as exc:
-            raise UsageError(f"cannot parse vector spec {spec!r}") from exc
-        if k < 1:
-            raise UsageError("coordinate vectors are e1, e2, ...")
-        x = np.zeros(k)
-        x[k - 1] = 1.0
-        return x
     try:
-        return np.array([float(part) for part in spec.split(",")])
+        if not spec.startswith("e"):
+            return np.array([float(part) for part in spec.split(",")])
+        k = int(spec[1:])
+    except ValueError:
+        raise ValueError(f"cannot parse vector spec {spec!r}") from None
+    if k < 1:
+        raise ValueError("coordinate vectors are e1, e2, ...")
+    x = np.zeros(k)
+    x[k - 1] = 1.0
+    return x
+
+
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
+
+
+def _finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {value}")
+
+
+def validate(args: argparse.Namespace) -> None:
+    """Check every flag of a parsed command line before any work.
+
+    Raises UsageError naming the first flag out of range.  On success the
+    ``--n`` spec is replaced by its dimension tuple and, for ``infinite``,
+    the ``--x`` spec by its vector.
+    """
+    if args.m < 2:
+        raise UsageError(f"order must be >= 2, got {args.m}")
+    try:
+        args.n = parse_dims(args.n)
     except ValueError as exc:
-        raise UsageError(f"cannot parse vector spec {spec!r}") from exc
+        raise UsageError(str(exc)) from None
+    if any(n < 1 for n in args.n):
+        raise UsageError("dimensions must be >= 1")
+    if args.tol <= 0:
+        raise UsageError("tolerance must be positive")
+    _finite("--tol", args.tol)
+    _at_least("--max-iter", args.max_iter, 1)
+    if args.command == "infinite":
+        if args.op not in _OPS:
+            raise UsageError(f"--op must be T, F, or both, got {args.op!r}")
+        _finite("--p", args.p)
+        for op in _OPS[args.op]:
+            if op == "T" and args.p <= 1:
+                raise UsageError(f"operator T needs p > 1, got p = {args.p:g}")
+            if op == "F" and args.p <= args.m - 1:
+                raise UsageError(f"operator F needs p > m-1 = {args.m - 1}, got p = {args.p:g}")
+        _at_least("--trunc", args.trunc, 1)
+        _at_least("--trials", args.trials, 0)
+        _at_least("--support", args.support, 1)
+        try:
+            x = parse_x(args.x)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if not np.isfinite(x).all():
+            raise UsageError(f"--x entries must be finite, got {args.x!r}")
+        args.x = x
+    if args.command == "bench":
+        _at_least("--repeats", args.repeats, 1)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    if len(cfg.dims) != 1:
+def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:
+    if len(args.n) != 1:
         raise UsageError("spectrum needs a single dimension, e.g. --n 4")
-    t = HilbertTensor(cfg.m, cfg.dims[0])
-    h = h_spectral_radius(t, tol=cfg.tol, max_iter=cfg.max_iter)
-    z = z_spectral_radius(t, tol=cfg.tol, max_iter=cfg.max_iter)
+    n = args.n[0]
+    t = HilbertTensor(args.m, n)
+    h = h_spectral_radius(t, tol=args.tol, max_iter=args.max_iter)
+    z = z_spectral_radius(t, tol=args.tol, max_iter=args.max_iter)
     for res in (h, z):
-        cfg.rows.append(
-            reporting.make_row(
-                cfg.m, cfg.dims[0], res.kind, res.value, None, None, res.converged, res.iterations
-            )
+        rows.append(
+            reporting.make_row(args.m, n, res.kind, res.value, None, None, res.converged, res.iterations)
         )
         cert = (
             f"bracket [{res.lower:.17g}, {res.upper:.17g}]"
@@ -123,21 +159,19 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             f"  converged={res.converged}",
             file=sys.stderr,
         )
-        if cfg.show_vector:
+        if args.show_vector:
             print(f"{res.kind} vector: {[float(v) for v in res.vector]}", file=sys.stderr)
     return EXIT_OK if (h.converged and z.converged) else EXIT_UNCONVERGED
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    if not cfg.dims:
-        raise UsageError("bounds needs a dimension range, e.g. --n 2..8")
-    if any(b <= a for a, b in zip(cfg.dims, cfg.dims[1:])):
+def cmd_bounds(args: argparse.Namespace, rows: list) -> int:
+    if any(b <= a for a, b in zip(args.n, args.n[1:])):
         raise UsageError("dims must be strictly ascending")
-    sweep = analysis.dimension_sweep(cfg.m, cfg.dims, tol=cfg.tol, max_iter=cfg.max_iter)
-    cfg.rows.extend(reporting.sweep_rows(sweep))
+    sweep = analysis.dimension_sweep(args.m, args.n, tol=args.tol, max_iter=args.max_iter)
+    rows.extend(reporting.sweep_rows(sweep))
 
     status = EXIT_OK
-    for row in cfg.rows:
+    for row in rows:
         if row["certified"] and row["slack"] is not None and row["slack"] < -SLACK_NOISE:
             print(
                 f"BOUND VIOLATION: m={row['m']} n={row['n']} kind={row['kind']} "
@@ -145,55 +179,37 @@ def cmd_bounds(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
             status = EXIT_VIOLATION
-    if status == EXIT_OK and any(not row["certified"] for row in cfg.rows):
+    if status == EXIT_OK and any(not row["certified"] for row in rows):
         status = EXIT_UNCONVERGED
     mono = sweep.monotonicity
     if mono is not None:
         print(
-            f"monotonicity m={cfg.m}: strict_h={mono.strict_h} "
+            f"monotonicity m={args.m}: strict_h={mono.strict_h} "
             f"nondecreasing_z={mono.nondecreasing_z} certified={mono.certified}",
             file=sys.stderr,
         )
     return status
 
 
-def _infinite_ops(cfg: RunConfig) -> list[str]:
-    if cfg.op == "both":
-        return ["T", "F"]
-    if cfg.op in ("T", "F"):
-        return [cfg.op]
-    raise UsageError(f"--op must be T, F, or both, got {cfg.op!r}")
-
-
-def _check_p(op: str, m: int, p: float) -> None:
-    if op == "T" and p <= 1:
-        raise UsageError(f"operator T needs p > 1, got p = {p:g}")
-    if op == "F" and p <= m - 1:
-        raise UsageError(f"operator F needs p > m-1 = {m - 1}, got p = {p:g}")
-
-
-def cmd_infinite(cfg: RunConfig) -> int:
-    ops = _infinite_ops(cfg)
-    for op in ops:
-        _check_p(op, cfg.m, cfg.p)
+def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
     status = EXIT_OK
-
-    for op in ops:
-        bound = infinite.operator_norm_constant(op, cfg.m, cfg.p)
-        if cfg.search:
+    for op in _OPS[args.op]:
+        bound = infinite.operator_norm_constant(op, args.m, args.p)
+        if args.search:
             rep = infinite.norm_search(
-                cfg.m,
-                cfg.p,
-                trials=cfg.trials,
-                support=cfg.support,
-                out_len=cfg.trunc,
-                seed=cfg.seed,
+                args.m,
+                args.p,
+                trials=args.trials,
+                support=args.support,
+                out_len=args.trunc,
+                seed=args.seed,
                 operator=op,
             )
+            l1 = 1.0  # search candidates lie on the unit l^1 sphere
             slack = bound - rep.best_value
-            cfg.rows.append(
+            rows.append(
                 reporting.make_row(
-                    cfg.m, cfg.trunc, f"{op}-search", rep.best_value, bound, slack, True, rep.trials
+                    args.m, args.trunc, f"{op}-search", rep.best_value, bound, slack, True, rep.trials
                 )
             )
             print(
@@ -201,64 +217,56 @@ def cmd_infinite(cfg: RunConfig) -> int:
                 f"gap to pi/sqrt6={rep.gap_to_pi_sqrt6:.3e} evaluations={rep.evaluations}",
                 file=sys.stderr,
             )
-            if cfg.show_vector:
+            if args.show_vector:
                 print(f"{op}-search vector: {rep.best_vector}", file=sys.stderr)
         else:
-            x = parse_x(cfg.x_spec)
-            cert = (
-                infinite.t_infinity(x, cfg.m, cfg.p, cfg.trunc)
-                if op == "T"
-                else infinite.f_infinity(x, cfg.m, cfg.p, cfg.trunc)
-            )
+            l1 = float(np.abs(args.x).sum())
+            evaluate = infinite.t_infinity if op == "T" else infinite.f_infinity
+            cert = evaluate(args.x, args.m, args.p, args.trunc)
             slack = bound - cert.upper
-            cfg.rows.append(
-                reporting.make_row(cfg.m, cfg.trunc, op, cert.value, bound, slack, True, None)
+            rows.append(
+                reporting.make_row(args.m, args.trunc, op, cert.value, bound, slack, True, None)
             )
             print(
                 f"{op}: value={cert.value:.12g} tail<={cert.tail_bound:.3e} "
                 f"certified upper={cert.upper:.12g} constant={bound:.12g}",
                 file=sys.stderr,
             )
-        # Negative slack alone only means the enclosure straddles the constant
-        # (tail looseness); a genuine violation needs the certified lower
-        # bound itself to exceed the constant.
-        row = cfg.rows[-1]
-        if row["value"] > row["bound"] + SLACK_NOISE_INFINITE:
+        # T and F are homogeneous of degree one, so the unit-sphere constant
+        # bounds the norm at x by bound * ||x||_1.  Negative slack alone only
+        # means the enclosure straddles that (tail looseness); a genuine
+        # violation needs the certified lower bound itself to exceed it.
+        row = rows[-1]
+        if row["value"] > row["bound"] * l1 + SLACK_NOISE_INFINITE:
             print(f"NORM BOUND VIOLATION in row {row}", file=sys.stderr)
             status = EXIT_VIOLATION
     return status
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if not cfg.dims:
-        raise UsageError("bench needs dimensions, e.g. --n 10,100,1000")
+def cmd_bench(args: argparse.Namespace, rows: list) -> int:
     budget = max_elements_budget()
     status = EXIT_OK
+    m, repeats = args.m, args.repeats
     print(f"{'m':>3} {'n':>7} {'fast (s)':>12} {'naive (s)':>12} {'speedup':>9} {'delta':>10}", file=sys.stderr)
-    for n in cfg.dims:
-        t = HilbertTensor(cfg.m, n)
+    for n in args.n:
+        t = HilbertTensor(m, n)
         x = np.cos(np.arange(1, n + 1))  # fixed, seed-independent workload
-        t_fast = min(_timed(t.apply_fast, x) for _ in range(cfg.repeats))
-        run_naive = n**cfg.m <= budget
-        if run_naive:
-            t_naive = min(_timed(t.apply_naive, x) for _ in range(cfg.repeats))
+        t_fast = min(_timed(t.apply_fast, x) for _ in range(repeats))
+        if n**m <= budget:
+            t_naive = min(_timed(t.apply_naive, x) for _ in range(repeats))
             fast = t.apply_fast(x).values
             naive = np.asarray(t.apply_naive(x))
             delta = float(np.max(np.abs(fast - naive)) / (1.0 + np.max(np.abs(naive))))
-            cfg.rows.append(
-                reporting.make_row(cfg.m, n, "bench", delta, 1e-10, 1e-10 - delta, True, cfg.repeats)
-            )
+            rows.append(reporting.make_row(m, n, "bench", delta, 1e-10, 1e-10 - delta, True, repeats))
             print(
-                f"{cfg.m:>3} {n:>7} {t_fast:>12.3e} {t_naive:>12.3e} {t_naive / t_fast:>9.1f} {delta:>10.2e}",
+                f"{m:>3} {n:>7} {t_fast:>12.3e} {t_naive:>12.3e} {t_naive / t_fast:>9.1f} {delta:>10.2e}",
                 file=sys.stderr,
             )
             if delta > 1e-10:
                 status = EXIT_VIOLATION
         else:
-            cfg.rows.append(
-                reporting.make_row(cfg.m, n, "bench-fast-only", None, None, None, False, cfg.repeats)
-            )
-            print(f"{cfg.m:>3} {n:>7} {t_fast:>12.3e} {'skipped':>12} {'-':>9} {'-':>10}", file=sys.stderr)
+            rows.append(reporting.make_row(m, n, "bench-fast-only", None, None, None, False, repeats))
+            print(f"{m:>3} {n:>7} {t_fast:>12.3e} {'skipped':>12} {'-':>9} {'-':>10}", file=sys.stderr)
     return status
 
 
@@ -313,40 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.m < 2:
-        raise UsageError(f"order must be >= 2, got {args.m}")
-    dims = parse_dims(args.n)
-    if any(n < 1 for n in dims):
-        raise UsageError("dimensions must be >= 1")
-    cfg = RunConfig(
-        command=args.command,
-        m=args.m,
-        dims=dims,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        fmt=args.format,
-        out=args.out,
-    )
-    if args.tol <= 0:
-        raise UsageError("tolerance must be positive")
-    if args.command == "infinite":
-        cfg.p = args.p
-        cfg.op = args.op
-        cfg.x_spec = args.x
-        cfg.trunc = args.trunc
-        cfg.search = args.search
-        cfg.trials = args.trials
-        cfg.support = args.support
-        cfg.show_vector = args.show_vector
-    if args.command == "spectrum":
-        cfg.show_vector = args.show_vector
-    if args.command == "bench":
-        cfg.repeats = args.repeats
-    return cfg
-
-
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "bounds": cmd_bounds,
@@ -357,16 +331,20 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    rows: list[dict] = []
     try:
-        cfg = config_from_args(args)
-        status = _COMMANDS[cfg.command](cfg)
-    except (UsageError, ValueError) as exc:
-        # every ValueError reachable from here stems from rejected arguments
+        validate(args)
+        status = _COMMANDS[args.command](args, rows)
+    except UsageError as exc:
         print(f"hilbert-tensors: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = reporting.render(cfg.rows, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+    except Exception as exc:  # anything else is a fault of the program, not of its arguments
+        traceback.print_exc()
+        print(f"hilbert-tensors: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    text = reporting.render(rows, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -21,6 +21,7 @@ are only exercised against the Hilbert family here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,9 @@ def h_spectral_radius(
     start.  For a positive tensor the ratio bounds
     min_i y_i / x_i^{m-1} <= lambda_max <= max_i y_i / x_i^{m-1} hold at
     every positive iterate; the loop stops when the bracket is narrower
-    than ``tol``.  The reported value H_n x^m is a convex combination of
-    the ratios, so it always lies inside the bracket.
+    than ``tol``, or unconverged at the first non-finite bracket or value.
+    The reported value H_n x^m is a convex combination of the ratios, so it
+    always lies inside the bracket.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -97,6 +99,8 @@ def h_spectral_radius(
         upper = float(ratios.max())
         value = float(x @ y)
         trace.append(value)
+        if not (math.isfinite(lower) and math.isfinite(upper) and math.isfinite(value)):
+            break  # overflow: further iterates stay non-finite
         if upper - lower <= tol:
             converged = True
             break
@@ -136,7 +140,8 @@ def z_spectral_radius(
     shift keeps the Rayleigh value H_n x^m nondecreasing.  Starting from
     the normalized all-ones vector the iterates stay positive, so the
     limit is the nonnegative maximizer guaranteed for positive tensors.
-    The residual ||H_n x^{m-1} - mu x||_2 is the stopping certificate.
+    The residual ||H_n x^{m-1} - mu x||_2 is the stopping certificate; a
+    non-finite value or residual stops the loop unconverged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -153,6 +158,8 @@ def z_spectral_radius(
         value = float(x @ y)
         residual = float(np.linalg.norm(y - value * x))
         trace.append(value)
+        if not (math.isfinite(value) and math.isfinite(residual)):
+            break  # overflow: further iterates stay non-finite
         if residual <= tol:
             converged = True
             break

@@ -2,12 +2,15 @@
 
 Every row is a flat mapping with the fixed key order
 (m, n, kind, value, bound, slack, certified, iterations).  Floats are
-rendered with 17 significant digits, output is UTF-8 with LF line endings,
-and serialization involves no timestamps or environment state, so identical
-rows give byte-identical files.
+rendered with 17 significant digits; NaN and infinities are rendered like
+None (JSON ``null``, an empty CSV cell).  Output is UTF-8 with LF line
+endings, and serialization involves no timestamps or environment state, so
+identical rows give byte-identical files.
 """
 
 from __future__ import annotations
+
+import math
 
 ROW_KEYS = ("m", "n", "kind", "value", "bound", "slack", "certified", "iterations")
 
@@ -50,8 +53,12 @@ def sweep_rows(sweep) -> list[dict]:
     return rows
 
 
+def _missing(value) -> bool:
+    return value is None or (isinstance(value, float) and not math.isfinite(value))
+
+
 def _fmt(value) -> str:
-    if value is None:
+    if _missing(value):
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -72,7 +79,7 @@ def to_json_lines(rows) -> str:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
+    if _missing(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hilbert_tensors import cli, eigensolvers
+from hilbert_tensors import cli, eigensolvers, infinite
 from hilbert_tensors.reporting import ROW_KEYS, to_csv, to_json_lines
 
 
@@ -191,6 +191,28 @@ def test_infinite_literal_vector(capsys):
     assert parse_rows(out)[0]["value"] < math.pi / math.sqrt(6)
 
 
+def test_infinite_bound_scales_with_l1_norm(capsys):
+    # ||T x||_2 <= (pi/sqrt6) ||x||_1, so a vector of l1 norm 3.1 is no violation
+    code, out, err = run_cli(
+        ["infinite", "--m", "2", "--p", "2", "--x", "3,0.1", "--trunc", "1000"], capsys
+    )
+    assert code == 0
+    assert "VIOLATION" not in err
+    assert parse_rows(out)[0]["bound"] == pytest.approx(math.pi / math.sqrt(6), rel=1e-15)
+
+
+@pytest.mark.parametrize("x_spec", ["3,0.1", "0.3,0.01"])
+def test_infinite_violation_of_scaled_bound_still_flagged(capsys, monkeypatch, x_spec):
+    # with the constant halved, C/2 * ||x||_1 lies below the norm whether ||x||_1 > 1 or < 1
+    orig = infinite.operator_norm_constant
+    monkeypatch.setattr(infinite, "operator_norm_constant", lambda *a, **k: orig(*a, **k) / 2)
+    code, _, err = run_cli(
+        ["infinite", "--m", "2", "--p", "2", f"--x={x_spec}", "--trunc", "1000"], capsys
+    )
+    assert code == 2
+    assert "NORM BOUND VIOLATION" in err
+
+
 # -- bench ------------------------------------------------------------------------
 
 
@@ -210,6 +232,50 @@ def test_bench_fast_only_over_budget(capsys, monkeypatch):
     row = parse_rows(out)[0]
     assert row["kind"] == "bench-fast-only"
     assert row["value"] is None and row["certified"] is False
+
+
+# -- argument checks and exit codes -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["spectrum", "--max-iter", "0"], "--max-iter"),
+        (["spectrum", "--tol", "nan"], "--tol"),
+        (["bench", "--repeats", "0"], "--repeats"),
+        (["infinite", "--p", "nan"], "--p"),
+        (["infinite", "--x", "0", "--trunc", "0"], "--trunc"),
+        (["infinite", "--search", "--trials", "-1"], "--trials"),
+        (["infinite", "--search", "--support", "0"], "--support"),
+        (["infinite", "--x=1,nan"], "--x"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(capsys, args, names):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert names in err
+
+
+def test_internal_fault_exit_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("simulated fault")
+
+    monkeypatch.setattr(infinite, "t_infinity", broken)
+    code, out, err = run_cli(["infinite", "--m", "2", "--p", "2", "--trunc", "100"], capsys)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "hilbert-tensors: internal error: ValueError: simulated fault"
+
+
+def test_overflow_rows_stay_json(capsys):
+    code, out, _ = run_cli(["spectrum", "--m", "500", "--n", "5", "--max-iter", "50"], capsys)
+    assert code == 3
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["kind"] for row in rows] == ["H", "Z"]
+    # the solvers stop at the first non-finite iterate instead of spinning on
+    assert all(row["certified"] is False and row["iterations"] < 50 for row in rows)
 
 
 # -- determinism ------------------------------------------------------------------
@@ -251,6 +317,13 @@ def test_json_17_digit_floats():
                            "slack": None, "certified": True, "iterations": 5}])
     assert '"value": 0.33333333333333331' in text
     assert text.endswith("\n")
+
+
+def test_non_finite_floats_render_as_null():
+    row = {"m": 2, "n": 2, "kind": "H", "value": math.nan, "bound": math.inf,
+           "slack": -math.inf, "certified": False, "iterations": 1}
+    assert json.loads(to_json_lines([row]))["value"] is None
+    assert to_csv([row]).splitlines()[1] == "2,2,H,,,,false,1"
 
 
 def test_csv_nulls_empty():
