@@ -13,10 +13,11 @@ stderr so that report files are byte-identical across runs for a fixed
 configuration and seed.
 
 Every flag is checked by :func:`validate` before any work: --m >= 2, --n
-parses and every dimension is >= 1, --tol finite and > 0, --max-iter >= 1;
-for ``infinite`` --op is T, F or both, --p finite with p > 1 (T) and
-p > m-1 (F), --x is e<k> (k >= 1) or finite comma-separated floats,
---trunc >= 1, --trials >= 0, --support >= 1; for ``bench`` --repeats >= 1.
+parses and every dimension is >= 1, --tol finite and > 0, --max-iter >= 1,
+the --out directory exists; for ``infinite`` --op is T, F or both, --p
+finite with p > 1 (T) and p > m-1 (F), --x is e<k> (k >= 1) or finite
+comma-separated floats, --trunc >= 1, --trials >= 0, --support >= 1; for
+``bench`` --repeats >= 1 and HILBERT_MAX_ELEMENTS, if set, is an integer.
 
 Exit codes: 0 all checks passed; 1 usage error; 2 a certified row violated
 a claimed bound; 3 a solver failed to converge; 4 internal error (the
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 import traceback
@@ -115,6 +117,8 @@ def validate(args: argparse.Namespace) -> None:
         raise UsageError("tolerance must be positive")
     _finite("--tol", args.tol)
     _at_least("--max-iter", args.max_iter, 1)
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError(f"--out directory does not exist: {os.path.dirname(args.out)!r}")
     if args.command == "infinite":
         if args.op not in _OPS:
             raise UsageError(f"--op must be T, F, or both, got {args.op!r}")
@@ -136,6 +140,10 @@ def validate(args: argparse.Namespace) -> None:
         args.x = x
     if args.command == "bench":
         _at_least("--repeats", args.repeats, 1)
+        try:
+            max_elements_budget()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
 def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:

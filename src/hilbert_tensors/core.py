@@ -42,7 +42,10 @@ def max_elements_budget(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get("HILBERT_MAX_ELEMENTS")
-    return int(env) if env else DEFAULT_MAX_ELEMENTS
+    try:
+        return int(env) if env else DEFAULT_MAX_ELEMENTS
+    except ValueError:
+        raise ValueError(f"HILBERT_MAX_ELEMENTS must be an integer, got {env!r}") from None
 
 
 class SequenceVector:
@@ -251,12 +254,6 @@ class HilbertTensor:
 
     def generating_vector(self) -> GeneratingVector:
         return GeneratingVector.for_tensor(self.order, self._require_finite())
-
-    def entry_sum(self) -> float:
-        """Sum of all n^m entries, in closed form from the generating vector."""
-        n = self._require_finite()
-        counts = convolution_power(np.ones(n), self.order)
-        return float(counts @ (1.0 / np.arange(1, counts.size + 1)))
 
     def materialize_dense(self, max_elements: int | None = None) -> np.ndarray:
         """Dense m-way array of entries; refuses above the element budget."""

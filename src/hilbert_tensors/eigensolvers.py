@@ -11,12 +11,14 @@ Solvers:
 
 * ``h_spectral_radius``: power iteration on positive vectors with per-step
   Collatz-Wielandt ratio bounds; the bracket width is the certificate.
-* ``z_spectral_radius``: shifted symmetric power iteration with a shift
-  large enough to make the ascent monotone; the eigen-equation residual is
-  the certificate.
+* ``z_spectral_radius``: unshifted power ascent from a positive start; the
+  eigen-equation residual is the certificate.  No SS-HOPM shift is needed:
+  H_n x^m = int_0^1 (sum_i x_i t^{i-1})^m dt is convex on the nonnegative
+  orthant, and positive entries keep the iterates inside it.
 
-Both work for any generating vector wired through ``core.hankel_apply`` but
-are only exercised against the Hilbert family here.
+Both reject a start vector with a non-positive entry.  Both work for any
+generating vector wired through ``core.hankel_apply`` but are only
+exercised against the Hilbert family here.
 """
 
 from __future__ import annotations
@@ -55,13 +57,12 @@ def _positive_start(t: HilbertTensor, x0, p: float) -> np.ndarray:
     if x0 is None:
         x = np.ones(n)
     else:
-        x = as_vector(x0).copy()
+        x = as_vector(x0)
         if len(x) != n:
             raise ValueError(f"dimension mismatch: tensor dim {n}, start length {len(x)}")
-    norm = float(np.sum(np.abs(x) ** p) ** (1.0 / p))
-    if norm == 0.0:
-        raise ValueError("start vector must be nonzero")
-    return x / norm
+    if np.any(x <= 0):
+        raise ValueError("power iteration needs an entrywise positive start vector")
+    return x / float(np.sum(x**p) ** (1.0 / p))
 
 
 def h_spectral_radius(
@@ -84,8 +85,6 @@ def h_spectral_radius(
         raise ValueError("tol must be positive")
     n, m = t._require_finite(), t.order
     x = _positive_start(t, x0, float(m))
-    if np.any(x <= 0):
-        raise ValueError("H-iteration needs an entrywise positive start vector")
 
     trace: list[float] = []
     lower = upper = value = float("nan")
@@ -121,32 +120,25 @@ def h_spectral_radius(
     )
 
 
-def default_z_shift(t: HilbertTensor) -> float:
-    """(m-1) times the sum of all entries; a safe convexifying shift."""
-    return (t.order - 1) * t.entry_sum()
-
-
 def z_spectral_radius(
     t: HilbertTensor,
     tol: float = 1e-10,
     max_iter: int = 10_000,
     x0=None,
-    shift: float | None = None,
 ) -> EigenResult:
     """Largest Z-eigenvalue rho(T_n) with a unit-2-norm eigenvector.
 
-    Shifted symmetric power iteration
-    x <- (H_n x^{m-1} + alpha x) / ||...||_2 with alpha >= the default
-    shift keeps the Rayleigh value H_n x^m nondecreasing.  Starting from
-    the normalized all-ones vector the iterates stay positive, so the
-    limit is the nonnegative maximizer guaranteed for positive tensors.
-    The residual ||H_n x^{m-1} - mu x||_2 is the stopping certificate; a
-    non-finite value or residual stops the loop unconverged.
+    Power ascent x <- H_n x^{m-1} / ||.||_2 from a positive start.  The
+    iterates stay positive, f(x) = H_n x^m is convex there, and x' maximizes
+    m (H_n x^{m-1}) . x' over the unit sphere, so without any shift
+    f(x') >= f(x) + m (H_n x^{m-1}) . (x' - x) >= f(x): the Rayleigh value
+    never drops.  The limit is the nonnegative maximizer guaranteed for
+    positive tensors.  The residual ||H_n x^{m-1} - mu x||_2 is the stopping
+    certificate; a non-finite value or residual stops the loop unconverged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n, m = t._require_finite(), t.order
-    alpha = default_z_shift(t) if shift is None else float(shift)
+    t._require_finite()
     x = _positive_start(t, x0, 2.0)
 
     trace: list[float] = []
@@ -163,8 +155,7 @@ def z_spectral_radius(
         if residual <= tol:
             converged = True
             break
-        z = y + alpha * x
-        x = z / np.linalg.norm(z)
+        x = y / np.linalg.norm(y)
 
     return EigenResult(
         kind="Z",

@@ -238,6 +238,17 @@ def test_bench_fast_only_over_budget(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [["spectrum", "--m", "3", "--n", "60"], ["bounds", "--m", "4", "--n", "2..12"]],
+)
+def test_z_converges_at_gate_sizes(capsys, args):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    z_rows = [row for row in parse_rows(out) if row["kind"] == "Z"]
+    assert z_rows and all(row["certified"] and row["iterations"] <= 50 for row in z_rows)
+
+
+@pytest.mark.parametrize(
     "args, names",
     [
         (["spectrum", "--max-iter", "0"], "--max-iter"),
@@ -255,6 +266,24 @@ def test_out_of_range_flag_is_usage_error(capsys, args, names):
     assert code == 1
     assert out == ""
     assert names in err
+
+
+def test_missing_out_directory_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["spectrum", "--m", "2", "--n", "3", "--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert not target.exists()
+    assert "--out" in err
+
+
+def test_bad_max_elements_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HILBERT_MAX_ELEMENTS", "abc")
+    code, out, err = run_cli(["bench", "--n", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "HILBERT_MAX_ELEMENTS" in err
+    assert "internal error" not in err
 
 
 def test_internal_fault_exit_4(capsys, monkeypatch):

@@ -291,12 +291,6 @@ def test_even_order_form_positive():
 # -- helpers ------------------------------------------------------------------------
 
 
-def test_entry_sum_matches_dense():
-    for m, n in ((2, 3), (3, 4), (4, 2)):
-        t = HilbertTensor(m, n)
-        assert t.entry_sum() == pytest.approx(t.materialize_dense().sum(), rel=1e-12)
-
-
 def test_convolution_power_fft_path_matches_direct():
     # size^2 * (k-1) above the threshold, so this exercises the rFFT branch
     rng = SplitMix64(37)

@@ -12,7 +12,6 @@ from hilbert_tensors import (
     t_operator,
     z_spectral_radius,
 )
-from hilbert_tensors.eigensolvers import default_z_shift
 from hilbert_tensors.oracle import OracleConfig, brute_max_sphere, dense_matrix_eigenpair
 
 CLOSED_FORM_N2 = (4 + math.sqrt(13)) / 6
@@ -144,8 +143,10 @@ def test_z_scaling_invariance():
     assert scaled.value == pytest.approx(base.value, abs=1e-10)
 
 
-def test_z_monotone_ascent_trace():
-    res = z_spectral_radius(HilbertTensor(3, 6))
+@pytest.mark.parametrize("m,n", [(3, 6), (3, 60), (4, 12)])
+def test_z_monotone_ascent_trace(m, n):
+    res = z_spectral_radius(HilbertTensor(m, n))
+    assert res.converged
     trace = np.array(res.trace)
     assert np.all(np.diff(trace) >= -1e-12)
 
@@ -167,10 +168,20 @@ def test_z_unconverged_flagged():
     assert not res.converged
 
 
-def test_default_shift_closed_form():
-    t = HilbertTensor(2, 2)
-    # sum of entries of [[1,1/2],[1/2,1/3]] is 7/3
-    assert default_z_shift(t) == pytest.approx(7 / 3, rel=1e-12)
+def test_z_rejects_nonpositive_start():
+    # the unshifted ascent is monotone only inside the positive orthant
+    for x0 in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            z_spectral_radius(HilbertTensor(3, 3), x0=x0)
+
+
+def test_z_hilbert_matrix_n1000_fast_and_exact():
+    res = z_spectral_radius(HilbertTensor(2, 1000))
+    assert res.converged
+    assert res.iterations <= 100
+    i = np.arange(1000)
+    expected = np.linalg.eigvalsh(1.0 / (i[:, None] + i[None, :] + 1.0))[-1]
+    assert res.value == pytest.approx(expected, rel=1e-12)
 
 
 # -- residuals and operator maps --------------------------------------------------
