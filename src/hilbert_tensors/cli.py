@@ -14,19 +14,20 @@ configuration and seed.
 
 Every flag is checked by :func:`validate` before any work: --m >= 2, --n
 parses and every dimension is >= 1, --tol finite and > 0, --max-iter >= 1,
-the --out directory exists; for ``infinite`` --op is T, F or both, --p
-finite with p > 1 (T) and p > m-1 (F), --x is e<k> (k >= 1) or finite
-comma-separated floats, --trunc >= 1, --trials >= 0, --support >= 1; for
-``bench`` --repeats >= 1 and HILBERT_MAX_ELEMENTS, if set, is an integer.
+--out is no directory and its directory exists; for ``infinite`` --op is T,
+F or both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k> (k >= 1) or
+finite comma-separated floats, --trunc >= 1, --trials >= 0, --support >= 1;
+for ``bench`` --repeats >= 1 and HILBERT_MAX_ELEMENTS, if set, is an integer.
 
 Exit codes: 0 all checks passed; 1 usage error; 2 a certified row violated
-a claimed bound; 3 a solver failed to converge; 4 internal error (the
-traceback and a one-line cause go to stderr, no rows are written).
+a claimed bound; 3 a solver failed to converge or an ``infinite`` row
+overflowed; 4 internal error (traceback and cause on stderr, no rows).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -98,6 +99,14 @@ def _finite(flag: str, value: float) -> None:
         raise UsageError(f"{flag} must be finite, got {value}")
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def validate(args: argparse.Namespace) -> None:
     """Check every flag of a parsed command line before any work.
 
@@ -107,10 +116,8 @@ def validate(args: argparse.Namespace) -> None:
     """
     if args.m < 2:
         raise UsageError(f"order must be >= 2, got {args.m}")
-    try:
+    with _usage_errors():
         args.n = parse_dims(args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     if any(n < 1 for n in args.n):
         raise UsageError("dimensions must be >= 1")
     if args.tol <= 0:
@@ -119,31 +126,27 @@ def validate(args: argparse.Namespace) -> None:
     _at_least("--max-iter", args.max_iter, 1)
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise UsageError(f"--out directory does not exist: {os.path.dirname(args.out)!r}")
+    if args.out and os.path.isdir(args.out):
+        raise UsageError(f"--out names a directory, not a file: {args.out!r}")
     if args.command == "infinite":
         if args.op not in _OPS:
             raise UsageError(f"--op must be T, F, or both, got {args.op!r}")
         _finite("--p", args.p)
-        for op in _OPS[args.op]:
-            if op == "T" and args.p <= 1:
-                raise UsageError(f"operator T needs p > 1, got p = {args.p:g}")
-            if op == "F" and args.p <= args.m - 1:
-                raise UsageError(f"operator F needs p > m-1 = {args.m - 1}, got p = {args.p:g}")
+        with _usage_errors():
+            for op in _OPS[args.op]:
+                infinite.tail_exponent(op, args.m, args.p)
         _at_least("--trunc", args.trunc, 1)
         _at_least("--trials", args.trials, 0)
         _at_least("--support", args.support, 1)
-        try:
+        with _usage_errors():
             x = parse_x(args.x)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         if not np.isfinite(x).all():
             raise UsageError(f"--x entries must be finite, got {args.x!r}")
         args.x = x
     if args.command == "bench":
         _at_least("--repeats", args.repeats, 1)
-        try:
+        with _usage_errors():
             max_elements_budget()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
 
 
 def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:
@@ -214,12 +217,8 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
                 operator=op,
             )
             l1 = 1.0  # search candidates lie on the unit l^1 sphere
-            slack = bound - rep.best_value
-            rows.append(
-                reporting.make_row(
-                    args.m, args.trunc, f"{op}-search", rep.best_value, bound, slack, True, rep.trials
-                )
-            )
+            kind, iterations = f"{op}-search", rep.trials
+            value, slack = rep.best_value, bound - rep.best_value
             print(
                 f"{op}-search: best={rep.best_value:.12g} tail={rep.best_tail_bound:.3e} "
                 f"gap to pi/sqrt6={rep.gap_to_pi_sqrt6:.3e} evaluations={rep.evaluations}",
@@ -231,23 +230,26 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
             l1 = float(np.abs(args.x).sum())
             evaluate = infinite.t_infinity if op == "T" else infinite.f_infinity
             cert = evaluate(args.x, args.m, args.p, args.trunc)
-            slack = bound - cert.upper
-            rows.append(
-                reporting.make_row(args.m, args.trunc, op, cert.value, bound, slack, True, None)
-            )
+            kind, iterations = op, None
+            value, slack = cert.value, bound - cert.upper
             print(
                 f"{op}: value={cert.value:.12g} tail<={cert.tail_bound:.3e} "
                 f"certified upper={cert.upper:.12g} constant={bound:.12g}",
                 file=sys.stderr,
             )
+        # An overflowed value or upper end (slack is taken there) encloses
+        # nothing; like an overflowing solve, the row is uncertified (exit 3).
+        certified = math.isfinite(value) and math.isfinite(slack)
+        rows.append(reporting.make_row(args.m, args.trunc, kind, value, bound, slack, certified, iterations))
         # T and F are homogeneous of degree one, so the unit-sphere constant
         # bounds the norm at x by bound * ||x||_1.  Negative slack alone only
         # means the enclosure straddles that (tail looseness); a genuine
         # violation needs the certified lower bound itself to exceed it.
-        row = rows[-1]
-        if row["value"] > row["bound"] * l1 + SLACK_NOISE_INFINITE:
-            print(f"NORM BOUND VIOLATION in row {row}", file=sys.stderr)
+        if certified and value > bound * l1 + SLACK_NOISE_INFINITE:
+            print(f"NORM BOUND VIOLATION in row {rows[-1]}", file=sys.stderr)
             status = EXIT_VIOLATION
+    if status == EXIT_OK and not all(row["certified"] for row in rows):
+        status = EXIT_UNCONVERGED
     return status
 
 

@@ -38,7 +38,8 @@ class EigenResult:
     For ``kind == "H"`` the certificate is the Collatz-Wielandt bracket
     [lower, upper] from the final iterate and the vector has unit m-norm.
     For ``kind == "Z"`` the certificate is the residual
-    ||H_n x^{m-1} - mu x||_2 and the vector has unit 2-norm.
+    ||H_n x^{m-1} - mu x||_2 and the vector has unit 2-norm.  Converged or
+    not, value, certificate and vector describe the last evaluated iterate.
     """
 
     kind: str
@@ -92,6 +93,9 @@ def h_spectral_radius(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
+        if iterations > 1:  # advance only when the new iterate gets evaluated
+            root = y ** (1.0 / (m - 1))
+            x = root / np.sum(root**m) ** (1.0 / m)
         y = t.apply_fast(x).values
         ratios = y / x ** (m - 1)
         lower = float(ratios.min())
@@ -103,8 +107,6 @@ def h_spectral_radius(
         if upper - lower <= tol:
             converged = True
             break
-        root = y ** (1.0 / (m - 1))
-        x = root / np.sum(root**m) ** (1.0 / m)
 
     residual = float(np.max(np.abs(y - value * x ** (m - 1))))
     return EigenResult(
@@ -146,6 +148,8 @@ def z_spectral_radius(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
+        if iterations > 1:  # advance only when the new iterate gets evaluated
+            x = y / np.linalg.norm(y)
         y = t.apply_fast(x).values
         value = float(x @ y)
         residual = float(np.linalg.norm(y - value * x))
@@ -155,7 +159,6 @@ def z_spectral_radius(
         if residual <= tol:
             converged = True
             break
-        x = y / np.linalg.norm(y)
 
     return EigenResult(
         kind="Z",

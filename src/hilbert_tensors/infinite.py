@@ -8,7 +8,7 @@ lives in the discarded output tail, which is bounded analytically:
     |(H_inf x^{m-1})_i| <= ||x||_1^{m-1} / i
 
 componentwise, so the p-norm tail beyond index N is at most
-||x||_1 (sum_{i>N} i^{-q})^{1/p} with the appropriate exponent q, and the
+||x||_1 (sum_{i>N} i^{-q})^{1/p} with q from :func:`tail_exponent`, and the
 zeta tail is capped by the integral comparison sum_{i>N} i^{-q} <= N^{1-q}/(q-1).
 
 The operators:
@@ -35,6 +35,8 @@ PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
 
 DEFAULT_TRUNCATION = 100_000
 
+ZETA_TERMS = 1_000_000
+
 
 @dataclass(frozen=True)
 class CertifiedNorm:
@@ -50,8 +52,11 @@ class CertifiedNorm:
 
     @property
     def upper(self) -> float:
-        """Certified upper end of the enclosure."""
-        return (self.value**self.p + self.tail_bound**self.p) ** (1.0 / self.p)
+        """Certified upper end of the enclosure; inf where a p-th power overflows."""
+        try:
+            return (self.value**self.p + self.tail_bound**self.p) ** (1.0 / self.p)
+        except OverflowError:
+            return math.inf
 
 
 def zeta_tail_bound(q: float, n: int) -> float:
@@ -71,21 +76,44 @@ def apply_infinite(x, order: int, out_len: int) -> SequenceVector:
     return SequenceVector(hankel_apply(gen, xv, order, out_len))
 
 
+def tail_exponent(operator: str, order: int, p: float) -> float:
+    """Tail exponent q of ``operator`` into l^p: p for T, p/(m-1) for F.
+
+    |(T x)_i| <= ||x||_1 / i and |(F x)_i| <= ||x||_1 i^{-1/(m-1)}, so q > 1
+    exactly on each operator's range; outside it (p <= 1 for T, p <= m-1
+    for F) this raises ValueError with the message the CLI prints.
+    """
+    if operator == "T":
+        if p <= 1:
+            raise ValueError(f"operator T needs p > 1, got p = {p:g}")
+        return p
+    if operator == "F":
+        k = order - 1
+        if p <= k:
+            raise ValueError(f"operator F needs p > m-1 = {k}, got p = {p:g}")
+        return p / k
+    raise ValueError(f"operator must be 'T' or 'F', got {operator!r}")
+
+
+def _certified_norm(operator: str, x, order: int, p: float, out_len: int) -> CertifiedNorm:
+    q = tail_exponent(operator, order, p)
+    xv = as_vector(x)
+    l1 = float(np.abs(xv).sum())
+    if l1 == 0.0:
+        return CertifiedNorm(0.0, 0.0, p, out_len)
+    head = apply_infinite(xv, order, out_len).values
+    head = head * l1 ** (2 - order) if operator == "T" else real_root(head, order - 1)
+    value = float(np.sum(np.abs(head) ** p) ** (1.0 / p))
+    tail = l1 * zeta_tail_bound(q, out_len) ** (1.0 / p)
+    return CertifiedNorm(value, tail, p, out_len)
+
+
 def t_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> CertifiedNorm:
     """Certified ||T_inf x||_p from the length-``out_len`` truncation.
 
     The zero vector maps to the exact zero norm.  Needs p > 1.
     """
-    if p <= 1:
-        raise ValueError(f"T_inf maps into l^p only for p > 1, got p = {p}")
-    xv = as_vector(x)
-    l1 = float(np.abs(xv).sum())
-    if l1 == 0.0:
-        return CertifiedNorm(0.0, 0.0, p, out_len)
-    head = apply_infinite(xv, order, out_len).values * l1 ** (2 - order)
-    value = float(np.sum(np.abs(head) ** p) ** (1.0 / p))
-    tail = l1 * zeta_tail_bound(p, out_len) ** (1.0 / p)
-    return CertifiedNorm(value, tail, p, out_len)
+    return _certified_norm("T", x, order, p, out_len)
 
 
 def f_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> CertifiedNorm:
@@ -95,46 +123,23 @@ def f_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> Ce
     nonnegative for every real x; float noise below zero is clamped and
     anything materially negative raises with the offending 1-based index.
     """
-    k = order - 1
-    if p <= k:
-        raise ValueError(f"F_inf maps into l^p only for p > m-1 = {k}, got p = {p}")
-    xv = as_vector(x)
-    l1 = float(np.abs(xv).sum())
-    if l1 == 0.0:
-        return CertifiedNorm(0.0, 0.0, p, out_len)
-    roots = real_root(apply_infinite(xv, order, out_len).values, k)
-    value = float(np.sum(np.abs(roots) ** p) ** (1.0 / p))
-    # |(F x)_i| <= ||x||_1 i^{-1/k}, so the tail p-sum is bounded with q = p/k.
-    tail = l1 * zeta_tail_bound(p / k, out_len) ** (1.0 / p)
-    return CertifiedNorm(value, tail, p, out_len)
+    return _certified_norm("F", x, order, p, out_len)
 
 
-def operator_norm_constant(operator: str, order: int, p: float, terms: int = 1_000_000) -> float:
+def operator_norm_constant(operator: str, order: int, p: float) -> float:
     """Rigorous upper bound for the l^1 -> l^p operator-norm constant.
 
-    For T the constant is (sum i^-p)^(1/p); for F it is
-    (sum i^-(p/(m-1)))^(1/p).  The canonical exponents have closed forms:
-    p = 2 for T gives pi/sqrt(6) and p = 2(m-1) for F gives
-    (pi^2/6)^(1/(2(m-1))).  Elsewhere the series is summed with its
-    integral-comparison tail, erring upward.
+    The constant is (sum i^-q)^(1/p) with q from :func:`tail_exponent`.  At
+    q = 2 (p = 2 for T, p = 2(m-1) for F) it is the closed form
+    (pi^2/6)^(1/p), which is pi/sqrt(6) for T.  Elsewhere ``ZETA_TERMS``
+    terms of the series are summed and its integral-comparison tail added,
+    erring upward.
     """
-    if operator == "T":
-        if p <= 1:
-            raise ValueError("T constant needs p > 1")
-        q = p
-        if p == 2.0:
-            return PI_OVER_SQRT6
-    elif operator == "F":
-        k = order - 1
-        if p <= k:
-            raise ValueError("F constant needs p > m-1")
-        q = p / k
-        if q == 2.0:
-            return (math.pi**2 / 6.0) ** (1.0 / p)
-    else:
-        raise ValueError(f"operator must be 'T' or 'F', got {operator!r}")
-    partial = float(np.sum(1.0 / np.arange(1, terms + 1) ** q))
-    return (partial + zeta_tail_bound(q, terms)) ** (1.0 / p)
+    q = tail_exponent(operator, order, p)
+    if q == 2.0:
+        return (math.pi**2 / 6.0) ** (1.0 / p)
+    partial = float(np.sum(1.0 / np.arange(1, ZETA_TERMS + 1) ** q))
+    return (partial + zeta_tail_bound(q, ZETA_TERMS)) ** (1.0 / p)
 
 
 @dataclass
@@ -153,14 +158,6 @@ class NormSearchReport:
     best_vector: list[float] = field(repr=False)
     gap_to_pi_sqrt6: float = 0.0
     evaluations: int = 0
-
-
-def _evaluate(operator: str, x: np.ndarray, order: int, p: float, out_len: int) -> CertifiedNorm:
-    if operator == "T":
-        return t_infinity(x, order, p, out_len)
-    if operator == "F":
-        return f_infinity(x, order, p, out_len)
-    raise ValueError(f"operator must be 'T' or 'F', got {operator!r}")
 
 
 def _unit_l1(x: np.ndarray) -> np.ndarray:
@@ -187,8 +184,10 @@ def norm_search(
     No gradient claims: this is evidence for where the operator norm sits,
     not a proof.
     """
+    tail_exponent(operator, order, p)
     if support < 1:
         raise ValueError("support must be >= 1")
+    evaluate = t_infinity if operator == "T" else f_infinity
     rng = SplitMix64(seed)
     idx = np.arange(1, support + 1, dtype=float)
 
@@ -207,7 +206,7 @@ def norm_search(
 
     def consider(x: np.ndarray) -> None:
         nonlocal best_val, best_cert, best_x, evaluations
-        cert = _evaluate(operator, x, order, p, out_len)
+        cert = evaluate(x, order, p, out_len)
         evaluations += 1
         if cert.value > best_val:
             best_val = cert.value

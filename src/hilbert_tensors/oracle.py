@@ -87,7 +87,7 @@ def brute_quadratic_form(t: HilbertTensor, x, exact: bool = False, cfg: OracleCo
 
 def dense_matrix_eigenpair(n: int) -> tuple[float, np.ndarray]:
     """Largest eigenpair of the n-by-n Hilbert matrix via LAPACK."""
-    matrix = HilbertTensor(2, n).materialize_dense()
+    matrix = _dense(HilbertTensor(2, n), DEFAULT_CONFIG.max_elements)
     w, v = np.linalg.eigh(matrix)
     vec = v[:, -1]
     if vec.sum() < 0:

@@ -213,6 +213,27 @@ def test_infinite_violation_of_scaled_bound_still_flagged(capsys, monkeypatch, x
     assert "NORM BOUND VIOLATION" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the p-th powers of the head overflow although the norm is about 1e4
+        ["--m", "2", "--p", "100", "--x", "1e4", "--trunc", "10"],
+        # the l1 norm itself overflows
+        ["--m", "2", "--x", "1e308,1e308"],
+        # the head overflows and tail^p would raise OverflowError in `upper`
+        ["--m", "4", "--p", "6", "--op", "F", "--x", "1e110", "--trunc", "10"],
+    ],
+)
+def test_non_finite_infinite_row_is_uncertified(capsys, args):
+    code, out, err = run_cli(["infinite", *args], capsys)
+    assert code == cli.EXIT_UNCONVERGED == 3
+    [row] = parse_rows(out)
+    assert row["value"] is None and row["slack"] is None
+    assert row["certified"] is False
+    assert "VIOLATION" not in err
+    assert "internal error" not in err
+
+
 # -- bench ------------------------------------------------------------------------
 
 
@@ -275,6 +296,12 @@ def test_missing_out_directory_is_usage_error(capsys, tmp_path):
     assert out == ""
     assert not target.exists()
     assert "--out" in err
+    # a directory is no file to write either; refused before any solve
+    code, out, err = run_cli(["spectrum", "--m", "2", "--n", "3", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--out" in err
+    assert "value=" not in err
 
 
 def test_bad_max_elements_env_is_usage_error(capsys, monkeypatch):

@@ -201,9 +201,18 @@ def test_eigen_residual_converged_pairs():
 def test_eigen_residual_grows_under_perturbation():
     t = HilbertTensor(3, 4)
     clean = eigen_residual(t, h_spectral_radius(t))
-    rough = h_spectral_radius(t, max_iter=1)  # one step from all-ones
+    rough = h_spectral_radius(t, max_iter=1)  # the all-ones start, evaluated once
     assert eigen_residual(t, rough) > clean
     assert eigen_residual(t, rough) > 0
+
+
+@pytest.mark.parametrize("solve", [h_spectral_radius, z_spectral_radius])
+def test_unconverged_result_describes_its_vector(solve):
+    # value, certificate and vector come from the same (last evaluated) iterate
+    t = HilbertTensor(3, 20)
+    res = solve(t, max_iter=2)
+    assert not res.converged and res.iterations == 2
+    assert eigen_residual(t, res) == res.residual
 
 
 def test_eigen_residual_unknown_kind():

@@ -13,6 +13,7 @@ from hilbert_tensors import (
     operator_norm_constant,
     t_infinity,
 )
+from hilbert_tensors.infinite import CertifiedNorm, tail_exponent
 
 
 def unit_l1(x):
@@ -170,6 +171,34 @@ def test_operator_norm_constant_closed_forms():
         operator_norm_constant("T", 2, 0.5)
     with pytest.raises(ValueError):
         operator_norm_constant("Q", 2, 2.0)
+
+
+def test_tail_exponent_per_operator():
+    assert tail_exponent("T", 3, 1.5) == 1.5
+    assert tail_exponent("F", 3, 3.0) == 1.5
+    assert tail_exponent("F", 4, 6.0) == 2.0
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: t_infinity([1.0], 3, 1.0), "operator T needs p > 1, got p = 1"),
+        (lambda: f_infinity([1.0], 3, 1.5), "operator F needs p > m-1 = 2, got p = 1.5"),
+        (lambda: operator_norm_constant("T", 2, 0.5), "operator T needs p > 1, got p = 0.5"),
+        (lambda: operator_norm_constant("F", 4, 3.0), "operator F needs p > m-1 = 3, got p = 3"),
+        (lambda: norm_search(3, 2.0, trials=1, operator="F"), "operator F needs p > m-1 = 2, got p = 2"),
+        (lambda: norm_search(2, 2.0, trials=1, operator="Q"), "operator must be 'T' or 'F', got 'Q'"),
+    ],
+    ids=["t_infinity", "f_infinity", "constant-T", "constant-F", "search-F", "search-Q"],
+)
+def test_p_range_errors_carry_the_cli_text(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_upper_is_inf_when_a_power_overflows():
+    assert CertifiedNorm(1.0, 1e110, 6.0, 10).upper == math.inf
 
 
 # -- norm search ------------------------------------------------------------------
