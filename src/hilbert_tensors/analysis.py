@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import HilbertTensor, spectral_bound_h, spectral_bound_z
-from .eigensolvers import EigenResult, h_spectral_radius, z_spectral_radius
+from .eigensolvers import EigenResult, equation_residual, h_spectral_radius, z_spectral_radius
 from .rng import SplitMix64
 
 
@@ -248,14 +248,13 @@ def embedding_report(m: int, k: int, h: EigenResult) -> EmbeddingReport:
     padded = np.zeros(k)
     padded[:n] = h.vector.values
     y = HilbertTensor(m, k).apply_fast(padded).values
-    diff = np.abs(y - h.value * padded ** (m - 1))
     return EmbeddingReport(
         m=m,
         n=n,
         k=k,
         eigenvalue=h.value,
-        restricted_residual=float(diff[:n].max()),
-        full_residual=float(diff.max()),
+        restricted_residual=equation_residual("H", m, padded[:n], y[:n], h.value),
+        full_residual=equation_residual("H", m, padded, y, h.value),
         converged=h.converged,
     )
 

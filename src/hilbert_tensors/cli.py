@@ -39,7 +39,6 @@ import numpy as np
 from . import analysis, infinite, reporting
 from .core import HilbertTensor, max_elements_budget
 from .reporting import SLACK_NOISE
-from .eigensolvers import h_spectral_radius, z_spectral_radius
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,9 +152,7 @@ def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:
     if len(args.n) != 1:
         raise UsageError("spectrum needs a single dimension, e.g. --n 4")
     n = args.n[0]
-    t = HilbertTensor(args.m, n)
-    h = h_spectral_radius(t, tol=args.tol, max_iter=args.max_iter)
-    z = z_spectral_radius(t, tol=args.tol, max_iter=args.max_iter)
+    ((h, z),) = analysis.solve_dims(args.m, args.n, tol=args.tol, max_iter=args.max_iter)
     for res in (h, z):
         rows.append(
             reporting.make_row(args.m, n, res.kind, res.value, None, None, res.converged, res.iterations)
@@ -344,7 +341,9 @@ def run(argv=None) -> int:
     rows: list[dict] = []
     try:
         validate(args)
-        status = _COMMANDS[args.command](args, rows)
+        # overflow already shows as null values, certified: false and exit 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = _COMMANDS[args.command](args, rows)
     except UsageError as exc:
         print(f"hilbert-tensors: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,7 +16,9 @@ Solvers:
   H_n x^m = int_0^1 (sum_i x_i t^{i-1})^m dt is convex on the nonnegative
   orthant, and positive entries keep the iterates inside it.
 
-Both reject a start vector with a non-positive entry.  Both work for any
+Both run one power loop, ``_power_iteration``, and differ only in the
+start norm, the step and the stop quantity.  Both reject a start vector
+with a non-positive entry and ``max_iter < 1``.  Both work for any
 generating vector wired through ``core.hankel_apply`` but are only
 exercised against the Hilbert family here.
 """
@@ -66,6 +68,75 @@ def _positive_start(t: HilbertTensor, x0, p: float) -> np.ndarray:
     return x / float(np.sum(x**p) ** (1.0 / p))
 
 
+def equation_residual(kind: str, order: int, x: np.ndarray, y: np.ndarray, value: float) -> float:
+    """Residual of the eigen-equation at x, given y = H x^{m-1} and the eigenvalue.
+
+    H-kind: ||y - lambda x^{[m-1]}||_inf.
+    Z-kind: ||y - mu x||_2.
+    """
+    if kind == "H":
+        return float(np.max(np.abs(y - value * x ** (order - 1))))
+    if kind == "Z":
+        return float(np.linalg.norm(y - value * x))
+    raise ValueError(f"unknown eigenpair kind {kind!r}")
+
+
+def _power_iteration(kind: str, t: HilbertTensor, tol: float, max_iter: int, x0) -> EigenResult:
+    """The one power loop behind both solvers.
+
+    Only the start norm, the step and the stop quantity depend on ``kind``.
+    Each iterate x is evaluated once, y = H_n x^{m-1}.  The loop stops
+    unconverged at the first non-finite value or certificate (overflow:
+    further iterates stay non-finite) and converged once the certificate,
+    the bracket width for H and the residual for Z, is at most ``tol``.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    t._require_finite()
+    m = t.order
+    x = _positive_start(t, x0, float(m) if kind == "H" else 2.0)
+
+    trace: list[float] = []
+    lower = upper = None
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        if iterations > 1:  # advance only when the new iterate gets evaluated
+            if kind == "H":
+                root = y ** (1.0 / (m - 1))
+                x = root / np.sum(root**m) ** (1.0 / m)
+            else:
+                x = y / np.linalg.norm(y)
+        y = t.apply_fast(x).values
+        value = float(x @ y)
+        trace.append(value)
+        if kind == "H":
+            ratios = y / x ** (m - 1)
+            lower = float(ratios.min())
+            upper = float(ratios.max())
+            certificate = upper - lower
+        else:
+            certificate = equation_residual(kind, m, x, y, value)
+        if not (math.isfinite(value) and math.isfinite(certificate)):
+            break
+        if certificate <= tol:
+            converged = True
+            break
+
+    return EigenResult(
+        kind=kind,
+        value=value,
+        vector=SequenceVector(x),
+        lower=lower,
+        upper=upper,
+        residual=equation_residual(kind, m, x, y, value),
+        iterations=iterations,
+        converged=converged,
+        trace=trace,
+    )
+
+
 def h_spectral_radius(
     t: HilbertTensor,
     tol: float = 1e-10,
@@ -82,44 +153,7 @@ def h_spectral_radius(
     The reported value H_n x^m is a convex combination of the ratios, so it
     always lies inside the bracket.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n, m = t._require_finite(), t.order
-    x = _positive_start(t, x0, float(m))
-
-    trace: list[float] = []
-    lower = upper = value = float("nan")
-    y = x
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        if iterations > 1:  # advance only when the new iterate gets evaluated
-            root = y ** (1.0 / (m - 1))
-            x = root / np.sum(root**m) ** (1.0 / m)
-        y = t.apply_fast(x).values
-        ratios = y / x ** (m - 1)
-        lower = float(ratios.min())
-        upper = float(ratios.max())
-        value = float(x @ y)
-        trace.append(value)
-        if not (math.isfinite(lower) and math.isfinite(upper) and math.isfinite(value)):
-            break  # overflow: further iterates stay non-finite
-        if upper - lower <= tol:
-            converged = True
-            break
-
-    residual = float(np.max(np.abs(y - value * x ** (m - 1))))
-    return EigenResult(
-        kind="H",
-        value=value,
-        vector=SequenceVector(x),
-        lower=lower,
-        upper=upper,
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-    )
+    return _power_iteration("H", t, tol, max_iter, x0)
 
 
 def z_spectral_radius(
@@ -138,39 +172,7 @@ def z_spectral_radius(
     positive tensors.  The residual ||H_n x^{m-1} - mu x||_2 is the stopping
     certificate; a non-finite value or residual stops the loop unconverged.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    t._require_finite()
-    x = _positive_start(t, x0, 2.0)
-
-    trace: list[float] = []
-    value = residual = float("nan")
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        if iterations > 1:  # advance only when the new iterate gets evaluated
-            x = y / np.linalg.norm(y)
-        y = t.apply_fast(x).values
-        value = float(x @ y)
-        residual = float(np.linalg.norm(y - value * x))
-        trace.append(value)
-        if not (math.isfinite(value) and math.isfinite(residual)):
-            break  # overflow: further iterates stay non-finite
-        if residual <= tol:
-            converged = True
-            break
-
-    return EigenResult(
-        kind="Z",
-        value=value,
-        vector=SequenceVector(x),
-        lower=None,
-        upper=None,
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-    )
+    return _power_iteration("Z", t, tol, max_iter, x0)
 
 
 def eigen_residual(t: HilbertTensor, pair: EigenResult) -> float:
@@ -180,12 +182,7 @@ def eigen_residual(t: HilbertTensor, pair: EigenResult) -> float:
     Z-kind: ||H_n x^{m-1} - mu x||_2.
     """
     x = pair.vector.values
-    y = t.apply_fast(x).values
-    if pair.kind == "H":
-        return float(np.max(np.abs(y - pair.value * x ** (t.order - 1))))
-    if pair.kind == "Z":
-        return float(np.linalg.norm(y - pair.value * x))
-    raise ValueError(f"unknown eigenpair kind {pair.kind!r}")
+    return equation_residual(pair.kind, t.order, x, t.apply_fast(x).values, pair.value)
 
 
 def f_operator(t: HilbertTensor):

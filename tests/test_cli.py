@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -332,6 +333,24 @@ def test_overflow_rows_stay_json(capsys):
     assert [row["kind"] for row in rows] == ["H", "Z"]
     # the solvers stop at the first non-finite iterate instead of spinning on
     assert all(row["certified"] is False and row["iterations"] < 50 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--m", "500", "--n", "5", "--max-iter", "50"],
+        ["infinite", "--m", "2", "--p", "100", "--x", "1e4", "--trunc", "10"],
+        ["infinite", "--x", "1e308,1e308"],
+        ["infinite", "--m", "4", "--p", "6", "--op", "F", "--x", "1e110", "--trunc", "10"],
+    ],
+)
+def test_overflow_rows_come_without_numpy_warnings(capsys, args):
+    code, out, _ = run_cli(args, capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        strict_code, strict_out, _ = run_cli(args, capsys)
+    assert code == strict_code == 3
+    assert strict_out == out
 
 
 # -- determinism ------------------------------------------------------------------

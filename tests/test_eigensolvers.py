@@ -215,6 +215,13 @@ def test_unconverged_result_describes_its_vector(solve):
     assert eigen_residual(t, res) == res.residual
 
 
+@pytest.mark.parametrize("solve", [h_spectral_radius, z_spectral_radius])
+def test_max_iter_below_one_is_rejected(solve):
+    # no iterate would be evaluated, so no result could describe one
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve(HilbertTensor(3, 4), max_iter=0)
+
+
 def test_eigen_residual_unknown_kind():
     t = HilbertTensor(2, 2)
     res = h_spectral_radius(t)
