@@ -12,10 +12,11 @@ Machine-readable rows (JSON lines or CSV, see :mod:`reporting`) go to
 stderr so that report files are byte-identical across runs for a fixed
 configuration and seed.
 
-Every flag is checked by :func:`validate` before any work: --m >= 2, --n
-parses and every dimension is >= 1, --tol finite and > 0, --max-iter >= 1,
---out is no directory and its directory exists; for ``infinite`` --op is T,
-F or both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k> (k >= 1) or
+A command takes only the flags it reads; :func:`validate` checks them before
+any work: --m >= 2, --out is no directory and its directory exists; --n (all
+but ``infinite``) parses with every dimension >= 1; --tol finite and > 0 and
+--max-iter >= 1 (``spectrum``, ``bounds``); for ``infinite`` --op is T, F or
+both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k> (k >= 1) or
 finite comma-separated floats, --trunc >= 1, --trials >= 0, --support >= 1;
 for ``bench`` --repeats >= 1 and HILBERT_MAX_ELEMENTS, if set, is an integer.
 
@@ -93,11 +94,6 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise UsageError(f"{flag} must be >= {low}, got {value}")
 
 
-def _finite(flag: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise UsageError(f"{flag} must be finite, got {value}")
-
-
 @contextlib.contextmanager
 def _usage_errors():
     try:
@@ -115,14 +111,15 @@ def validate(args: argparse.Namespace) -> None:
     """
     if args.m < 2:
         raise UsageError(f"order must be >= 2, got {args.m}")
-    with _usage_errors():
-        args.n = parse_dims(args.n)
-    if any(n < 1 for n in args.n):
-        raise UsageError("dimensions must be >= 1")
-    if args.tol <= 0:
-        raise UsageError("tolerance must be positive")
-    _finite("--tol", args.tol)
-    _at_least("--max-iter", args.max_iter, 1)
+    if "n" in args:  # each check runs only where the command has the flag
+        with _usage_errors():
+            args.n = parse_dims(args.n)
+        if any(n < 1 for n in args.n):
+            raise UsageError("dimensions must be >= 1")
+    if "tol" in args:
+        if not 0 < args.tol < math.inf:
+            raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
+        _at_least("--max-iter", args.max_iter, 1)
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise UsageError(f"--out directory does not exist: {os.path.dirname(args.out)!r}")
     if args.out and os.path.isdir(args.out):
@@ -130,7 +127,8 @@ def validate(args: argparse.Namespace) -> None:
     if args.command == "infinite":
         if args.op not in _OPS:
             raise UsageError(f"--op must be T, F, or both, got {args.op!r}")
-        _finite("--p", args.p)
+        if not math.isfinite(args.p):
+            raise UsageError(f"--p must be finite, got {args.p}")
         with _usage_errors():
             for op in _OPS[args.op]:
                 infinite.tail_exponent(op, args.m, args.p)
@@ -218,7 +216,7 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
             value, slack = rep.best_value, bound - rep.best_value
             print(
                 f"{op}-search: best={rep.best_value:.12g} tail={rep.best_tail_bound:.3e} "
-                f"gap to pi/sqrt6={rep.gap_to_pi_sqrt6:.3e} evaluations={rep.evaluations}",
+                f"gap to constant={rep.gap_to_constant:.3e} evaluations={rep.evaluations}",
                 file=sys.stderr,
             )
             if args.show_vector:
@@ -294,24 +292,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hilbert-tensors", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dims_help):
+    def common(p, dims_help=None, solves=False):
         p.add_argument("--m", type=int, default=2, help="tensor order (>= 2)")
-        p.add_argument("--n", default="2", help=dims_help)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-iter", type=int, default=10_000)
+        if dims_help:
+            p.add_argument("--n", default="2", help=dims_help)
+        if solves:
+            p.add_argument("--tol", type=float, default=1e-10)
+            p.add_argument("--max-iter", type=int, default=10_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write report rows to this path")
 
     p = sub.add_parser("spectrum", help="extremal H- and Z-eigenvalues")
-    common(p, "dimension, e.g. 4")
+    common(p, "dimension, e.g. 4", solves=True)
     p.add_argument("--show-vector", action="store_true")
 
     p = sub.add_parser("bounds", help="sine bounds and monotonicity sweep")
-    common(p, "dimension range, e.g. 2..8")
+    common(p, "dimension range, e.g. 2..8", solves=True)
 
     p = sub.add_parser("infinite", help="truncated infinite-dimensional operators")
-    common(p, "(unused)")
+    common(p)
     p.add_argument("--p", type=float, default=2.0, help="target l^p exponent")
     p.add_argument("--op", default="T", help="T, F, or both")
     p.add_argument("--x", default="e1", help="vector: e<k> or comma-separated floats")

@@ -6,6 +6,11 @@ tensor is Hankel: it is fully described by the generating sequence
 v[s] = 1/(s + 1) over 0-based offsets s, and tensor-vector contraction reduces
 to a self-convolution of the input followed by one correlation against v.
 
+``hankel_apply`` picks its route once: direct sums when small, else one
+transform, irfft(rfft(v) * conj(rfft(x)^(m-1))) at a power of two covering
+every offset read, so the convolution power never leaves the frequency domain
+(the anti-circulant form of Ding, Qi and Wei, NLAA 2015).
+
 Three routes compute the same contraction and quadratic form:
 
 * ``apply_naive`` / ``quadratic_form`` via the literal multi-index sum,
@@ -29,7 +34,7 @@ import numpy as np
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 
-# Above this a * b cost, convolutions go through a power-of-two rFFT.
+# Above this a * b cost, convolution powers and correlations use a pow2 rFFT.
 _FFT_PRODUCT_THRESHOLD = 1 << 22
 
 
@@ -140,21 +145,9 @@ class GeneratingVector:
         return len(self.values)
 
 
-def _pow2_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out_len = len(a) + len(b) - 1
-    size = 1 << (out_len - 1).bit_length()
-    fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    return np.fft.irfft(fa * fb, size)[:out_len]
-
-
 def convolve(a, b) -> np.ndarray:
-    """Full linear convolution; direct for small sizes, rFFT beyond."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size * b.size <= _FFT_PRODUCT_THRESHOLD:
-        return np.convolve(a, b)
-    return _pow2_convolve(a, b)
+    """Full linear convolution by the direct sum."""
+    return np.convolve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def convolution_power(x, k: int) -> np.ndarray:
@@ -180,7 +173,10 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
 
     Computes out[i] = sum_s gen[i + s] * y[s] for 0-based i < out_len, where
     y is the (order-1)-fold self-convolution of x.  ``gen`` must cover offsets
-    up to out_len - 1 + (order-1)*(len(x)-1).
+    up to need - 1 = out_len - 1 + (order-1)*(len(x)-1).
+
+    Direct sums while need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, else one
+    rFFT pipeline at the power of two >= need (see the module docstring).
 
     Any generating sequence is accepted; nothing here is specific to the
     Hilbert choice gen[s] = 1/(s+1).
@@ -192,12 +188,23 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     n_out = xv.size if out_len is None else int(out_len)
     if n_out < 1:
         raise ValueError("out_len must be >= 1")
-    y = convolution_power(xv, order - 1)
-    need = n_out + y.size - 1
+    k = order - 1
+    if k < 1:
+        raise ValueError("convolution power needs k >= 1")
+    y_len = k * (xv.size - 1) + 1
+    need = n_out + y_len - 1
     if v.size < need:
         raise ValueError(f"generating vector too short: need {need}, have {v.size}")
-    full = convolve(v[:need], y[::-1])
-    return full[y.size - 1 : y.size - 1 + n_out]
+    if need * y_len <= _FFT_PRODUCT_THRESHOLD:
+        return convolve(v[:need], convolution_power(xv, k)[::-1])[y_len - 1 : need]
+    # i + s <= need - 1 < size, so the circular correlation never wraps.
+    size = 1 << (need - 1).bit_length()
+    fx = np.fft.rfft(xv, size)
+    np.conjugate(fx, out=fx)
+    fv = np.fft.rfft(v[:need], size)
+    for _ in range(k):  # fv * conj(fx)^k, in place; no complex power
+        fv *= fx
+    return np.fft.irfft(fv, size)[:n_out]
 
 
 def _exact_values(x) -> list[Fraction]:

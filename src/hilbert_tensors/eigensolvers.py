@@ -101,40 +101,41 @@ def _power_iteration(kind: str, t: HilbertTensor, tol: float, max_iter: int, x0)
     trace: list[float] = []
     lower = upper = None
     converged = False
-    for iterations in range(1, max_iter + 1):
-        if iterations > 1:  # advance only when the new iterate gets evaluated
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends the loop unconverged
+        for iterations in range(1, max_iter + 1):
+            if iterations > 1:  # advance only when the new iterate gets evaluated
+                if kind == "H":
+                    root = y ** (1.0 / (m - 1))
+                    x = root / np.sum(root**m) ** (1.0 / m)
+                else:
+                    x = y / np.linalg.norm(y)
+            y = t.apply_fast(x).values
+            value = float(x @ y)
+            trace.append(value)
             if kind == "H":
-                root = y ** (1.0 / (m - 1))
-                x = root / np.sum(root**m) ** (1.0 / m)
+                ratios = y / x ** (m - 1)
+                lower = float(ratios.min())
+                upper = float(ratios.max())
+                certificate = upper - lower
             else:
-                x = y / np.linalg.norm(y)
-        y = t.apply_fast(x).values
-        value = float(x @ y)
-        trace.append(value)
-        if kind == "H":
-            ratios = y / x ** (m - 1)
-            lower = float(ratios.min())
-            upper = float(ratios.max())
-            certificate = upper - lower
-        else:
-            certificate = equation_residual(kind, m, x, y, value)
-        if not (math.isfinite(value) and math.isfinite(certificate)):
-            break
-        if certificate <= tol:
-            converged = True
-            break
+                certificate = equation_residual(kind, m, x, y, value)
+            if not (math.isfinite(value) and math.isfinite(certificate)):
+                break
+            if certificate <= tol:
+                converged = True
+                break
 
-    return EigenResult(
-        kind=kind,
-        value=value,
-        vector=SequenceVector(x),
-        lower=lower,
-        upper=upper,
-        residual=equation_residual(kind, m, x, y, value),
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-    )
+        return EigenResult(
+            kind=kind,
+            value=value,
+            vector=SequenceVector(x),
+            lower=lower,
+            upper=upper,
+            residual=equation_residual(kind, m, x, y, value),
+            iterations=iterations,
+            converged=converged,
+            trace=trace,
+        )
 
 
 def h_spectral_radius(

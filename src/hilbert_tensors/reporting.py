@@ -20,16 +20,7 @@ SLACK_NOISE = 1e-8
 
 
 def make_row(m, n, kind, value, bound, slack, certified, iterations) -> dict:
-    return {
-        "m": m,
-        "n": n,
-        "kind": kind,
-        "value": value,
-        "bound": bound,
-        "slack": slack,
-        "certified": certified,
-        "iterations": iterations,
-    }
+    return dict(zip(ROW_KEYS, (m, n, kind, value, bound, slack, certified, iterations)))
 
 
 def sweep_rows(sweep) -> list[dict]:
@@ -57,16 +48,20 @@ def _missing(value) -> bool:
     return value is None or (isinstance(value, float) and not math.isfinite(value))
 
 
-def _fmt(value) -> str:
+def _csv_cell(value) -> str:
     if _missing(value):
-        return "null"
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return "%.17g" % value
-    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return str(value)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _csv_cell(value) or "null"
 
 
 def to_json_lines(rows) -> str:
@@ -76,16 +71,6 @@ def to_json_lines(rows) -> str:
         body = ", ".join(f'"{k}": {_fmt(row.get(k))}' for k in ROW_KEYS)
         lines.append("{" + body + "}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _csv_cell(value) -> str:
-    if _missing(value):
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
 
 
 def to_csv(rows) -> str:

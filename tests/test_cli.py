@@ -176,6 +176,18 @@ def test_infinite_search(capsys):
     assert row["iterations"] == 40
 
 
+def test_infinite_search_reports_gap_to_its_constant(capsys):
+    code, out, err = run_cli(
+        ["infinite", "--m", "3", "--p", "4", "--op", "F", "--search", "--trials", "6", "--trunc", "1000"],
+        capsys,
+    )
+    assert code == 0
+    [row] = parse_rows(out)
+    gap = float(err.split("gap to constant=")[1].split()[0])
+    assert gap == pytest.approx(row["bound"] - row["value"], abs=1e-3 * gap)
+    assert row["bound"] == pytest.approx((math.pi**2 / 6) ** 0.25, rel=1e-15)
+
+
 def test_infinite_both_ops(capsys):
     code, out, _ = run_cli(
         ["infinite", "--m", "3", "--p", "4", "--op", "both", "--trunc", "1000"], capsys
@@ -288,6 +300,19 @@ def test_out_of_range_flag_is_usage_error(capsys, args, names):
     assert code == 1
     assert out == ""
     assert names in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["infinite", "--tol", "1e-3"], ["infinite", "--n", "5"], ["bench", "--max-iter", "5"]],
+)
+def test_flag_the_command_never_reads_is_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(args)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 def test_missing_out_directory_is_usage_error(capsys, tmp_path):

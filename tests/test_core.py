@@ -12,13 +12,14 @@ from hilbert_tensors import (
     HilbertTensor,
     SequenceVector,
     SplitMix64,
+    apply_infinite,
     convolution_power,
     f_infinity,
     f_operator,
     hankel_apply,
     infinite,
 )
-from hilbert_tensors.core import real_root
+from hilbert_tensors.core import _FFT_PRODUCT_THRESHOLD, convolve, real_root
 
 
 # -- entries ------------------------------------------------------------------
@@ -298,6 +299,70 @@ def test_convolution_power_fft_path_matches_direct():
     direct = np.convolve(np.convolve(x, x), x)
     fast = convolution_power(x, 3)
     np.testing.assert_allclose(fast, direct, atol=1e-9 * (1 + np.abs(direct).max()))
+
+
+# -- the FFT route of hankel_apply, past the sizes the naive sum reaches ------------------
+
+
+def _route_sizes(order, support, out_len):
+    y_len = (order - 1) * (support - 1) + 1
+    return y_len, out_len + y_len - 1
+
+
+def _longdouble_rows(x, order, out_len, rows):
+    """out[i] = sum_s v[i + s] y[s] at ``rows``, all in long double."""
+    xl = np.asarray(x, dtype=np.longdouble)
+    y = xl
+    for _ in range(order - 2):
+        y = np.convolve(y, xl)
+    v = 1 / np.arange(1, out_len + y.size, dtype=np.longdouble)
+    return np.array([v[i : i + y.size] @ y for i in rows])
+
+
+def _fft_route_bound(x, order, out_len):
+    """8 eps log2(S) ||v[:need]||_2 || |x|^{*(m-1)} ||_2, S the power of two >= need."""
+    _, need = _route_sizes(order, len(x), out_len)
+    size = 1 << (need - 1).bit_length()
+    ay = np.abs(x)
+    for _ in range(order - 2):
+        ay = np.convolve(ay, np.abs(x))
+    v_norm = np.linalg.norm(1.0 / np.arange(1, need + 1))
+    return 8 * np.finfo(float).eps * np.log2(size) * v_norm * np.linalg.norm(ay)
+
+
+def _assert_fft_route_accurate(x, order, out_len, out):
+    y_len, need = _route_sizes(order, len(x), out_len)
+    assert need * y_len > _FFT_PRODUCT_THRESHOLD  # the case really takes the FFT route
+    sampled = np.random.default_rng(order).integers(0, out_len, 14)
+    rows = np.unique(np.concatenate([[0, out_len - 1], sampled]))
+    err = np.max(np.abs(out[rows].astype(np.longdouble) - _longdouble_rows(x, order, out_len, rows)))
+    assert float(err) <= _fft_route_bound(x, order, out_len)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1500), (3, 900), (4, 600)])
+@pytest.mark.parametrize("kind", ["cosine", "uniform"])
+def test_fft_route_matches_long_double_sums(m, n, kind):
+    # just past each order's first dimension on the FFT route (1449, 837, 592)
+    if kind == "cosine":
+        x = np.cos(np.arange(1, n + 1))
+    else:
+        x = np.array(SplitMix64(n).uniforms(n, -1, 1))
+    _assert_fft_route_accurate(x, m, n, HilbertTensor(m, n).apply_fast(x).values)
+
+
+def test_fft_route_long_by_short_apply_infinite():
+    x = np.cos(np.arange(1, 17))
+    _assert_fft_route_accurate(x, 4, 100_000, apply_infinite(x, 4, 100_000).values)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1448), (3, 836), (4, 591)])
+def test_direct_route_is_convolve_of_convolution_power(m, n):
+    # the last dimension before the FFT route: direct sums, bit for bit
+    x = np.cos(np.arange(1, n + 1))
+    y = convolution_power(x, m - 1)
+    gen = HilbertTensor(m, n).generating_vector().values
+    expected = convolve(gen, y[::-1])[y.size - 1 : y.size - 1 + n]
+    assert np.array_equal(HilbertTensor(m, n).apply_fast(x).values, expected)
 
 
 # -- clamped real root ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hilbert_tensors import (
     SplitMix64,
     apply_infinite,
     f_infinity,
+    h_spectral_radius,
     norm_search,
     operator_norm_constant,
     t_infinity,
@@ -201,6 +203,16 @@ def test_upper_is_inf_when_a_power_overflows():
     assert CertifiedNorm(1.0, 1e110, 6.0, 10).upper == math.inf
 
 
+def test_overflow_raises_no_numpy_warning():
+    # overflow shows in the results (non-finite, unconverged), not as a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = h_spectral_radius(HilbertTensor(500, 5), max_iter=50)
+        constant = operator_norm_constant("T", 2, 100.0)
+    assert not res.converged
+    assert constant == 1.0  # every term past i = 1 is lost in rounding against the first
+
+
 # -- norm search ------------------------------------------------------------------
 
 
@@ -233,3 +245,10 @@ def test_norm_search_never_exceeds_bound():
         p = 2.0 if op == "T" else 4.0
         rep = norm_search(3, p, trials=80, support=6, out_len=5000, seed=10, operator=op)
         assert rep.best_value <= PI_OVER_SQRT6 + 1e-9
+
+
+def test_norm_search_gap_is_to_its_own_constant():
+    # F at m = 3, p = 4: the constant is (pi^2/6)^(1/4), not pi/sqrt(6)
+    rep = norm_search(3, 4.0, trials=6, support=4, out_len=1000, seed=3, operator="F")
+    assert rep.gap_to_constant == operator_norm_constant("F", 3, 4.0) - rep.best_value
+    assert 0 < rep.gap_to_constant < PI_OVER_SQRT6 - rep.best_value
