@@ -58,13 +58,17 @@ def main() -> int:
         failures += sum(0 if emb.restricted_residual <= SLACK_NOISE else 1 for emb in sweep.embeddings)
 
         if m % 2 == 0:
+            failed_dims = []
             for n in dims:
                 rep = check_positive_definite(HilbertTensor(m, n), trials=args.trials,
                                               seed=args.seed)
                 rows.append(make_row(m, n, "pd-min-integral", rep.min_integral, 0.0,
                                      rep.min_integral, rep.all_positive, rep.trials))
-                failures += 0 if rep.all_positive else 1
-            print(f"  positive definiteness sampled over n=2..{args.max_dim}: ok")
+                if not rep.all_positive:
+                    failed_dims.append(n)
+            failures += len(failed_dims)
+            verdict = f"FAILED at n={','.join(map(str, failed_dims))}" if failed_dims else "ok"
+            print(f"  positive definiteness sampled over n=2..{args.max_dim}: {verdict}")
 
     for n in dims:
         rep = hilbert_inequality_check(n, trials=args.trials, seed=args.seed)

@@ -14,7 +14,8 @@ configuration and seed.
 
 A command takes only the flags it reads; :func:`validate` checks them before
 any work: --m >= 2, --out is no directory and its directory exists; --n (all
-but ``infinite``) parses with every dimension >= 1; --tol finite and > 0 and
+but ``infinite``) parses with every dimension >= 1, a single one for
+``spectrum`` and strictly ascending ones for ``bounds``; --tol finite and > 0 and
 --max-iter >= 1 (``spectrum``, ``bounds``); for ``infinite`` --op is T, F or
 both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k> (k >= 1) or
 finite comma-separated floats, --trunc >= 1, --trials >= 0, --support >= 1;
@@ -116,6 +117,10 @@ def validate(args: argparse.Namespace) -> None:
             args.n = parse_dims(args.n)
         if any(n < 1 for n in args.n):
             raise UsageError("dimensions must be >= 1")
+        if args.command == "spectrum" and len(args.n) != 1:
+            raise UsageError("spectrum needs a single dimension, e.g. --n 4")
+        if args.command == "bounds" and any(b <= a for a, b in zip(args.n, args.n[1:])):
+            raise UsageError("dims must be strictly ascending")
     if "tol" in args:
         if not 0 < args.tol < math.inf:
             raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
@@ -147,8 +152,6 @@ def validate(args: argparse.Namespace) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:
-    if len(args.n) != 1:
-        raise UsageError("spectrum needs a single dimension, e.g. --n 4")
     n = args.n[0]
     ((h, z),) = analysis.solve_dims(args.m, args.n, tol=args.tol, max_iter=args.max_iter)
     for res in (h, z):
@@ -171,8 +174,6 @@ def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace, rows: list) -> int:
-    if any(b <= a for a, b in zip(args.n, args.n[1:])):
-        raise UsageError("dims must be strictly ascending")
     sweep = analysis.dimension_sweep(args.m, args.n, tol=args.tol, max_iter=args.max_iter)
     rows.extend(reporting.sweep_rows(sweep))
 
@@ -216,7 +217,7 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
             value, slack = rep.best_value, bound - rep.best_value
             print(
                 f"{op}-search: best={rep.best_value:.12g} tail={rep.best_tail_bound:.3e} "
-                f"gap to constant={rep.gap_to_constant:.3e} evaluations={rep.evaluations}",
+                f"gap to constant={slack:.3e} evaluations={rep.evaluations}",
                 file=sys.stderr,
             )
             if args.show_vector:

@@ -6,7 +6,8 @@ tensor is Hankel: it is fully described by the generating sequence
 v[s] = 1/(s + 1) over 0-based offsets s, and tensor-vector contraction reduces
 to a self-convolution of the input followed by one correlation against v.
 
-``hankel_apply`` picks its route once: direct sums when small, else one
+``hankel_apply`` picks its route once: when small, one valid-mode correlation
+of v against y = x^{*(m-1)}, which computes only the outputs returned; else one
 transform, irfft(rfft(v) * conj(rfft(x)^(m-1))) at a power of two covering
 every offset read, so the convolution power never leaves the frequency domain
 (the anti-circulant form of Ding, Qi and Wei, NLAA 2015).
@@ -146,7 +147,7 @@ class GeneratingVector:
 
 
 def convolve(a, b) -> np.ndarray:
-    """Full linear convolution by the direct sum."""
+    """Full linear convolution by the direct sum: the tests' reference, off the pipeline."""
     return np.convolve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
@@ -175,8 +176,9 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     y is the (order-1)-fold self-convolution of x.  ``gen`` must cover offsets
     up to need - 1 = out_len - 1 + (order-1)*(len(x)-1).
 
-    Direct sums while need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, else one
-    rFFT pipeline at the power of two >= need (see the module docstring).
+    While need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, one valid-mode correlation
+    (out_len * len(y) multiply-adds), else one rFFT pipeline at the power of
+    two >= need (see the module docstring).
 
     Any generating sequence is accepted; nothing here is specific to the
     Hilbert choice gen[s] = 1/(s+1).
@@ -196,7 +198,7 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     if v.size < need:
         raise ValueError(f"generating vector too short: need {need}, have {v.size}")
     if need * y_len <= _FFT_PRODUCT_THRESHOLD:
-        return convolve(v[:need], convolution_power(xv, k)[::-1])[y_len - 1 : need]
+        return np.correlate(v[:need], convolution_power(xv, k), "valid")
     # i + s <= need - 1 < size, so the circular correlation never wraps.
     size = 1 << (need - 1).bit_length()
     fx = np.fft.rfft(xv, size)
@@ -366,14 +368,20 @@ class HilbertTensor:
 
 
 def spectral_bound_h(order: int, dim: int) -> float:
-    """Upper bound n^(m-1) sin(pi/n) for the largest H-eigenvalue (n >= 2)."""
-    if dim < 2:
-        raise ValueError("the sine bound is vacuous at n = 1; need n >= 2")
-    return dim ** (order - 1) * math.sin(math.pi / dim)
+    """Upper bound n^(m-1) sin(pi/n) for the largest H-eigenvalue (n >= 2); inf on overflow."""
+    return _sine_bound(dim, order - 1)
 
 
 def spectral_bound_z(order: int, dim: int) -> float:
-    """Upper bound n^(m/2) sin(pi/n) for the largest Z-eigenvalue (n >= 2)."""
+    """Upper bound n^(m/2) sin(pi/n) for the largest Z-eigenvalue (n >= 2); inf on overflow."""
+    return _sine_bound(dim, order / 2.0)
+
+
+def _sine_bound(dim: int, power) -> float:
+    # an int power is exact until the product with the sine rounds it once
     if dim < 2:
         raise ValueError("the sine bound is vacuous at n = 1; need n >= 2")
-    return dim ** (order / 2.0) * math.sin(math.pi / dim)
+    try:
+        return dim**power * math.sin(math.pi / dim)
+    except OverflowError:  # n^power, or its float, past the float range
+        return math.inf

@@ -158,8 +158,12 @@ class NormSearchReport:
     best_value: float
     best_tail_bound: float
     best_vector: list[float] = field(repr=False)
-    gap_to_constant: float = 0.0  # operator_norm_constant(operator, order, p) - best_value
     evaluations: int = 0
+
+    @property
+    def gap_to_constant(self) -> float:
+        """operator_norm_constant(operator, order, p) - best_value, computed on access."""
+        return operator_norm_constant(self.operator, self.order, self.p) - self.best_value
 
 
 def _unit_l1(x: np.ndarray) -> np.ndarray:
@@ -251,6 +255,5 @@ def norm_search(
         best_value=best_cert.value,
         best_tail_bound=best_cert.tail_bound,
         best_vector=[float(v) for v in best_x],
-        gap_to_constant=operator_norm_constant(operator, order, p) - best_cert.value,
         evaluations=evaluations,
     )

@@ -114,6 +114,14 @@ def test_bound_sweep_single_dim():
     assert len(bound_sweep(2, [2])) == 1
 
 
+def test_bound_sweep_sine_bound_too_large_for_a_float_is_inf():
+    # 5^499 overflows a float; the H bound is inf instead of an OverflowError
+    [rep] = bound_sweep(500, [5], max_iter=50)
+    assert rep.bound_h == math.inf
+    assert rep.bound_z == 5 ** 250.0 * math.sin(math.pi / 5)  # still finite, same bits
+    assert not rep.certified
+
+
 # -- monotonicity -----------------------------------------------------------------
 
 

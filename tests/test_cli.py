@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from hilbert_tensors import cli, eigensolvers, infinite
+from hilbert_tensors import analysis, cli, eigensolvers, infinite
 from hilbert_tensors.reporting import ROW_KEYS, to_csv, to_json_lines
 
 
@@ -50,6 +50,17 @@ def test_spectrum_usage_error_m0_direct(capsys):
     code, _, err = run_cli(["spectrum", "--m", "0", "--n", "2"], capsys)
     assert code == 1
     assert "order" in err
+
+
+def test_spectrum_needs_a_single_dimension(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the dimension spec was checked")
+
+    monkeypatch.setattr(analysis, "solve_dims", no_solve)
+    code, out, err = run_cli(["spectrum", "--m", "2", "--n", "2,3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "hilbert-tensors: error: spectrum needs a single dimension, e.g. --n 4\n"
 
 
 def test_unknown_flag_exits_1():
@@ -100,6 +111,15 @@ def test_bounds_nonconvergence_exit(capsys):
         ["bounds", "--m", "2", "--n", "5..6", "--max-iter", "2", "--tol", "1e-14"], capsys
     )
     assert code == 3
+
+
+def test_bounds_sine_bound_too_large_for_a_float_renders_null(capsys):
+    code, out, err = run_cli(["bounds", "--m", "500", "--n", "5", "--max-iter", "50"], capsys)
+    assert code == 3  # the solves are unconverged; no internal error
+    assert "Traceback" not in err
+    h_row, z_row = parse_rows(out)
+    assert (h_row["kind"], h_row["bound"], h_row["slack"]) == ("H", None, None)
+    assert z_row["kind"] == "Z" and z_row["bound"] == 5 ** 250.0 * math.sin(math.pi / 5)
 
 
 def test_bounds_non_ascending_dims_usage_error(capsys):
@@ -186,6 +206,23 @@ def test_infinite_search_reports_gap_to_its_constant(capsys):
     gap = float(err.split("gap to constant=")[1].split()[0])
     assert gap == pytest.approx(row["bound"] - row["value"], abs=1e-3 * gap)
     assert row["bound"] == pytest.approx((math.pi**2 / 6) ** 0.25, rel=1e-15)
+
+
+def test_infinite_search_computes_each_constant_once(capsys, monkeypatch):
+    calls = []
+    orig = infinite.operator_norm_constant
+
+    def counted(operator, order, p):
+        calls.append((operator, order, p))
+        return orig(operator, order, p)
+
+    monkeypatch.setattr(infinite, "operator_norm_constant", counted)
+    code, _, _ = run_cli(
+        ["infinite", "--m", "3", "--p", "4", "--op", "both", "--search", "--trials", "3", "--trunc", "100"],
+        capsys,
+    )
+    assert code == 0
+    assert calls == [("T", 3, 4.0), ("F", 3, 4.0)]
 
 
 def test_infinite_both_ops(capsys):

@@ -355,14 +355,25 @@ def test_fft_route_long_by_short_apply_infinite():
     _assert_fft_route_accurate(x, 4, 100_000, apply_infinite(x, 4, 100_000).values)
 
 
-@pytest.mark.parametrize("m, n", [(2, 1448), (3, 836), (4, 591)])
-def test_direct_route_is_convolve_of_convolution_power(m, n):
-    # the last dimension before the FFT route: direct sums, bit for bit
+@pytest.mark.parametrize(
+    "m, n, out_len",
+    [
+        pytest.param(m, n, n, id=f"{m}-{n}")
+        for m, n in [*itertools.product((2, 3, 4), (1, 2, 30)), (2, 1448), (3, 836), (4, 591)]
+    ]
+    + [pytest.param(3, 16, 100_000, id="3-16-100000")],
+)
+def test_direct_route_is_convolve_of_convolution_power(m, n, out_len):
+    # small dimensions, the last dimension before the FFT route, and one
+    # long-by-short correlation: direct sums, bit for bit
+    y_len, need = _route_sizes(m, n, out_len)
+    assert need * y_len <= _FFT_PRODUCT_THRESHOLD
     x = np.cos(np.arange(1, n + 1))
     y = convolution_power(x, m - 1)
-    gen = HilbertTensor(m, n).generating_vector().values
-    expected = convolve(gen, y[::-1])[y.size - 1 : y.size - 1 + n]
-    assert np.array_equal(HilbertTensor(m, n).apply_fast(x).values, expected)
+    gen = GeneratingVector.hilbert(need).values
+    expected = convolve(gen, y[::-1])[y.size - 1 : y.size - 1 + out_len]
+    out = HilbertTensor(m, n).apply_fast(x) if out_len == n else apply_infinite(x, m, out_len)
+    assert np.array_equal(out.values, expected)
 
 
 # -- clamped real root ---------------------------------------------------------------
