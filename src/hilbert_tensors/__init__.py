@@ -12,7 +12,6 @@ from .analysis import (
     InequalityReport,
     MonotonicityReport,
     PositiveDefiniteReport,
-    TheoremViolationError,
     bound_sweep,
     check_positive_definite,
     embedding_check,
@@ -66,7 +65,6 @@ __all__ = [
     "PositiveDefiniteReport",
     "SequenceVector",
     "SplitMix64",
-    "TheoremViolationError",
     "apply_infinite",
     "bound_sweep",
     "check_positive_definite",

@@ -14,6 +14,10 @@ Covered claims, each turned into a report with explicit slack:
   (On components beyond n the contraction is strictly positive while the
   padded vector is zero, so the equation genuinely fails there; the full
   residual is reported as data, not asserted.)
+
+Every check returns its report, whatever it finds; none raises on a failed
+claim.  Callers judge the reports: the CLI and ``scripts/verify_theorems.py``
+map them to exit codes through ``cli.exit_status``.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ import numpy as np
 from .core import HilbertTensor, spectral_bound_h, spectral_bound_z
 from .eigensolvers import EigenResult, equation_residual, h_spectral_radius, z_spectral_radius
 from .rng import SplitMix64
-
-
-class TheoremViolationError(RuntimeError):
-    """A certified computation contradicted a claimed inequality."""
 
 
 @dataclass
@@ -141,9 +141,10 @@ def check_positive_definite(
 def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> InequalityReport:
     """Measure sum_{ij} |x_i||x_j| / (i+j-1) against n sin(pi/n) ||x||_2^2.
 
-    For n >= 4 a ratio above 1 raises; for n <= 3 the worst ratio is only
-    recorded, so a surprising small-n constant would surface as data rather
-    than a crash.
+    Returns the report at every n.  ``violation_observed`` says whether some
+    sample exceeded the bound (worst ratio above 1 + 1e-12); ``asserted``
+    says whether the claim is made at this n (n >= 4), so a surprising
+    small-n constant surfaces as data.
     """
     if n < 2:
         raise ValueError("the inequality check needs n >= 2")
@@ -163,20 +164,14 @@ def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> Inequ
         worst_lhs_over_norm = max(worst_lhs_over_norm, lhs / sq)
         worst_ratio = max(worst_ratio, lhs / (constant * sq))
 
-    asserted = n >= 4
-    violated = worst_ratio > 1.0 + 1e-12
-    if asserted and violated:
-        raise TheoremViolationError(
-            f"Hilbert inequality failed at n={n}: ratio {worst_ratio:.17g}"
-        )
     return InequalityReport(
         n=n,
         trials=trials,
         bound_constant=constant,
         worst_ratio=worst_ratio,
         worst_lhs_over_norm=worst_lhs_over_norm,
-        asserted=asserted,
-        violation_observed=violated,
+        asserted=n >= 4,
+        violation_observed=worst_ratio > 1.0 + 1e-12,
     )
 
 

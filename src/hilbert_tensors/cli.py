@@ -58,6 +58,14 @@ class UsageError(Exception):
     pass
 
 
+def exit_status(violated: bool, all_certified: bool) -> int:
+    """Every command's and ``scripts/verify_theorems.py``'s exit code from its claims:
+    2 if a certified claim was violated, else 0 if every claim is certified, else 3."""
+    if violated:
+        return EXIT_VIOLATION
+    return EXIT_OK if all_certified else EXIT_UNCONVERGED
+
+
 def parse_dims(spec: str) -> tuple[int, ...]:
     """Accept '3', '2..8', or '10,100,1000'; raise ValueError otherwise."""
     spec = spec.strip()
@@ -170,24 +178,20 @@ def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:
         )
         if args.show_vector:
             print(f"{res.kind} vector: {[float(v) for v in res.vector]}", file=sys.stderr)
-    return EXIT_OK if (h.converged and z.converged) else EXIT_UNCONVERGED
+    return exit_status(False, h.converged and z.converged)
 
 
 def cmd_bounds(args: argparse.Namespace, rows: list) -> int:
     sweep = analysis.dimension_sweep(args.m, args.n, tol=args.tol, max_iter=args.max_iter)
     rows.extend(reporting.sweep_rows(sweep))
 
-    status = EXIT_OK
-    for row in rows:
-        if row["certified"] and row["slack"] is not None and row["slack"] < -SLACK_NOISE:
-            print(
-                f"BOUND VIOLATION: m={row['m']} n={row['n']} kind={row['kind']} "
-                f"value={row['value']:.17g} bound={row['bound']:.17g}",
-                file=sys.stderr,
-            )
-            status = EXIT_VIOLATION
-    if status == EXIT_OK and any(not row["certified"] for row in rows):
-        status = EXIT_UNCONVERGED
+    violations = [r for r in rows if r["certified"] and r["slack"] is not None and r["slack"] < -SLACK_NOISE]
+    for row in violations:
+        print(
+            f"BOUND VIOLATION: m={row['m']} n={row['n']} kind={row['kind']} "
+            f"value={row['value']:.17g} bound={row['bound']:.17g}",
+            file=sys.stderr,
+        )
     mono = sweep.monotonicity
     if mono is not None:
         print(
@@ -195,11 +199,11 @@ def cmd_bounds(args: argparse.Namespace, rows: list) -> int:
             f"nondecreasing_z={mono.nondecreasing_z} certified={mono.certified}",
             file=sys.stderr,
         )
-    return status
+    return exit_status(bool(violations), all(row["certified"] for row in rows))
 
 
 def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
-    status = EXIT_OK
+    violated = False
     for op in _OPS[args.op]:
         bound = infinite.operator_norm_constant(op, args.m, args.p)
         if args.search:
@@ -243,54 +247,56 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
         # violation needs the certified lower bound itself to exceed it.
         if certified and value > bound * l1 + SLACK_NOISE_INFINITE:
             print(f"NORM BOUND VIOLATION in row {rows[-1]}", file=sys.stderr)
-            status = EXIT_VIOLATION
-    if status == EXIT_OK and not all(row["certified"] for row in rows):
-        status = EXIT_UNCONVERGED
-    return status
+            violated = True
+    return exit_status(violated, all(row["certified"] for row in rows))
 
 
 def cmd_bench(args: argparse.Namespace, rows: list) -> int:
     budget = max_elements_budget()
-    status = EXIT_OK
+    violated = False
     m, repeats = args.m, args.repeats
     print(f"{'m':>3} {'n':>7} {'fast (s)':>12} {'naive (s)':>12} {'speedup':>9} {'delta':>10}", file=sys.stderr)
     for n in args.n:
         t = HilbertTensor(m, n)
         x = np.cos(np.arange(1, n + 1))  # fixed, seed-independent workload
-        t_fast = min(_timed(t.apply_fast, x) for _ in range(repeats))
+        t_fast, fast = _timed(t.apply_fast, x, repeats)
         if n**m <= budget:
-            t_naive = min(_timed(t.apply_naive, x) for _ in range(repeats))
-            fast = t.apply_fast(x).values
-            naive = np.asarray(t.apply_naive(x))
+            t_naive, naive = _timed(t.apply_naive, x, repeats)
+            fast, naive = fast.values, np.asarray(naive)
             delta = float(np.max(np.abs(fast - naive)) / (1.0 + np.max(np.abs(naive))))
             rows.append(reporting.make_row(m, n, "bench", delta, 1e-10, 1e-10 - delta, True, repeats))
             print(
                 f"{m:>3} {n:>7} {t_fast:>12.3e} {t_naive:>12.3e} {t_naive / t_fast:>9.1f} {delta:>10.2e}",
                 file=sys.stderr,
             )
-            if delta > 1e-10:
-                status = EXIT_VIOLATION
+            violated = violated or delta > 1e-10
         else:
             rows.append(reporting.make_row(m, n, "bench-fast-only", None, None, None, False, repeats))
             print(f"{m:>3} {n:>7} {t_fast:>12.3e} {'skipped':>12} {'-':>9} {'-':>10}", file=sys.stderr)
-    return status
+    return exit_status(violated, True)  # a bench-fast-only row checks nothing
 
 
-def _timed(fn, *args) -> float:
-    start = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - start
+def _timed(fn, x, repeats: int):
+    """Best wall time of ``repeats`` calls fn(x), and the last call's output (all are equal)."""
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = fn(x)
+        best = min(best, time.perf_counter() - start)
+    return best, out
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; the contract wants 1
+class Parser(argparse.ArgumentParser):
+    """The CLI's and ``scripts/verify_theorems.py``'s parser: usage errors exit 1."""
+
+    def error(self, message):  # argparse defaults to exit code 2, the code of a violation here
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hilbert-tensors", description=__doc__.splitlines()[0])
+    parser = Parser(prog="hilbert-tensors", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, dims_help=None, solves=False):

@@ -90,8 +90,8 @@ def _power_iteration(kind: str, t: HilbertTensor, tol: float, max_iter: int, x0)
     further iterates stay non-finite) and converged once the certificate,
     the bracket width for H and the residual for Z, is at most ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN would never stop the loop, inf would stop it at once
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     t._require_finite()

@@ -16,9 +16,16 @@ The operators:
     T_inf x = ||x||_1^{2-m} H_inf x^{m-1}     (maps l^1 into l^p, p > 1)
     F_inf x = (H_inf x^{m-1})^{[1/(m-1)]}     (maps l^1 into l^p, p > m-1)
 
-At p = 2 the norm of T_inf over the unit l^1 sphere is bounded by
-pi/sqrt(6) = (sum i^-2)^(1/2), and the first coordinate vector attains it
-in the truncation limit.
+Their exact l^1 -> l^p norms are ``operator_norm_constant``, zeta(q)^(1/p)
+with q from :func:`tail_exponent` (q = p for T, q = p/(m-1) for F).  Write
+y = x^{*(m-1)}, so ||y||_1 <= ||x||_1^{m-1}, and H_inf x^{m-1} = sum_s y_s c_s
+with Hankel columns c_s = (1/(i+s))_{i>=1}, ||c_s||_q <= zeta(q)^(1/q).
+Minkowski gives ||T x||_p <= ||x||_1 zeta(p)^(1/p), and, since
+||F x||_p = ||H_inf x^{m-1}||_q^{1/(m-1)}, ||F x||_p <= ||x||_1 zeta(q)^(1/p).
+Equality holds at e_1.  The same argument on the first N components shows
+that e_1 also maximizes every truncated value, so :func:`norm_search` returns
+e_1 (up to rounding ties); its rows are evidence for a proven fact.  (At p = 2 the T constant is
+pi/sqrt(6).)
 """
 
 from __future__ import annotations
@@ -130,7 +137,11 @@ def f_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> Ce
 def operator_norm_constant(operator: str, order: int, p: float) -> float:
     """Rigorous upper bound for the l^1 -> l^p operator-norm constant.
 
-    The constant is (sum i^-q)^(1/p) with q from :func:`tail_exponent`.  At
+    The constant is (sum i^-q)^(1/p) = zeta(q)^(1/p) with q from
+    :func:`tail_exponent`, and it is the exact norm of T (q = p) and of
+    F (q = p/(m-1)), attained at e_1: by Minkowski over the Hankel columns
+    c_s = (1/(i+s))_{i>=1}, ||c_s||_q <= zeta(q)^(1/q), with
+    ||x^{*(m-1)}||_1 <= ||x||_1^{m-1} (module docstring).  At
     q = 2 (p = 2 for T, p = 2(m-1) for F) it is the closed form
     (pi^2/6)^(1/p), which is pi/sqrt(6) for T.  Elsewhere ``ZETA_TERMS``
     terms of the series are summed and its integral-comparison tail added,
@@ -187,8 +198,8 @@ def norm_search(
     Structured candidates (coordinate vectors, decaying profiles) are
     followed by seeded random draws and local mass-move perturbations of the
     incumbent.  Deterministic for fixed seed; ties keep the earlier find.
-    No gradient claims: this is evidence for where the operator norm sits,
-    not a proof.
+    No gradient claims: the result is evidence for the norm, which the module
+    docstring proves is attained at e_1.
     """
     tail_exponent(operator, order, p)
     if support < 1:

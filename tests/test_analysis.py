@@ -6,6 +6,7 @@ import pytest
 
 from hilbert_tensors import (
     HilbertTensor,
+    SequenceVector,
     bound_sweep,
     check_positive_definite,
     embedding_check,
@@ -81,6 +82,17 @@ def test_inequality_n8_sample():
     assert rep.asserted
     assert not rep.violation_observed
     assert 0 < rep.worst_ratio < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_inequality_violation_is_reported_not_raised(monkeypatch, n):
+    # a tripled Hilbert matrix breaks the inequality at every n
+    orig = HilbertTensor.apply_fast
+    monkeypatch.setattr(HilbertTensor, "apply_fast", lambda self, x: SequenceVector(3.0 * orig(self, x).values))
+    rep = hilbert_inequality_check(n, trials=50, seed=4)
+    assert rep.asserted == (n >= 4)
+    assert rep.violation_observed
+    assert rep.worst_ratio > 1.0
 
 
 # -- bound sweep ------------------------------------------------------------------

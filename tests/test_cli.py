@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from hilbert_tensors import analysis, cli, eigensolvers, infinite
+from hilbert_tensors import HilbertTensor, analysis, cli, eigensolvers, infinite
 from hilbert_tensors.reporting import ROW_KEYS, to_csv, to_json_lines
 
 
@@ -111,6 +111,15 @@ def test_bounds_nonconvergence_exit(capsys):
         ["bounds", "--m", "2", "--n", "5..6", "--max-iter", "2", "--tol", "1e-14"], capsys
     )
     assert code == 3
+
+
+def test_bounds_violated_sine_bound_exits_2(capsys, monkeypatch):
+    orig = analysis.spectral_bound_h
+    monkeypatch.setattr(analysis, "spectral_bound_h", lambda m, n: orig(m, n) / 2)
+    code, out, err = run_cli(["bounds", "--m", "2", "--n", "2..4"], capsys)
+    assert code == cli.EXIT_VIOLATION == 2
+    assert "BOUND VIOLATION: m=2 n=2 kind=H" in err
+    assert [r["slack"] < 0 for r in parse_rows(out) if r["kind"] == "H"] == [True] * 3
 
 
 def test_bounds_sine_bound_too_large_for_a_float_renders_null(capsys):
@@ -294,6 +303,22 @@ def test_bench_rows_and_table(capsys):
     assert [r["kind"] for r in rows] == ["bench", "bench"]
     assert all(r["value"] <= 1e-10 for r in rows)
     assert "naive" in err
+
+
+def test_bench_runs_each_arm_repeats_times(capsys, monkeypatch):
+    calls = {"apply_fast": 0, "apply_naive": 0}
+    for name in calls:
+        orig = getattr(HilbertTensor, name)
+
+        def counted(self, x, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, x)
+
+        monkeypatch.setattr(HilbertTensor, name, counted)
+    code, out, _ = run_cli(["bench", "--m", "3", "--n", "10,40", "--repeats", "3"], capsys)
+    assert code == 0
+    assert calls == {"apply_fast": 6, "apply_naive": 6}
+    assert [r["kind"] for r in parse_rows(out)] == ["bench", "bench"]
 
 
 def test_bench_fast_only_over_budget(capsys, monkeypatch):

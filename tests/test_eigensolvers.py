@@ -98,6 +98,11 @@ def test_h_variational_upper_bound():
 def test_h_invalid_tol():
     with pytest.raises(ValueError):
         h_spectral_radius(HilbertTensor(2, 2), tol=0.0)
+    # NaN would run every iteration, inf would stop at the first
+    for solve in (h_spectral_radius, z_spectral_radius):
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solve(HilbertTensor(3, 5), tol=tol)
 
 
 # -- Z solver -----------------------------------------------------------------

@@ -57,3 +57,61 @@ def test_verify_theorems_reports_failed_positive_definiteness(tmp_path, capsys, 
     assert "positive definiteness sampled over n=2..4: FAILED at n=3" in captured.out
     assert "sampled over n=2..4: ok" not in captured.out
     assert "1 check(s) FAILED" in captured.err
+
+
+def run_verify_theorems(monkeypatch, capsys, *argv):
+    monkeypatch.setattr(sys, "argv", ["verify_theorems.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "verify_theorems.py"), run_name="__main__")
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_verify_theorems_unconverged_is_not_a_violation(tmp_path, capsys, monkeypatch):
+    code, out, err = run_verify_theorems(monkeypatch, capsys, "--orders", "2", "--max-dim", "3",
+                                         "--trials", "2", "--max-iter", "1", "--out", str(tmp_path))
+    assert code == cli.EXIT_UNCONVERGED == 3
+    assert "VIOLATION" not in out
+    assert [line.split()[-1] for line in out.splitlines() if line.startswith("  n=")] == ["unconverged"] * 2
+    assert "check(s) FAILED" in err
+
+
+def test_verify_theorems_counts_violated_inequality(tmp_path, capsys, monkeypatch):
+    # a tripled order-2 tensor of dimension 4 breaks the Hilbert inequality at n = 4 only;
+    # --orders 3 keeps the sweep's own solves off it
+    orig = hilbert_tensors.HilbertTensor.apply_fast
+
+    def tripled_at_4(self, x):
+        out = orig(self, x)
+        return hilbert_tensors.SequenceVector(3.0 * out.values) if (self.order, self.dim) == (2, 4) else out
+
+    monkeypatch.setattr(hilbert_tensors.HilbertTensor, "apply_fast", tripled_at_4)
+    code, out, err = run_verify_theorems(monkeypatch, capsys, "--orders", "3", "--max-dim", "5",
+                                         "--trials", "10", "--out", str(tmp_path))
+    assert code == cli.EXIT_VIOLATION == 2
+    assert "Traceback" not in err
+    assert "1 check(s) FAILED" in err
+    assert [line.endswith("VIOLATION") for line in out.splitlines() if "inequality n=" in line] == [
+        False, False, True, False]
+    rows = [json.loads(line) for line in (tmp_path / "verification.json").read_text().splitlines()]
+    (row,) = [r for r in rows if r["kind"] == "hilbert-ineq-ratio" and r["n"] == 4]
+    assert row["value"] > 1.0 and row["certified"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["--orders", "1"],
+    ["--orders", "2,x"],
+    ["--max-dim", "1"],
+    ["--tol", "0"],
+    ["--tol", "nan"],
+    ["--tol", "inf"],
+    ["--max-iter", "0"],
+    ["--format", "xml"],
+])
+def test_verify_theorems_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv):
+    out_dir = tmp_path / "out"
+    code, out, err = run_verify_theorems(monkeypatch, capsys, *argv, "--out", str(out_dir))
+    assert code == cli.EXIT_USAGE == 1
+    assert argv[0] in err
+    assert "Traceback" not in err
+    assert out == "" and not out_dir.exists()
