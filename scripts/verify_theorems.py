@@ -67,10 +67,13 @@ def main() -> int:
                   f"rho_z={rep.rho_z:.8f} (bound {rep.bound_z:.4f})  {label(*claims[-1])}")
 
         mono = sweep.monotonicity
-        print(f"  monotone: strict rho(F) {mono.strict_h}, "
-              f"nondecreasing rho(T) {mono.nondecreasing_z}")
         claims.append((mono.certified, mono.strict_h and mono.nondecreasing_z))
-        claims += [(emb.converged, emb.restricted_residual <= SLACK_NOISE) for emb in sweep.embeddings]
+        print(f"  monotone: strict rho(F) {mono.strict_h}, "
+              f"nondecreasing rho(T) {mono.nondecreasing_z}  {label(*claims[-1])}")
+        for emb in sweep.embeddings:
+            claims.append((emb.converged, emb.restricted_residual <= SLACK_NOISE))
+            print(f"  embedding n={emb.n} into k={emb.k}: "
+                  f"restricted residual {emb.restricted_residual:.3e}  {label(*claims[-1])}")
 
         if m % 2 == 0:
             pd = [check_positive_definite(HilbertTensor(m, n), trials=args.trials, seed=args.seed)

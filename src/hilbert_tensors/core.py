@@ -7,10 +7,15 @@ v[s] = 1/(s + 1) over 0-based offsets s, and tensor-vector contraction reduces
 to a self-convolution of the input followed by one correlation against v.
 
 ``hankel_apply`` picks its route once: when small, one valid-mode correlation
-of v against y = x^{*(m-1)}, which computes only the outputs returned; else one
-transform, irfft(rfft(v) * conj(rfft(x)^(m-1))) at a power of two covering
-every offset read, so the convolution power never leaves the frequency domain
-(the anti-circulant form of Ding, Qi and Wei, NLAA 2015).
+of v against y = x^{*(m-1)}, which computes only the outputs returned; else
+overlap-save, irfft(rfft(v_j) * conj(rfft(x)^(m-1))) over blocks v_j of v, so
+the convolution power never leaves the frequency domain (the anti-circulant
+form of Ding, Qi and Wei, NLAA 2015).  Blocks are short when y is short
+against v, and one block covers every offset read otherwise.  The block
+spectra of v are memoised on its ``GeneratingVector``, and
+``GeneratingVector.hilbert`` keeps the last vector it built, so repeated
+applies at one shape (solver iterations, norm-search candidates) transform
+only x.
 
 Three routes compute the same contraction and quadratic form:
 
@@ -28,8 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -125,17 +131,33 @@ def real_root(y: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GeneratingVector:
-    """Hankel generating sequence with values[s] = 1/(s+1) at offset s."""
+    """Hankel generating sequence with values[s] = 1/(s+1) at offset s.
+
+    ``values`` is never written after construction, which is what lets
+    ``hankel_apply`` memoise the block spectra of one shape on the instance.
+    """
 
     values: np.ndarray
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
+
+    # the last vector ``hilbert`` built; at most one is held
+    _last_hilbert: ClassVar["GeneratingVector | None"] = None
 
     @classmethod
     def hilbert(cls, length: int) -> "GeneratingVector":
+        """Read-only 1/(s+1) sequence of ``length``; the same instance while the length repeats."""
         if length < 1:
             raise ValueError("generating vector needs length >= 1")
+        last = cls._last_hilbert
+        if last is not None and len(last) == length:
+            return last
+        # drop the old vector and its spectra before the new one is allocated
+        del last
+        cls._last_hilbert = None
         values = 1.0 / np.arange(1, length + 1)
         values.setflags(write=False)
-        return cls(values)
+        cls._last_hilbert = cls(values)
+        return cls._last_hilbert
 
     @classmethod
     def for_tensor(cls, order: int, dim: int) -> "GeneratingVector":
@@ -177,8 +199,12 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     up to need - 1 = out_len - 1 + (order-1)*(len(x)-1).
 
     While need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, one valid-mode correlation
-    (out_len * len(y) multiply-adds), else one rFFT pipeline at the power of
-    two >= need (see the module docstring).
+    (out_len * len(y) multiply-adds).  Else overlap-save at block size
+    B = min(S, max(1024, the power of two >= 8 len(y))), S the power of two
+    >= need: each block of B offsets yields B - len(y) + 1 outputs from one
+    rfft(x, B), the cached block spectra of ``gen`` and one batched irfft.
+    B = S is one block, the whole of v[:need].  A ``GeneratingVector`` keeps
+    the spectra of its last shape; a raw array's are computed per call.
 
     Any generating sequence is accepted; nothing here is specific to the
     Hilbert choice gen[s] = 1/(s+1).
@@ -199,14 +225,39 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
         raise ValueError(f"generating vector too short: need {need}, have {v.size}")
     if need * y_len <= _FFT_PRODUCT_THRESHOLD:
         return np.correlate(v[:need], convolution_power(xv, k), "valid")
-    # i + s <= need - 1 < size, so the circular correlation never wraps.
     size = 1 << (need - 1).bit_length()
-    fx = np.fft.rfft(xv, size)
+    block = min(size, max(1024, 1 << (8 * y_len - 1).bit_length()))
+    # row i < step of a block reads offsets i + s <= block - 1: no wrap-around
+    step = block - y_len + 1
+    key = (need, block, step)
+    if isinstance(gen, GeneratingVector):
+        if key not in gen._spectra:
+            gen._spectra.clear()
+            gen._spectra[key] = _block_spectra(v[:need], block, step)
+        spectra = gen._spectra[key]
+    else:
+        spectra = _block_spectra(v[:need], block, step)
+    fx = np.fft.rfft(xv, block)
     np.conjugate(fx, out=fx)
-    fv = np.fft.rfft(v[:need], size)
-    for _ in range(k):  # fv * conj(fx)^k, in place; no complex power
-        fv *= fx
-    return np.fft.irfft(fv, size)[:n_out]
+    fy = spectra * fx  # spectra * conj(fx)^k, in place after the first product
+    for _ in range(k - 1):
+        fy *= fx
+    del fx  # at B = S, free its buffer before irfft allocates the output
+    return np.fft.irfft(fy, block)[:, :step].reshape(-1)[:n_out]
+
+
+def _block_spectra(v: np.ndarray, block: int, step: int) -> np.ndarray:
+    """Read-only rfft of each v[j*step : j*step + block], zero past the end of v, one row per block.
+
+    The rows cover the len(v) - block + step outputs of the correlation.
+    """
+    n_blocks = -(-(v.size - block + step) // step)
+    padded = np.zeros((n_blocks - 1) * step + block)
+    padded[:v.size] = v
+    windows = np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
+    spectra = np.fft.rfft(windows, axis=-1)
+    spectra.setflags(write=False)
+    return spectra
 
 
 def _exact_values(x) -> list[Fraction]:

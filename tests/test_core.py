@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -374,6 +375,74 @@ def test_direct_route_is_convolve_of_convolution_power(m, n, out_len):
     expected = convolve(gen, y[::-1])[y.size - 1 : y.size - 1 + out_len]
     out = HilbertTensor(m, n).apply_fast(x) if out_len == n else apply_infinite(x, m, out_len)
     assert np.array_equal(out.values, expected)
+
+
+# -- overlap-save blocks of the FFT route and the cached generating vector -----------
+
+
+def _block_step(order, support, out_len):
+    """Outputs per overlap-save block: B - len(y) + 1, B = min(S, max(1024, pow2 >= 8 len(y)))."""
+    y_len, need = _route_sizes(order, support, out_len)
+    size = 1 << (need - 1).bit_length()
+    return min(size, max(1024, 1 << (8 * y_len - 1).bit_length())) - y_len + 1
+
+
+@pytest.mark.parametrize(
+    "order, support, out_len, case",
+    [
+        pytest.param(2, 1000, 5000, "short", id="out_len-below-step"),
+        pytest.param(4, 16, 979 * 103, "multiple", id="multiple-of-step"),
+        pytest.param(4, 16, 979 * 103 + 1, "one-past", id="one-past-a-multiple"),
+        pytest.param(2, 1, 1024 * 4100 + 1, "y_len-1", id="y_len-1"),
+    ],
+)
+def test_fft_route_block_boundaries(order, support, out_len, case):
+    step = _block_step(order, support, out_len)
+    y_len, need = _route_sizes(order, support, out_len)
+    assert need * y_len > _FFT_PRODUCT_THRESHOLD
+    assert {
+        "short": out_len < step,
+        "multiple": out_len % step == 0,
+        "one-past": out_len % step == 1,
+        "y_len-1": y_len == 1,
+    }[case]
+    x = np.cos(np.arange(1, support + 1))
+    out = apply_infinite(x, order, out_len).values
+    last = (out_len - 1) // step * step  # first row of the last block
+    edges = (0, 1, step - 1, step, step + 1, last - 1, last, out_len - 2, out_len - 1)
+    rows = np.unique([r for r in edges if 0 <= r < out_len])
+    err = np.max(np.abs(out[rows].astype(np.longdouble) - _longdouble_rows(x, order, out_len, rows)))
+    assert float(err) <= _fft_route_bound(x, order, out_len)
+
+
+def test_fft_route_same_bits_on_cache_miss_hit_and_raw_array():
+    x = np.cos(np.arange(1, 17))
+    values = 1.0 / np.arange(1, 100_000 + 45 + 1)
+    gen = GeneratingVector(values)
+    miss = hankel_apply(gen, x, 4, 100_000)
+    assert len(gen._spectra) == 1
+    hit = hankel_apply(gen, x, 4, 100_000)
+    raw = hankel_apply(values, x, 4, 100_000)
+    assert np.array_equal(miss, hit)
+    assert np.array_equal(miss, raw)
+    assert np.array_equal(miss, apply_infinite(x, 4, 100_000).values)
+    hankel_apply(gen, x[:15], 4, 100_000)  # another shape replaces the cached spectra
+    assert len(gen._spectra) == 1
+
+
+def test_hilbert_keeps_one_read_only_vector():
+    x = np.cos(np.arange(1, 17))
+    apply_infinite(x, 4, 100_000)  # FFT route, so the spectra are cached
+    gen = GeneratingVector.hilbert(100_045)
+    assert GeneratingVector.hilbert(100_045) is gen
+    assert not gen.values.flags.writeable
+    (spectra,) = gen._spectra.values()
+    assert not spectra.flags.writeable
+    old = weakref.ref(gen)
+    del gen, spectra
+    tensor = HilbertTensor(3, 5)
+    assert tensor.generating_vector() is GeneratingVector.hilbert(13) is GeneratingVector.for_tensor(3, 5)
+    assert old() is None
 
 
 # -- clamped real root ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from hilbert_tensors import (
     operator_norm_constant,
     t_infinity,
 )
-from hilbert_tensors.infinite import CertifiedNorm, tail_exponent
+from hilbert_tensors.infinite import CertifiedNorm, tail_exponent, zeta_upper_bound
 
 
 def unit_l1(x):
@@ -201,6 +201,14 @@ def test_p_range_errors_carry_the_cli_text(call, message):
 
 def test_upper_is_inf_when_a_power_overflows():
     assert CertifiedNorm(1.0, 1e110, 6.0, 10).upper == math.inf
+
+
+@pytest.mark.parametrize("q", [1.01, 1.5, 3, 4, 6, 50, 100])
+def test_zeta_upper_bound_errs_upward_by_at_most_1e14(q):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = mpmath.zeta(q)
+        assert 0 <= (mpmath.mpf(zeta_upper_bound(q)) - exact) / exact <= 1e-14
 
 
 def test_overflow_raises_no_numpy_warning():

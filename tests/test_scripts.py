@@ -76,6 +76,19 @@ def test_verify_theorems_unconverged_is_not_a_violation(tmp_path, capsys, monkey
     assert "check(s) FAILED" in err
 
 
+def test_verify_theorems_labels_monotonicity_and_embedding_claims(tmp_path, capsys, monkeypatch):
+    code, out, err = run_verify_theorems(monkeypatch, capsys, "--orders", "2", "--max-dim", "3",
+                                         "--trials", "2", "--max-iter", "1", "--out", str(tmp_path))
+    lines = out.splitlines()
+    (mono,) = [line for line in lines if line.startswith("  monotone:")]
+    assert mono.split()[-1] == "unconverged"
+    # n = 1 is exact after one iteration; the n = 2 eigenpair is not
+    assert [line.split()[-1] for line in lines if line.startswith("  embedding ")] == ["ok", "unconverged"]
+    verdicts = [line.split()[-1] for line in lines if line.startswith(("  n=", "  monotone:", "  embedding "))]
+    assert f"{sum(v != 'ok' for v in verdicts)} check(s) FAILED" in err
+    assert code == cli.EXIT_UNCONVERGED
+
+
 def test_verify_theorems_counts_violated_inequality(tmp_path, capsys, monkeypatch):
     # a tripled order-2 tensor of dimension 4 breaks the Hilbert inequality at n = 4 only;
     # --orders 3 keeps the sweep's own solves off it
