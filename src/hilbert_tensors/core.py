@@ -41,7 +41,7 @@ import numpy as np
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 
-# Above this a * b cost, convolution powers and correlations use a pow2 rFFT.
+# Above this need * len(y) cost, hankel_apply takes the overlap-save FFT route.
 _FFT_PRODUCT_THRESHOLD = 1 << 22
 
 
@@ -88,6 +88,8 @@ class SequenceVector:
         return iter(self.values)
 
     def __array__(self, dtype=None, copy=None):
+        if copy:
+            return np.array(self.values, dtype=dtype)
         return self.values if dtype is None else self.values.astype(dtype)
 
     def __repr__(self) -> str:
@@ -115,17 +117,23 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def real_root(y: np.ndarray, k: int) -> np.ndarray:
-    """Entrywise real k-th root, sign kept.
+def even_root_domain(y: np.ndarray) -> np.ndarray:
+    """y ready for an even root, with float-noise negatives clamped to 0.
 
-    For even k, negatives above -1e-12 (1 + max|y|) are float noise and are
-    clamped to 0; anything more negative raises with its 1-based index.
+    Negatives above -1e-12 (1 + max|y|) are noise; anything more negative
+    raises with its 1-based index.
     """
+    scale = float(np.max(np.abs(y))) if y.size else 0.0
+    y = np.where((y < 0) & (y > -1e-12 * (1.0 + scale)), 0.0, y)
+    if np.any(y < 0):
+        raise ValueError(f"even root of negative component at index {int(np.argmin(y)) + 1}")
+    return y
+
+
+def real_root(y: np.ndarray, k: int) -> np.ndarray:
+    """Entrywise real k-th root, sign kept; even k goes through ``even_root_domain``."""
     if k % 2 == 0:
-        scale = float(np.max(np.abs(y))) if y.size else 0.0
-        y = np.where((y < 0) & (y > -1e-12 * (1.0 + scale)), 0.0, y)
-        if np.any(y < 0):
-            raise ValueError(f"even root of negative component at index {int(np.argmin(y)) + 1}")
+        y = even_root_domain(y)
     return np.copysign(np.abs(y) ** (1.0 / k), y)
 
 
@@ -133,8 +141,9 @@ def real_root(y: np.ndarray, k: int) -> np.ndarray:
 class GeneratingVector:
     """Hankel generating sequence with values[s] = 1/(s+1) at offset s.
 
-    ``values`` is never written after construction, which is what lets
-    ``hankel_apply`` memoise the block spectra of one shape on the instance.
+    ``values`` is a read-only copy of the array given, so it is never written
+    after construction, which is what lets ``hankel_apply`` memoise the block
+    spectra of one shape on the instance.
     """
 
     values: np.ndarray
@@ -142,6 +151,11 @@ class GeneratingVector:
 
     # the last vector ``hilbert`` built; at most one is held
     _last_hilbert: ClassVar["GeneratingVector | None"] = None
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def hilbert(cls, length: int) -> "GeneratingVector":
@@ -154,9 +168,7 @@ class GeneratingVector:
         # drop the old vector and its spectra before the new one is allocated
         del last
         cls._last_hilbert = None
-        values = 1.0 / np.arange(1, length + 1)
-        values.setflags(write=False)
-        cls._last_hilbert = cls(values)
+        cls._last_hilbert = cls(1.0 / np.arange(1, length + 1))
         return cls._last_hilbert
 
     @classmethod
@@ -174,21 +186,19 @@ def convolve(a, b) -> np.ndarray:
 
 
 def convolution_power(x, k: int) -> np.ndarray:
-    """k-fold self-convolution of x (k >= 1)."""
+    """k-fold self-convolution of x (k >= 1) by direct sums.
+
+    ``hankel_apply`` calls it only on its direct route, where
+    need * len(y) <= ``_FFT_PRODUCT_THRESHOLD`` bounds the (k-1) len(x)^2
+    multiply-adds, since (k-1) len(x)^2 <= len(y)^2 <= need * len(y).
+    """
     x = np.asarray(x, dtype=float)
     if k < 1:
         raise ValueError("convolution power needs k >= 1")
-    if k == 1:
-        return x.copy()
-    out_len = k * (x.size - 1) + 1
-    if x.size**2 * (k - 1) <= _FFT_PRODUCT_THRESHOLD:
-        y = x
-        for _ in range(k - 1):
-            y = np.convolve(y, x)
-        return y
-    size = 1 << (out_len - 1).bit_length()
-    fx = np.fft.rfft(x, size)
-    return np.fft.irfft(fx**k, size)[:out_len]
+    y = x.copy()
+    for _ in range(k - 1):
+        y = np.convolve(y, x)
+    return y
 
 
 def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
@@ -204,12 +214,13 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     >= need: each block of B offsets yields B - len(y) + 1 outputs from one
     rfft(x, B), the cached block spectra of ``gen`` and one batched irfft.
     B = S is one block, the whole of v[:need].  A ``GeneratingVector`` keeps
-    the spectra of its last shape; a raw array's are computed per call.
+    the spectra of its last shape; a raw array is wrapped in a throwaway one.
 
     Any generating sequence is accepted; nothing here is specific to the
     Hilbert choice gen[s] = 1/(s+1).
     """
-    v = gen.values if isinstance(gen, GeneratingVector) else np.asarray(gen, dtype=float)
+    gen = gen if isinstance(gen, GeneratingVector) else GeneratingVector(gen)
+    v = gen.values
     xv = as_vector(x)
     if xv.size == 0:
         raise ValueError("empty input vector")
@@ -230,16 +241,12 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     # row i < step of a block reads offsets i + s <= block - 1: no wrap-around
     step = block - y_len + 1
     key = (need, block, step)
-    if isinstance(gen, GeneratingVector):
-        if key not in gen._spectra:
-            gen._spectra.clear()
-            gen._spectra[key] = _block_spectra(v[:need], block, step)
-        spectra = gen._spectra[key]
-    else:
-        spectra = _block_spectra(v[:need], block, step)
+    if key not in gen._spectra:
+        gen._spectra.clear()
+        gen._spectra[key] = _block_spectra(v[:need], block, step)
     fx = np.fft.rfft(xv, block)
     np.conjugate(fx, out=fx)
-    fy = spectra * fx  # spectra * conj(fx)^k, in place after the first product
+    fy = gen._spectra[key] * fx  # spectra * conj(fx)^k, in place after the first product
     for _ in range(k - 1):
         fy *= fx
     del fx  # at B = S, free its buffer before irfft allocates the output

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import GeneratingVector, SequenceVector, as_vector, hankel_apply, real_root
+from .core import GeneratingVector, SequenceVector, as_vector, even_root_domain, hankel_apply
 from .rng import SplitMix64
 
 PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
@@ -149,15 +149,25 @@ def tail_exponent(operator: str, order: int, p: float) -> float:
 
 
 def _certified_norm(operator: str, x, order: int, p: float, out_len: int) -> CertifiedNorm:
+    """Both norms as (sum |h_i|^q)^(1/p) over the head h = H_inf x^{m-1}.
+
+    T scales h by ||x||_1^{2-m} first (q = p), which keeps large x finite;
+    F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.
+    """
     q = tail_exponent(operator, order, p)
+    if out_len < 1:
+        raise ValueError("out_len must be >= 1")
     xv = as_vector(x)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf/nan in the result
         l1 = float(np.abs(xv).sum())
         if l1 == 0.0:
             return CertifiedNorm(0.0, 0.0, p, out_len)
         head = apply_infinite(xv, order, out_len).values
-        head = head * l1 ** (2 - order) if operator == "T" else real_root(head, order - 1)
-        value = float(np.sum(np.abs(head) ** p) ** (1.0 / p))
+        if operator == "T":
+            head = head * l1 ** (2 - order)
+        elif order % 2 == 1:  # F takes an even root of every component
+            head = even_root_domain(head)
+        value = float(np.sum(np.abs(head) ** q) ** (1.0 / p))
         tail = l1 * zeta_tail_bound(q, out_len) ** (1.0 / p)
     return CertifiedNorm(value, tail, p, out_len)
 

@@ -101,6 +101,15 @@ def test_sequence_vector_norms_and_cache():
         x.norm(0.5)
 
 
+def test_sequence_vector_array_copies_on_request():
+    x = SequenceVector([3.0, -4.0])
+    copied = np.array(x)
+    assert not np.shares_memory(copied, x.values)
+    copied[0] = 1.0  # a new array is writable, and the vector keeps its values
+    assert x.values.tolist() == [3.0, -4.0]
+    assert np.shares_memory(np.asarray(x), x.values)
+
+
 def test_zero_vector_norms():
     theta = SequenceVector([0.0, 0.0, 0.0])
     for p in (1, 2, 3.5):
@@ -428,6 +437,32 @@ def test_fft_route_same_bits_on_cache_miss_hit_and_raw_array():
     assert np.array_equal(miss, apply_infinite(x, 4, 100_000).values)
     hankel_apply(gen, x[:15], 4, 100_000)  # another shape replaces the cached spectra
     assert len(gen._spectra) == 1
+
+
+def test_direct_route_same_bits_for_raw_array_and_generating_vector():
+    x = np.cos(np.arange(1, 9))
+    values = 1.0 / np.arange(1, 1000 + 14 + 1)
+    y_len, need = _route_sizes(3, x.size, 1000)
+    assert need * y_len <= _FFT_PRODUCT_THRESHOLD
+    gen = GeneratingVector(values)
+    out = hankel_apply(gen, x, 3, 1000)
+    assert not gen._spectra  # the direct route computes no spectra
+    assert np.array_equal(out, hankel_apply(values, x, 3, 1000))
+    assert np.array_equal(out, apply_infinite(x, 3, 1000).values)
+
+
+@pytest.mark.parametrize("order, out_len", [pytest.param(3, 1000, id="direct"), pytest.param(4, 100_000, id="fft")])
+def test_generating_vector_keeps_its_own_read_only_values(order, out_len):
+    x = np.cos(np.arange(1, 17))
+    values = 1.0 / np.arange(1, out_len + (order - 1) * 15 + 1)
+    gen = GeneratingVector(values)
+    assert not gen.values.flags.writeable
+    assert not np.shares_memory(gen.values, values)
+    before = hankel_apply(gen, x, order, out_len)
+    values *= 2.0
+    assert np.array_equal(hankel_apply(gen, x, order, out_len), before)
+    with pytest.raises(ValueError):
+        gen.values[0] = 2.0
 
 
 def test_hilbert_keeps_one_read_only_vector():

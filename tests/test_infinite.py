@@ -133,6 +133,25 @@ def test_f_infinity_e1_value():
         assert cert.value == pytest.approx(partial ** (1.0 / p), rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_f_infinity_value_is_root_then_power(m):
+    # ||F x||_p summed as |h_i|^(p/(m-1)) equals the entrywise real root raised to p
+    rng = SplitMix64(83 + m)
+    for p in (m - 0.5, 2.0 * (m - 1), 7.5, 20.0):
+        x = np.array(rng.uniforms(6, -1, 1))
+        head = apply_infinite(x, m, 2000).values
+        root = np.sign(head) * np.abs(head) ** (1.0 / (m - 1))
+        reference = np.sum(np.abs(root) ** p) ** (1.0 / p)
+        assert f_infinity(x, m, p, out_len=2000).value == pytest.approx(reference, rel=1e-14)
+
+
+@pytest.mark.parametrize("call", [t_infinity, f_infinity])
+def test_bad_out_len_raises_for_the_zero_vector_too(call):
+    for x in ([0.0], [1.0]):
+        with pytest.raises(ValueError, match="out_len must be >= 1"):
+            call(x, 2, 2.0, out_len=-5)
+
+
 def test_f_infinity_nonnegative_output_head():
     # for odd m the inner contraction is a moment integral, nonnegative for any x
     rng = SplitMix64(73)
