@@ -4,10 +4,16 @@
 Per order m it writes the rows of ``hilbert-tensors bounds --n 1..MAX_DIM``
 (sine bounds on both spectral radii, dimension monotonicity, eigenpair
 embedding residuals), then positive definiteness sampling (even m); the
-finite Hilbert inequality constants follow at the end.  Each claim is
-labelled ok, VIOLATION (certified and failed) or unconverged, and the exit
-code is the CLI's (``cli.exit_status``): 0 every claim certified and holding,
-1 usage error, 2 a certified claim violated, 3 some claim uncertified.
+finite Hilbert inequality constants follow at the end, one claim per n.
+Every printed claim is judged by its own rows with ``reporting.violated``,
+as ``bounds`` judges them: unconverged if a row is uncertified, else
+VIOLATION if a row is violated, else ok.  Only the positive-definiteness
+claim reads its report (``all_positive``).  The exit code is the CLI's
+(``cli.exit_status``): 0 every claim certified and holding, 1 usage error,
+2 a certified claim violated, 3 some claim uncertified.  The written rows,
+judged by ``reporting.violated``, give the same code, unless a sampled
+positive-definiteness minimum is exactly 0: slack 0 holds, the strict claim
+does not.
 
 Usage:
     python scripts/verify_theorems.py --orders 2,3,4 --max-dim 8 --out results/
@@ -20,11 +26,19 @@ from pathlib import Path
 from hilbert_tensors import HilbertTensor, check_positive_definite, hilbert_inequality_check
 from hilbert_tensors.analysis import dimension_sweep
 from hilbert_tensors.cli import Parser, exit_status
-from hilbert_tensors.reporting import SLACK_NOISE, make_row, render, sweep_rows
+from hilbert_tensors.reporting import make_row, render, sweep_rows, violated
 
 
-def label(certified: bool, holds: bool) -> str:
-    return ("ok" if holds else "VIOLATION") if certified else "unconverged"
+def label(rows) -> str:
+    """The verdict on a claim from its rows."""
+    if not all(row["certified"] for row in rows):
+        return "unconverged"
+    return "VIOLATION" if any(violated(row) for row in rows) else "ok"
+
+
+def rows_of(rows, kinds, n=None) -> list:
+    """The rows of the given kinds, only those at dimension n if n is given."""
+    return [row for row in rows if row["kind"] in kinds and n in (None, row["n"])]
 
 
 def main() -> int:
@@ -55,32 +69,34 @@ def main() -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    claims = []  # one (certified, holds) pair per claim
+    labels = []  # one per claim
 
     for m in orders:
         print(f"== order m = {m}")
         sweep = dimension_sweep(m, [1] + dims, tol=args.tol, max_iter=args.max_iter)
-        rows += sweep_rows(sweep)
+        sweep_out = sweep_rows(sweep)
+        rows += sweep_out
         for rep in sweep.bounds:
-            claims.append((rep.certified, rep.slack_h >= -SLACK_NOISE and rep.slack_z >= -SLACK_NOISE))
+            labels.append(label(rows_of(sweep_out, ("H", "Z"), rep.n)))
             print(f"  n={rep.n}: rho_h={rep.rho_h:.8f} (bound {rep.bound_h:.4f})  "
-                  f"rho_z={rep.rho_z:.8f} (bound {rep.bound_z:.4f})  {label(*claims[-1])}")
+                  f"rho_z={rep.rho_z:.8f} (bound {rep.bound_z:.4f})  {labels[-1]}")
 
         mono = sweep.monotonicity
-        claims.append((mono.certified, mono.strict_h and mono.nondecreasing_z))
+        labels.append(label(rows_of(sweep_out, ("H-gap", "Z-gap"))))
         print(f"  monotone: strict rho(F) {mono.strict_h}, "
-              f"nondecreasing rho(T) {mono.nondecreasing_z}  {label(*claims[-1])}")
+              f"nondecreasing rho(T) {mono.nondecreasing_z}  {labels[-1]}")
         for emb in sweep.embeddings:
-            claims.append((emb.converged, emb.restricted_residual <= SLACK_NOISE))
+            labels.append(label(rows_of(sweep_out, ("H-embed",), emb.k)))
             print(f"  embedding n={emb.n} into k={emb.k}: "
-                  f"restricted residual {emb.restricted_residual:.3e}  {label(*claims[-1])}")
+                  f"restricted residual {emb.restricted_residual:.3e}  {labels[-1]}")
 
         if m % 2 == 0:
             pd = [check_positive_definite(HilbertTensor(m, n), trials=args.trials, seed=args.seed)
                   for n in dims]
+            # a sampling check has nothing to converge: every row is certified
             rows += [make_row(m, rep.n, "pd-min-integral", rep.min_integral, 0.0, rep.min_integral,
-                              rep.all_positive, rep.trials) for rep in pd]
-            claims += [(True, rep.all_positive) for rep in pd]
+                              True, rep.trials) for rep in pd]
+            labels += ["ok" if rep.all_positive else "VIOLATION" for rep in pd]
             failed_dims = [str(rep.n) for rep in pd if not rep.all_positive]
             verdict = f"FAILED at n={','.join(failed_dims)}" if failed_dims else "ok"
             print(f"  positive definiteness sampled over n=2..{args.max_dim}: {verdict}")
@@ -88,20 +104,20 @@ def main() -> int:
     for n in dims:
         rep = hilbert_inequality_check(n, trials=args.trials, seed=args.seed)
         rows.append(make_row(2, n, "hilbert-ineq-ratio", rep.worst_ratio, 1.0,
-                             1.0 - rep.worst_ratio, rep.asserted, rep.trials))
-        claims.append((True, not rep.violation_observed))
+                             1.0 - rep.worst_ratio, True, rep.trials))
+        labels.append(label(rows[-1:]))
         print(f"  inequality n={n}: worst ratio {rep.worst_ratio:.6f} "
-              f"(constant {rep.bound_constant:.6f}){' VIOLATION' if rep.violation_observed else ''}")
+              f"(constant {rep.bound_constant:.6f})  {labels[-1]}")
 
     path = out_dir / f"verification.{args.format}"
     path.write_text(render(rows, args.format), encoding="utf-8", newline="\n")
     print(f"wrote {len(rows)} rows to {path}")
-    failures = sum(not (certified and holds) for certified, holds in claims)
+    failures = sum(verdict != "ok" for verdict in labels)
     if failures:
         print(f"{failures} check(s) FAILED", file=sys.stderr)
     else:
         print("all checks passed")
-    return exit_status(any(c and not h for c, h in claims), all(c for c, _ in claims))
+    return exit_status("VIOLATION" in labels, "unconverged" not in labels)
 
 
 if __name__ == "__main__":

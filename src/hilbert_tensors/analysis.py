@@ -16,8 +16,12 @@ Covered claims, each turned into a report with explicit slack:
   residual is reported as data, not asserted.)
 
 Every check returns its report, whatever it finds; none raises on a failed
-claim.  Callers judge the reports: the CLI and ``scripts/verify_theorems.py``
-map them to exit codes through ``cli.exit_status``.
+claim.  Callers judge the report rows, not the reports: the CLI and
+``scripts/verify_theorems.py`` turn reports into rows whose ``bound`` holds
+any allowance, judge each row with ``reporting.violated`` and map the
+verdicts to exit codes through ``cli.exit_status``.  ``strict_h``,
+``nondecreasing_z``, ``violation_observed`` and ``asserted`` are report data
+that no verdict reads.
 """
 
 from __future__ import annotations
@@ -142,9 +146,9 @@ def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> Inequ
     """Measure sum_{ij} |x_i||x_j| / (i+j-1) against n sin(pi/n) ||x||_2^2.
 
     Returns the report at every n.  ``violation_observed`` says whether some
-    sample exceeded the bound (worst ratio above 1 + 1e-12); ``asserted``
-    says whether the claim is made at this n (n >= 4), so a surprising
-    small-n constant surfaces as data.
+    sample exceeded the bound (worst ratio above 1 + 1e-12) and ``asserted``
+    whether n >= 4; both are data.  ``scripts/verify_theorems.py`` checks
+    every n by its row, which is violated once the worst ratio exceeds 1.
     """
     if n < 2:
         raise ValueError("the inequality check needs n >= 2")

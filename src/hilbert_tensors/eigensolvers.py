@@ -63,8 +63,11 @@ def _positive_start(t: HilbertTensor, x0, p: float) -> np.ndarray:
         x = as_vector(x0)
         if len(x) != n:
             raise ValueError(f"dimension mismatch: tensor dim {n}, start length {len(x)}")
+        if not np.isfinite(x).all():
+            raise ValueError("power iteration needs a finite start vector")
     if np.any(x <= 0):
         raise ValueError("power iteration needs an entrywise positive start vector")
+    x = x / x.max()  # entries in (0, 1], so the p-norm neither overflows nor underflows to 0
     return x / float(np.sum(x**p) ** (1.0 / p))
 
 

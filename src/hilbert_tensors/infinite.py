@@ -122,6 +122,8 @@ def zeta_upper_bound(q: float) -> float:
 def apply_infinite(x, order: int, out_len: int) -> SequenceVector:
     """First ``out_len`` components of H_inf x^{m-1} for finitely supported x."""
     xv = as_vector(x)
+    if xv.size == 0:  # before building a generating vector, which would evict the cached one
+        raise ValueError("empty input vector")
     if out_len < 1:
         raise ValueError("out_len must be >= 1")
     support = xv.size
@@ -134,8 +136,11 @@ def tail_exponent(operator: str, order: int, p: float) -> float:
 
     |(T x)_i| <= ||x||_1 / i and |(F x)_i| <= ||x||_1 i^{-1/(m-1)}, so q > 1
     exactly on each operator's range; outside it (p <= 1 for T, p <= m-1
-    for F) this raises ValueError with the message the CLI prints.
+    for F) this raises ValueError with the message the CLI prints.  A
+    non-finite p raises too: the norms and tail bounds here are finite-p sums.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got p = {p:g}")
     if operator == "T":
         if p <= 1:
             raise ValueError(f"operator T needs p > 1, got p = {p:g}")
@@ -256,6 +261,8 @@ def norm_search(
     docstring proves is attained at e_1.
     """
     tail_exponent(operator, order, p)
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     if support < 1:
         raise ValueError("support must be >= 1")
     evaluate = t_infinity if operator == "T" else f_infinity

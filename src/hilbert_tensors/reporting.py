@@ -6,6 +6,12 @@ rendered with 17 significant digits; NaN and infinities are rendered like
 None (JSON ``null``, an empty CSV cell).  Output is UTF-8 with LF line
 endings, and serialization involves no timestamps or environment state, so
 identical rows give byte-identical files.
+
+``slack`` is the signed margin of the inequality a row checks, with any
+allowance already inside the row's ``bound``.  :func:`violated` is the one
+verdict on a row: certified with negative slack.  The ``bounds`` and
+``bench`` commands and ``scripts/verify_theorems.py`` judge their rows with
+it; ``infinite`` rows are the one exception (see ``cli.cmd_infinite``).
 """
 
 from __future__ import annotations
@@ -14,13 +20,22 @@ import math
 
 ROW_KEYS = ("m", "n", "kind", "value", "bound", "slack", "certified", "iterations")
 
-# reporting slack below this is a genuine violation, not numerical noise;
-# also the bound on the restricted residual of H-embed rows
+# the bound on the restricted residual of H-embed rows: solver noise on the embedded block
 SLACK_NOISE = 1e-8
 
 
 def make_row(m, n, kind, value, bound, slack, certified, iterations) -> dict:
     return dict(zip(ROW_KEYS, (m, n, kind, value, bound, slack, certified, iterations)))
+
+
+def violated(row) -> bool:
+    """Whether a row's certified claim failed: certified and slack < 0.
+
+    A missing or NaN slack is no violation, and slack exactly 0 means the
+    inequality holds with equality.
+    """
+    slack = row["slack"]
+    return bool(row["certified"] and slack is not None and slack < 0)
 
 
 def sweep_rows(sweep) -> list[dict]:

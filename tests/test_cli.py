@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from hilbert_tensors import HilbertTensor, analysis, cli, eigensolvers, infinite
+from hilbert_tensors import HilbertTensor, analysis, cli, eigensolvers, infinite, reporting
 from hilbert_tensors.reporting import ROW_KEYS, to_csv, to_json_lines
 
 
@@ -486,6 +486,17 @@ def test_non_finite_floats_render_as_null():
            "slack": -math.inf, "certified": False, "iterations": 1}
     assert json.loads(to_json_lines([row]))["value"] is None
     assert to_csv([row]).splitlines()[1] == "2,2,H,,,,false,1"
+
+
+@pytest.mark.parametrize(
+    "slack,certified,expected",
+    [(None, True, False), (math.nan, True, False), (-1.0, False, False), (0.0, True, False),
+     (-1e-300, True, True)],
+    ids=["none", "nan", "uncertified", "equality", "tiny-negative"],
+)
+def test_violated_is_certified_with_negative_slack(slack, certified, expected):
+    row = reporting.make_row(2, 3, "H", 1.0, 1.0, slack, certified, 1)
+    assert reporting.violated(row) is expected
 
 
 def test_csv_nulls_empty():

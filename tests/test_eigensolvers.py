@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ def test_h_rejects_nonpositive_start():
         h_spectral_radius(HilbertTensor(3, 3), x0=[1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         h_spectral_radius(HilbertTensor(3, 3), x0=[0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("solver", [h_spectral_radius, z_spectral_radius])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_start_is_rejected_without_warnings(solver, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite start vector"):
+            solver(HilbertTensor(2, 3), x0=[1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("solver", [h_spectral_radius, z_spectral_radius])
+@pytest.mark.parametrize("scale", [1e200, 1e-320])
+def test_extreme_start_scale_is_normalized_without_warnings(solver, scale):
+    t = HilbertTensor(3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solver(t, x0=scale * np.ones(3))
+    assert res.converged
+    assert res.value == solver(t).value
 
 
 def test_h_unconverged_flagged():

@@ -6,6 +6,7 @@ import pytest
 
 from hilbert_tensors import (
     PI_OVER_SQRT6,
+    GeneratingVector,
     HilbertTensor,
     SplitMix64,
     apply_infinite,
@@ -40,6 +41,14 @@ def test_apply_infinite_e2_shifted():
 def test_apply_infinite_zero():
     out = apply_infinite(np.zeros(4), 3, 20).values
     np.testing.assert_array_equal(out, np.zeros(20))
+
+
+@pytest.mark.parametrize("out_len", [1, 5])
+def test_apply_infinite_empty_input_keeps_the_cached_vector(out_len):
+    cached = GeneratingVector.hilbert(7)
+    with pytest.raises(ValueError, match="empty input vector"):
+        apply_infinite([], 3, out_len)
+    assert GeneratingVector.hilbert(7) is cached
 
 
 def test_apply_infinite_matches_finite_head():
@@ -218,6 +227,24 @@ def test_p_range_errors_carry_the_cli_text(call, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: tail_exponent("T", 2, p),
+        lambda p: t_infinity([0.5], 2, p),
+        lambda p: f_infinity([0.5], 3, p),
+        lambda p: operator_norm_constant("T", 2, p),
+        lambda p: norm_search(2, p, trials=1, support=2, out_len=10),
+    ],
+    ids=["tail_exponent", "t_infinity", "f_infinity", "constant", "search"],
+)
+def test_non_finite_p_is_rejected(call, p):
+    # at p = inf, ||T e1/2||_inf is 0.5, but the finite-p sums would enclose it in [1, 1.5]
+    with pytest.raises(ValueError, match="p must be finite"):
+        call(p)
+
+
 def test_upper_is_inf_when_a_power_overflows():
     assert CertifiedNorm(1.0, 1e110, 6.0, 10).upper == math.inf
 
@@ -246,6 +273,11 @@ def test_overflow_raises_no_numpy_warning():
 def test_norm_search_support_one_is_e1():
     rep = norm_search(2, 2.0, trials=10, support=1, out_len=2000, seed=5)
     assert rep.best_vector == [1.0]
+
+
+def test_norm_search_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        norm_search(2, 2.0, trials=-3, support=2, out_len=10)
 
 
 def test_norm_search_coordinate_decay():

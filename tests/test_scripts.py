@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hilbert_tensors
-from hilbert_tensors import cli
+from hilbert_tensors import analysis, cli, reporting
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -109,6 +109,49 @@ def test_verify_theorems_counts_violated_inequality(tmp_path, capsys, monkeypatc
     rows = [json.loads(line) for line in (tmp_path / "verification.json").read_text().splitlines()]
     (row,) = [r for r in rows if r["kind"] == "hilbert-ineq-ratio" and r["n"] == 4]
     assert row["value"] > 1.0 and row["certified"] is True
+
+
+def exit_code_of(path):
+    """The exit code a report file implies on its own: 2 a row violated, else 0 all certified, else 3."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    if any(reporting.violated(row) for row in rows):
+        return 2
+    return 0 if all(row["certified"] for row in rows) else 3
+
+
+def force_embed_residual(monkeypatch):
+    # the restricted residual of the n = 2 -> 3 embedding (length 2, tiny) forced past SLACK_NOISE
+    orig = analysis.equation_residual
+
+    def forced(kind, order, x, y, value):
+        res = orig(kind, order, x, y, value)
+        return 1.5e-8 if len(x) == 2 and res < 1e-10 else res
+
+    monkeypatch.setattr(analysis, "equation_residual", forced)
+
+
+def test_bounds_exits_2_on_a_certified_embed_residual_above_its_bound(capsys, monkeypatch):
+    force_embed_residual(monkeypatch)
+    code = cli.run(["bounds", "--m", "2", "--n", "1..3"])
+    captured = capsys.readouterr()
+    (row,) = [r for r in map(json.loads, captured.out.splitlines()) if r["kind"] == "H-embed" and r["n"] == 3]
+    assert row["certified"] is True and row["slack"] == pytest.approx(-5e-9)
+    assert "BOUND VIOLATION: m=2 n=3 kind=H-embed" in captured.err
+    assert code == cli.EXIT_VIOLATION == 2
+
+
+@pytest.mark.parametrize("argv,forced,expected", [
+    (["--orders", "2,3", "--max-dim", "4", "--trials", "10"], False, 0),
+    (["--orders", "2", "--max-dim", "3", "--trials", "2", "--max-iter", "1"], False, 3),
+    (["--orders", "2", "--max-dim", "3", "--trials", "10"], True, 2),
+], ids=["passing", "unconverged", "embed-violated"])
+def test_verify_theorems_exit_code_follows_from_its_file(tmp_path, capsys, monkeypatch, argv, forced, expected):
+    if forced:
+        force_embed_residual(monkeypatch)
+    code, out, _ = run_verify_theorems(monkeypatch, capsys, *argv, "--out", str(tmp_path))
+    assert code == exit_code_of(tmp_path / "verification.json") == expected
+    if forced:
+        assert "  embedding n=2 into k=3: restricted residual 1.500e-08  VIOLATION" in out
 
 
 @pytest.mark.parametrize("argv", [
