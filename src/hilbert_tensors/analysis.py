@@ -273,8 +273,6 @@ def bound_sweep(
 ) -> list[BoundReport]:
     """Run both eigensolvers per dimension and compare against the sine bounds."""
     dims = list(dims)
-    if m < 2:
-        raise ValueError("order must be >= 2")
     if any(n < 2 for n in dims):
         raise ValueError("bound rows need n >= 2; the sine bound is vacuous at n = 1")
     pairs = solve_dims(m, dims, tol, max_iter)

@@ -12,7 +12,8 @@ Machine-readable rows (JSON lines or CSV, see :mod:`reporting`) go to
 stderr so that report files are byte-identical across runs for a fixed
 configuration and seed.
 
-A command takes only the flags it reads; :func:`validate` checks them before
+A command takes only the flags it reads, except --seed, which every command
+takes and only ``infinite --search`` reads; :func:`validate` checks them before
 any work: --m >= 2, --out is no directory and its directory exists; --n (all
 but ``infinite``) parses with every dimension >= 1, a single one for
 ``spectrum`` and strictly ascending ones for ``bounds``; --tol finite and > 0 and

@@ -71,9 +71,7 @@ class SequenceVector:
     __slots__ = ("values", "_norms")
 
     def __init__(self, values):
-        v = np.array(values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+        v = np.array(as_vector(values))
         v.setflags(write=False)
         self.values = v
         self._norms: dict[float, float] = {}
@@ -90,7 +88,7 @@ class SequenceVector:
     def __array__(self, dtype=None, copy=None):
         if copy:
             return np.array(self.values, dtype=dtype)
-        return self.values if dtype is None else self.values.astype(dtype)
+        return np.asarray(self.values, dtype=dtype)
 
     def __repr__(self) -> str:
         return f"SequenceVector({self.values.tolist()!r})"
@@ -109,8 +107,6 @@ class SequenceVector:
 
 def as_vector(x) -> np.ndarray:
     """Coerce SequenceVector / array-like to a 1-d float array."""
-    if isinstance(x, SequenceVector):
-        return x.values
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
@@ -153,7 +149,7 @@ class GeneratingVector:
     _last_hilbert: ClassVar["GeneratingVector | None"] = None
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = np.array(as_vector(self.values))
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -173,11 +169,24 @@ class GeneratingVector:
 
     @classmethod
     def for_tensor(cls, order: int, dim: int) -> "GeneratingVector":
-        # Offsets reach (dim-1)*order, i.e. denominators reach dim*order - order + 1.
-        return cls.hilbert(order * (dim - 1) + 1)
+        return cls.hilbert(generating_length(dim, order, dim))
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def generating_length(support: int, order: int, out_len: int) -> int:
+    """Generating-vector length of a head, out_len + (order-1)(support-1); the one input rule.
+
+    Raises ValueError on an empty x (support < 1), then out_len < 1, then order < 2.
+    """
+    if support < 1:
+        raise ValueError("empty input vector")
+    if out_len < 1:
+        raise ValueError("out_len must be >= 1")
+    if order < 2:
+        raise ValueError(f"order must be >= 2, got {order}")
+    return out_len + (order - 1) * (support - 1)
 
 
 def convolve(a, b) -> np.ndarray:
@@ -204,9 +213,10 @@ def convolution_power(x, k: int) -> np.ndarray:
 def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     """Contract a Hankel tensor with generating sequence ``gen`` against x.
 
-    Computes out[i] = sum_s gen[i + s] * y[s] for 0-based i < out_len, where
-    y is the (order-1)-fold self-convolution of x.  ``gen`` must cover offsets
-    up to need - 1 = out_len - 1 + (order-1)*(len(x)-1).
+    Computes out[i] = sum_s gen[i + s] * y[s] for 0-based i < out_len (default
+    len(x)), y the (order-1)-fold self-convolution of x.  ``gen`` must hold the
+    need = ``generating_length(len(x), order, out_len)`` values read, which raises
+    ValueError on bad input; the zero vector maps to exact zeros.
 
     While need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, one valid-mode correlation
     (out_len * len(y) multiply-adds).  Else overlap-save at block size
@@ -222,20 +232,13 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     gen = gen if isinstance(gen, GeneratingVector) else GeneratingVector(gen)
     v = gen.values
     xv = as_vector(x)
-    if xv.size == 0:
-        raise ValueError("empty input vector")
     n_out = xv.size if out_len is None else int(out_len)
-    if n_out < 1:
-        raise ValueError("out_len must be >= 1")
-    k = order - 1
-    if k < 1:
-        raise ValueError("convolution power needs k >= 1")
-    y_len = k * (xv.size - 1) + 1
-    need = n_out + y_len - 1
+    need = generating_length(xv.size, order, n_out)
     if v.size < need:
         raise ValueError(f"generating vector too short: need {need}, have {v.size}")
+    y_len = need - n_out + 1  # len(y)
     if need * y_len <= _FFT_PRODUCT_THRESHOLD:
-        return np.correlate(v[:need], convolution_power(xv, k), "valid")
+        return np.correlate(v[:need], convolution_power(xv, order - 1), "valid")
     size = 1 << (need - 1).bit_length()
     block = min(size, max(1024, 1 << (8 * y_len - 1).bit_length()))
     # row i < step of a block reads offsets i + s <= block - 1: no wrap-around
@@ -246,8 +249,8 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
         gen._spectra[key] = _block_spectra(v[:need], block, step)
     fx = np.fft.rfft(xv, block)
     np.conjugate(fx, out=fx)
-    fy = gen._spectra[key] * fx  # spectra * conj(fx)^k, in place after the first product
-    for _ in range(k - 1):
+    fy = gen._spectra[key] * fx  # spectra * conj(fx)^(order-1), in place after the first product
+    for _ in range(order - 2):
         fy *= fx
     del fx  # at B = S, free its buffer before irfft allocates the output
     return np.fft.irfft(fy, block)[:, :step].reshape(-1)[:n_out]
@@ -268,8 +271,7 @@ def _block_spectra(v: np.ndarray, block: int, step: int) -> np.ndarray:
 
 
 def _exact_values(x) -> list[Fraction]:
-    xv = x.values if isinstance(x, SequenceVector) else x
-    return [Fraction(v) for v in xv]
+    return [Fraction(v) for v in x]
 
 
 def _exact_convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -104,7 +104,7 @@ def _power_iteration(kind: str, t: HilbertTensor, tol: float, max_iter: int, x0)
     trace: list[float] = []
     lower = upper = None
     converged = False
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends the loop unconverged
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # ends the loop unconverged
         for iterations in range(1, max_iter + 1):
             if iterations > 1:  # advance only when the new iterate gets evaluated
                 if kind == "H":

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import GeneratingVector, SequenceVector, as_vector, even_root_domain, hankel_apply
+from .core import GeneratingVector, SequenceVector, as_vector, even_root_domain, generating_length, hankel_apply
 from .rng import SplitMix64
 
 PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
@@ -120,14 +120,13 @@ def zeta_upper_bound(q: float) -> float:
 
 
 def apply_infinite(x, order: int, out_len: int) -> SequenceVector:
-    """First ``out_len`` components of H_inf x^{m-1} for finitely supported x."""
+    """First ``out_len`` components of H_inf x^{m-1} for finitely supported x.
+
+    The zero vector maps to exact zeros.  An empty x, ``out_len < 1`` or order < 2
+    raises ValueError before the cached generating vector can be replaced.
+    """
     xv = as_vector(x)
-    if xv.size == 0:  # before building a generating vector, which would evict the cached one
-        raise ValueError("empty input vector")
-    if out_len < 1:
-        raise ValueError("out_len must be >= 1")
-    support = xv.size
-    gen = GeneratingVector.hilbert(out_len + (order - 1) * (support - 1))
+    gen = GeneratingVector.hilbert(generating_length(xv.size, order, out_len))
     return SequenceVector(hankel_apply(gen, xv, order, out_len))
 
 
@@ -137,10 +136,12 @@ def tail_exponent(operator: str, order: int, p: float) -> float:
     |(T x)_i| <= ||x||_1 / i and |(F x)_i| <= ||x||_1 i^{-1/(m-1)}, so q > 1
     exactly on each operator's range; outside it (p <= 1 for T, p <= m-1
     for F) this raises ValueError with the message the CLI prints.  A
-    non-finite p raises too: the norms and tail bounds here are finite-p sums.
+    non-finite p (the norms and tail bounds are finite-p sums) or order < 2 raises too.
     """
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got p = {p:g}")
+    if order < 2:
+        raise ValueError(f"order must be >= 2, got {order}")
     if operator == "T":
         if p <= 1:
             raise ValueError(f"operator T needs p > 1, got p = {p:g}")
@@ -160,10 +161,9 @@ def _certified_norm(operator: str, x, order: int, p: float, out_len: int) -> Cer
     F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.
     """
     q = tail_exponent(operator, order, p)
-    if out_len < 1:
-        raise ValueError("out_len must be >= 1")
     xv = as_vector(x)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf/nan in the result
+    generating_length(xv.size, order, out_len)  # the head's input rule, zero vector included
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf/nan in the result
         l1 = float(np.abs(xv).sum())
         if l1 == 0.0:
             return CertifiedNorm(0.0, 0.0, p, out_len)
@@ -180,7 +180,8 @@ def _certified_norm(operator: str, x, order: int, p: float, out_len: int) -> Cer
 def t_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> CertifiedNorm:
     """Certified ||T_inf x||_p from the length-``out_len`` truncation.
 
-    The zero vector maps to the exact zero norm.  Needs p > 1.
+    Needs p > 1.  The zero vector maps to the exact zero norm; an empty x,
+    ``out_len < 1`` or order < 2 raises ValueError.
     """
     return _certified_norm("T", x, order, p, out_len)
 
@@ -188,9 +189,10 @@ def t_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> Ce
 def f_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> CertifiedNorm:
     """Certified ||F_inf x||_p from the length-``out_len`` truncation.
 
-    Needs p > m-1.  When m-1 is even the contraction is genuinely
-    nonnegative for every real x; float noise below zero is clamped and
-    anything materially negative raises with the offending 1-based index.
+    Needs p > m-1.  The zero vector maps to the exact zero norm; an empty x,
+    ``out_len < 1`` or order < 2 raises ValueError.  When m-1 is even the
+    contraction is nonnegative for every real x; float noise below zero is
+    clamped and anything materially negative raises with its 1-based index.
     """
     return _certified_norm("F", x, order, p, out_len)
 

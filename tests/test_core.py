@@ -20,7 +20,7 @@ from hilbert_tensors import (
     hankel_apply,
     infinite,
 )
-from hilbert_tensors.core import _FFT_PRODUCT_THRESHOLD, convolve, real_root
+from hilbert_tensors.core import _FFT_PRODUCT_THRESHOLD, convolve, generating_length, real_root
 
 
 # -- entries ------------------------------------------------------------------
@@ -85,6 +85,24 @@ def test_generating_vector_too_short():
     g = GeneratingVector.hilbert(3)
     with pytest.raises(ValueError, match="too short"):
         hankel_apply(g, [1.0, 1.0, 1.0], 2)
+
+
+def test_generating_length_is_the_head_rule():
+    assert generating_length(4, 3, 4) == len(GeneratingVector.for_tensor(3, 4)) == 10
+    assert generating_length(16, 4, 100_000) == 100_045
+    # the checks run in a fixed order: support, out_len, order
+    for args, message in [
+        ((0, 1, 0), "empty input vector"),
+        ((1, 1, 0), "out_len must be >= 1"),
+        ((1, 1, 1), "order must be >= 2, got 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            generating_length(*args)
+
+
+def test_generating_vector_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="expected a 1-d vector"):
+        GeneratingVector(np.ones((3, 4)))
 
 
 # -- sequence vector ------------------------------------------------------------

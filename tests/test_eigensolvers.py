@@ -96,6 +96,14 @@ def test_extreme_start_scale_is_normalized_without_warnings(solver, scale):
     assert res.value == solver(t).value
 
 
+def test_start_spanning_the_float_range_ends_unconverged_without_warnings():
+    # the scaled start's small entries square to 0, so a ratio divides by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = h_spectral_radius(HilbertTensor(3, 3), x0=[1e308, 1.0, 1.0])
+    assert not res.converged
+
+
 def test_h_unconverged_flagged():
     res = h_spectral_radius(HilbertTensor(2, 8), tol=1e-14, max_iter=2)
     assert not res.converged

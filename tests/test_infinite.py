@@ -12,6 +12,8 @@ from hilbert_tensors import (
     apply_infinite,
     f_infinity,
     h_spectral_radius,
+    hankel_apply,
+    infinite,
     norm_search,
     operator_norm_constant,
     t_infinity,
@@ -59,6 +61,22 @@ def test_apply_infinite_matches_finite_head():
     np.testing.assert_allclose(
         apply_infinite(x, 3, 6).values, t.apply_fast(x).values, rtol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "m, n", [pytest.param(3, 6, id="direct"), pytest.param(2, 1500, id="fft")]
+)
+def test_apply_infinite_is_the_finite_head_bit_for_bit(m, n):
+    x = np.array(SplitMix64(62).uniforms(n, -1, 1))
+    head = apply_infinite(x, m, n).values
+    np.testing.assert_array_equal(head, HilbertTensor(m, n).apply_fast(x).values)
+
+
+def test_apply_infinite_order_below_two_keeps_the_cached_vector():
+    cached = GeneratingVector.hilbert(50)
+    with pytest.raises(ValueError, match="order must be >= 2, got 1"):
+        apply_infinite([1.0, 2.0], 1, 60)
+    assert GeneratingVector.hilbert(50) is cached
 
 
 def test_apply_infinite_m2_dense_cross_check():
@@ -159,6 +177,37 @@ def test_bad_out_len_raises_for_the_zero_vector_too(call):
     for x in ([0.0], [1.0]):
         with pytest.raises(ValueError, match="out_len must be >= 1"):
             call(x, 2, 2.0, out_len=-5)
+
+
+@pytest.mark.parametrize("call", [t_infinity, f_infinity])
+def test_empty_input_is_refused_not_a_zero_norm(call):
+    with pytest.raises(ValueError, match="empty input vector"):
+        call([], 2, 2.0, out_len=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: t_infinity([1.0], 1, 2.0, out_len=10),
+        lambda: f_infinity([1.0], 1, 2.0, out_len=10),
+        lambda: operator_norm_constant("F", 0, 2.0),
+        lambda: norm_search(1, 2.0, trials=0, support=2, out_len=10),
+        lambda: hankel_apply(GeneratingVector.hilbert(10), [1.0, 2.0], 1, 3),
+    ],
+    ids=["t_infinity", "f_infinity", "constant", "norm_search", "hankel_apply"],
+)
+def test_order_below_two_is_refused_everywhere(call):
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        call()
+
+
+@pytest.mark.parametrize("call", [t_infinity, f_infinity])
+def test_zero_vector_norm_computes_no_head(call, monkeypatch):
+    def no_head(*args):
+        raise AssertionError("the zero vector needs no head")
+
+    monkeypatch.setattr(infinite, "apply_infinite", no_head)
+    assert call([0.0, 0.0], 3, 4.0, out_len=10**9) == CertifiedNorm(0.0, 0.0, 4.0, 10**9)
 
 
 def test_f_infinity_nonnegative_output_head():
