@@ -11,7 +11,9 @@ of v against y = x^{*(m-1)}, which computes only the outputs returned; else
 overlap-save, irfft(rfft(v_j) * conj(rfft(x)^(m-1))) over blocks v_j of v, so
 the convolution power never leaves the frequency domain (the anti-circulant
 form of Ding, Qi and Wei, NLAA 2015).  Blocks are short when y is short
-against v, and one block covers every offset read otherwise.  The block
+against v, and one block covers every offset read otherwise; many blocks are
+taken in groups of ``_FFT_GROUP_BLOCKS`` that write into one output array, so
+no other head-sized array is made.  The block
 spectra of v are memoised on its ``GeneratingVector``, and
 ``GeneratingVector.hilbert`` keeps the last vector it built, so repeated
 applies at one shape (solver iterations, norm-search candidates) transform
@@ -43,6 +45,10 @@ DEFAULT_MAX_ELEMENTS = 10_000_000
 
 # Above this need * len(y) cost, hankel_apply takes the overlap-save FFT route.
 _FFT_PRODUCT_THRESHOLD = 1 << 22
+
+# Blocks per group on the multi-block FFT route: each group's product and irfft
+# stay small (G * B doubles) while the head goes straight into one output array.
+_FFT_GROUP_BLOCKS = 16
 
 
 class BudgetError(RuntimeError):
@@ -117,9 +123,11 @@ def even_root_domain(y: np.ndarray) -> np.ndarray:
     """y ready for an even root, with float-noise negatives clamped to 0.
 
     Negatives above -1e-12 (1 + max|y|) are noise; anything more negative
-    raises with its 1-based index.
+    raises with its 1-based index.  With no negative entry, y itself is returned.
     """
-    scale = float(np.max(np.abs(y))) if y.size else 0.0
+    if y.size == 0 or y.min() >= 0:  # nothing to clamp; a NaN minimum takes the checks below
+        return y
+    scale = float(np.max(np.abs(y)))
     y = np.where((y < 0) & (y > -1e-12 * (1.0 + scale)), 0.0, y)
     if np.any(y < 0):
         raise ValueError(f"even root of negative component at index {int(np.argmin(y)) + 1}")
@@ -222,9 +230,12 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     (out_len * len(y) multiply-adds).  Else overlap-save at block size
     B = min(S, max(1024, the power of two >= 8 len(y))), S the power of two
     >= need: each block of B offsets yields B - len(y) + 1 outputs from one
-    rfft(x, B), the cached block spectra of ``gen`` and one batched irfft.
-    B = S is one block, the whole of v[:need].  A ``GeneratingVector`` keeps
-    the spectra of its last shape; a raw array is wrapped in a throwaway one.
+    rfft(x, B) and the cached block spectra of ``gen``.  B = S is one block,
+    the whole of v[:need], and one irfft.  Several blocks go in groups of
+    ``_FFT_GROUP_BLOCKS``, each one product and one batched irfft written into
+    its rows of the one output array; the bits are those of a single batch.
+    A ``GeneratingVector`` keeps the spectra of its last shape; a raw array is
+    wrapped in a throwaway one.
 
     Any generating sequence is accepted; nothing here is specific to the
     Hilbert choice gen[s] = 1/(s+1).
@@ -247,13 +258,23 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     if key not in gen._spectra:
         gen._spectra.clear()
         gen._spectra[key] = _block_spectra(v[:need], block, step)
+    spectra = gen._spectra[key]
     fx = np.fft.rfft(xv, block)
     np.conjugate(fx, out=fx)
-    fy = gen._spectra[key] * fx  # spectra * conj(fx)^(order-1), in place after the first product
-    for _ in range(order - 2):
-        fy *= fx
-    del fx  # at B = S, free its buffer before irfft allocates the output
-    return np.fft.irfft(fy, block)[:, :step].reshape(-1)[:n_out]
+    if spectra.shape[0] == 1:
+        fy = spectra * fx  # spectra * conj(fx)^(order-1), in place after the first product
+        for _ in range(order - 2):
+            fy *= fx
+        del fx  # at B = S, free its buffer before irfft allocates the output
+        return np.fft.irfft(fy, block)[:, :step].reshape(-1)[:n_out]
+    # groups of blocks write into one output array, so no head-sized temporary is made
+    out = np.empty((spectra.shape[0], step))
+    for g in range(0, spectra.shape[0], _FFT_GROUP_BLOCKS):
+        fy = spectra[g : g + _FFT_GROUP_BLOCKS] * fx
+        for _ in range(order - 2):
+            fy *= fx
+        out[g : g + _FFT_GROUP_BLOCKS] = np.fft.irfft(fy, block)[:, :step]
+    return out.reshape(-1)[:n_out]
 
 
 def _block_spectra(v: np.ndarray, block: int, step: int) -> np.ndarray:

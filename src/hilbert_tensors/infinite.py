@@ -158,7 +158,9 @@ def _certified_norm(operator: str, x, order: int, p: float, out_len: int) -> Cer
     """Both norms as (sum |h_i|^q)^(1/p) over the head h = H_inf x^{m-1}.
 
     T scales h by ||x||_1^{2-m} first (q = p), which keeps large x finite;
-    F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.
+    where that power is 0 or past the float range (tiny or huge finite
+    ||x||_1, m >= 3), T, homogeneous of degree one, is ||x||_1 times its value
+    at x / ||x||_1.  F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.
     """
     q = tail_exponent(operator, order, p)
     xv = as_vector(x)
@@ -167,13 +169,23 @@ def _certified_norm(operator: str, x, order: int, p: float, out_len: int) -> Cer
         l1 = float(np.abs(xv).sum())
         if l1 == 0.0:
             return CertifiedNorm(0.0, 0.0, p, out_len)
-        head = apply_infinite(xv, order, out_len).values
-        if operator == "T":
-            head = head * l1 ** (2 - order)
-        elif order % 2 == 1:  # F takes an even root of every component
-            head = even_root_domain(head)
-        value = float(np.sum(np.abs(head) ** q) ** (1.0 / p))
         tail = l1 * zeta_tail_bound(q, out_len) ** (1.0 / p)
+        if operator == "T":
+            try:
+                scale = l1 ** (2 - order)
+            except OverflowError:  # tiny ||x||_1 at m >= 3
+                scale = math.inf
+            if math.isfinite(l1) and not 0.0 < scale < math.inf:
+                value = _certified_norm(operator, xv / l1, order, p, out_len).value * l1
+                return CertifiedNorm(value, tail, p, out_len)
+        head = apply_infinite(xv, order, out_len).values
+        if operator == "F" and order % 2 == 1:  # F takes an even root of every component
+            head = even_root_domain(head)
+        work = np.abs(head)  # the one head-sized work array: |h|, scaled for T, to the q
+        if operator == "T":
+            work *= scale  # |h| s equals |h s| bit for bit
+        work **= q
+        value = float(np.sum(work) ** (1.0 / p))
     return CertifiedNorm(value, tail, p, out_len)
 
 

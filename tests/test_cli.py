@@ -503,3 +503,11 @@ def test_csv_nulls_empty():
     text = to_csv([{"m": 2, "n": 2, "kind": "H", "value": 0.5, "bound": None,
                     "slack": None, "certified": False, "iterations": None}])
     assert text.splitlines()[1] == "2,2,H,0.5,,,false,"
+
+
+@pytest.mark.parametrize("m, x", [("4", "1e-200"), ("3", "1e-320")])
+def test_infinite_t_at_tiny_l1_norm_is_certified(capsys, m, x):
+    code, out, err = run_cli(["infinite", "--m", m, "--p", "2", "--op", "T", "--x", x], capsys)
+    assert code == 0, err
+    [row] = parse_rows(out)
+    assert row["certified"] is True and 0.0 < row["value"] < 1e-199

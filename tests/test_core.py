@@ -20,7 +20,14 @@ from hilbert_tensors import (
     hankel_apply,
     infinite,
 )
-from hilbert_tensors.core import _FFT_PRODUCT_THRESHOLD, convolve, generating_length, real_root
+from hilbert_tensors.core import (
+    _FFT_GROUP_BLOCKS,
+    _FFT_PRODUCT_THRESHOLD,
+    convolve,
+    even_root_domain,
+    generating_length,
+    real_root,
+)
 
 
 # -- entries ------------------------------------------------------------------
@@ -531,3 +538,50 @@ def test_even_root_clamps_noise_and_rejects_negatives(route, monkeypatch):
         assert out.tolist() == [2.0, 0.0, 3.0]
     with pytest.raises(ValueError, match="even root of negative component at index 3"):
         apply(negative)
+
+
+# -- grouped overlap-save blocks and the even-root fast exit --------------------------
+
+
+def _one_shot_blocks(x, order, out_len):
+    """The multi-block FFT route with every block in one product and one batched irfft."""
+    y_len, need = _route_sizes(order, x.size, out_len)
+    block = min(1 << (need - 1).bit_length(), max(1024, 1 << (8 * y_len - 1).bit_length()))
+    step = block - y_len + 1
+    n_blocks = -(-(need - block + step) // step)
+    padded = np.zeros((n_blocks - 1) * step + block)
+    padded[:need] = GeneratingVector.hilbert(need).values
+    spectra = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(padded, block)[::step], axis=-1)
+    fx = np.conj(np.fft.rfft(x, block))
+    fy = spectra * fx
+    for _ in range(order - 2):
+        fy = fy * fx
+    return n_blocks, np.fft.irfft(fy, block)[:, :step].reshape(-1)[:out_len]
+
+
+@pytest.mark.parametrize("blocks", [1, _FFT_GROUP_BLOCKS - 1, _FFT_GROUP_BLOCKS, _FFT_GROUP_BLOCKS + 1, 103])
+def test_grouped_fft_route_is_the_one_shot_blocks_bit_for_bit(blocks):
+    if blocks == 1:  # B = S: one block over all of v[:need]
+        order, x, out_len = 2, np.cos(np.arange(1, 1501)), 1500
+    else:  # len(y) = 301, B = 4096, step = 3796
+        order, x = 3, np.cos(np.arange(1, 152))
+        out_len = blocks * 3796 - 7
+    y_len, need = _route_sizes(order, x.size, out_len)
+    assert need * y_len > _FFT_PRODUCT_THRESHOLD
+    n_blocks, expected = _one_shot_blocks(x, order, out_len)
+    assert n_blocks == blocks
+    out = hankel_apply(GeneratingVector.hilbert(need), x, order, out_len)
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("y", [[], [0.0, 2.0, 3.0], [-0.0, 1e-300, np.inf]])
+def test_even_root_domain_returns_its_input_when_nothing_is_negative(y):
+    y = np.array(y)
+    assert even_root_domain(y) is y
+
+
+def test_even_root_domain_nan_takes_the_checks():
+    y = np.array([1.0, np.nan])
+    out = even_root_domain(y)
+    assert out is not y
+    assert out[0] == 1.0 and np.isnan(out[1])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -360,3 +361,62 @@ def test_norm_search_gap_is_to_its_own_constant():
     rep = norm_search(3, 4.0, trials=6, support=4, out_len=1000, seed=3, operator="F")
     assert rep.gap_to_constant == operator_norm_constant("F", 3, 4.0) - rep.best_value
     assert 0 < rep.gap_to_constant < PI_OVER_SQRT6 - rep.best_value
+
+
+# -- one work array per head ------------------------------------------------------------
+
+
+def _head_norm(operator, x, order, p, out_len):
+    """(sum |h|^q)^(1/p) from apply_infinite, with the T scale and the F clamp at odd m."""
+    head = apply_infinite(x, order, out_len).values
+    q = tail_exponent(operator, order, p)
+    if operator == "T":
+        head = head * float(np.abs(x).sum()) ** (2 - order)
+    elif order % 2 == 1:
+        head = np.where(head < 0, 0.0, head)
+    return float(np.sum(np.abs(head) ** q) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("support, out_len", [(3, 1000), (16, 100_000), (40, 100_000)])
+def test_norms_are_the_head_q_sum_bit_for_bit(m, support, out_len):
+    x = 1.7 * np.cos(np.arange(1, support + 1))
+    for operator, call in (("T", t_infinity), ("F", f_infinity)):
+        for p in (2.0 * (m - 1) + 0.5, 3.0 * (m - 1)):
+            cert = call(x, m, p, out_len)
+            assert cert.value == _head_norm(operator, x, m, p, out_len)
+
+
+@pytest.mark.parametrize("m, scale", [(3, 1e-320), (4, 1e-200), (4, 1e200)])
+def test_t_infinity_outside_the_scale_range_is_homogeneous(m, scale):
+    # ||x||_1^(2-m) overflows (or underflows to 0): T is ||x||_1 times T(x / ||x||_1)
+    cert = t_infinity([scale], m, 2.0, 100)
+    unit = t_infinity([1.0], m, 2.0, 100)
+    assert cert.value == pytest.approx(scale * unit.value, rel=1e-14)
+    assert cert.tail_bound == pytest.approx(scale * unit.tail_bound, rel=1e-14)
+
+
+def _traced_peak(call):
+    call()  # warm: the generating vector and its block spectra are cached
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: apply_infinite(x, 4, 100_000),
+        lambda x: t_infinity(x, 4, 2.0, 100_000),
+        lambda x: f_infinity(x, 4, 6.0, 100_000),
+    ],
+    ids=["apply_infinite", "t_infinity", "f_infinity"],
+)
+def test_multi_block_head_holds_two_head_sized_arrays_at_most(call):
+    # the output array plus one more (SequenceVector's copy, or the |h|^q work array)
+    x = np.cos(np.arange(1, 17))
+    head_bytes = apply_infinite(x, 4, 100_000).values.nbytes
+    assert _traced_peak(lambda: call(x)) <= 2.5 * head_bytes
