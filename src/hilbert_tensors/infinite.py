@@ -31,6 +31,7 @@ pi/sqrt(6).)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,11 +74,19 @@ class CertifiedNorm:
 
     @property
     def upper(self) -> float:
-        """Certified upper end of the enclosure; inf where a p-th power overflows."""
+        """Certified upper end of the enclosure; inf where a p-th power overflows.
+
+        Where p-th powers underflow and the sum would fall below either term,
+        it is taken relative to the larger term.
+        """
         try:
-            return (self.value**self.p + self.tail_bound**self.p) ** (1.0 / self.p)
+            upper = (self.value**self.p + self.tail_bound**self.p) ** (1.0 / self.p)
         except OverflowError:
             return math.inf
+        big = max(self.value, self.tail_bound)
+        if not upper < big:
+            return upper
+        return big * ((self.value / big) ** self.p + (self.tail_bound / big) ** self.p) ** (1.0 / self.p)
 
 
 def zeta_tail_bound(q: float, n: int) -> float:
@@ -154,13 +163,27 @@ def tail_exponent(operator: str, order: int, p: float) -> float:
     raise ValueError(f"operator must be 'T' or 'F', got {operator!r}")
 
 
+def _outside_float_range(l1: float, order: int, p: float) -> bool:
+    """Whether at finite ||x||_1 = l1 > 0 the head, about l1^{m-1}, or its
+    p-th powers, about l1^p, leave the float range.
+
+    Overflowing p-th powers are left to show as an infinite value, since the
+    tail's p-th power, and so the upper end, overflows with them; the head
+    alone overflows only for T at p < m - 1.
+    """
+    tiny, huge = math.log(sys.float_info.min), math.log(sys.float_info.max)
+    head, powers = math.log(l1) * (order - 1), math.log(l1) * p
+    return head < tiny or powers < tiny or head >= huge > powers
+
+
 def _certified_norm(operator: str, x, order: int, p: float, out_len: int) -> CertifiedNorm:
     """Both norms as (sum |h_i|^q)^(1/p) over the head h = H_inf x^{m-1}.
 
     T scales h by ||x||_1^{2-m} first (q = p), which keeps large x finite;
-    where that power is 0 or past the float range (tiny or huge finite
-    ||x||_1, m >= 3), T, homogeneous of degree one, is ||x||_1 times its value
-    at x / ||x||_1.  F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.
+    F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.  Both are homogeneous
+    of degree one, so where the head or its p-th powers would leave the float
+    range (tiny, or for T huge, finite ||x||_1), the value is ||x||_1 times
+    the value at x / ||x||_1.
     """
     q = tail_exponent(operator, order, p)
     xv = as_vector(x)
@@ -170,20 +193,15 @@ def _certified_norm(operator: str, x, order: int, p: float, out_len: int) -> Cer
         if l1 == 0.0:
             return CertifiedNorm(0.0, 0.0, p, out_len)
         tail = l1 * zeta_tail_bound(q, out_len) ** (1.0 / p)
-        if operator == "T":
-            try:
-                scale = l1 ** (2 - order)
-            except OverflowError:  # tiny ||x||_1 at m >= 3
-                scale = math.inf
-            if math.isfinite(l1) and not 0.0 < scale < math.inf:
-                value = _certified_norm(operator, xv / l1, order, p, out_len).value * l1
-                return CertifiedNorm(value, tail, p, out_len)
+        if math.isfinite(l1) and _outside_float_range(l1, order, p):
+            value = _certified_norm(operator, xv / l1, order, p, out_len).value * l1
+            return CertifiedNorm(value, tail, p, out_len)
         head = apply_infinite(xv, order, out_len).values
         if operator == "F" and order % 2 == 1:  # F takes an even root of every component
             head = even_root_domain(head)
         work = np.abs(head)  # the one head-sized work array: |h|, scaled for T, to the q
         if operator == "T":
-            work *= scale  # |h| s equals |h s| bit for bit
+            work *= l1 ** (2 - order)  # |h| s equals |h s| bit for bit
         work **= q
         value = float(np.sum(work) ** (1.0 / p))
     return CertifiedNorm(value, tail, p, out_len)

@@ -505,9 +505,11 @@ def test_csv_nulls_empty():
     assert text.splitlines()[1] == "2,2,H,0.5,,,false,"
 
 
-@pytest.mark.parametrize("m, x", [("4", "1e-200"), ("3", "1e-320")])
-def test_infinite_t_at_tiny_l1_norm_is_certified(capsys, m, x):
+@pytest.mark.parametrize("m, x", [("4", "1e-200"), ("4", "1e-120"), ("3", "1e-200"), ("3", "1e-320"), ("4", "1e150")])
+def test_infinite_t_outside_the_float_range_is_certified(capsys, m, x):
     code, out, err = run_cli(["infinite", "--m", m, "--p", "2", "--op", "T", "--x", x], capsys)
     assert code == 0, err
     [row] = parse_rows(out)
-    assert row["certified"] is True and 0.0 < row["value"] < 1e-199
+    assert row["certified"] is True and 0.0 < row["value"] < 1.3 * float(x)
+    upper = float(err.split("certified upper=")[1].split()[0])
+    assert upper >= row["value"]

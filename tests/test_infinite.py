@@ -387,13 +387,41 @@ def test_norms_are_the_head_q_sum_bit_for_bit(m, support, out_len):
             assert cert.value == _head_norm(operator, x, m, p, out_len)
 
 
-@pytest.mark.parametrize("m, scale", [(3, 1e-320), (4, 1e-200), (4, 1e200)])
-def test_t_infinity_outside_the_scale_range_is_homogeneous(m, scale):
-    # ||x||_1^(2-m) overflows (or underflows to 0): T is ||x||_1 times T(x / ||x||_1)
-    cert = t_infinity([scale], m, 2.0, 100)
-    unit = t_infinity([1.0], m, 2.0, 100)
-    assert cert.value == pytest.approx(scale * unit.value, rel=1e-14)
-    assert cert.tail_bound == pytest.approx(scale * unit.tail_bound, rel=1e-14)
+@pytest.mark.parametrize(
+    "call, m, p, scale",
+    [
+        (call, m, p, scale)
+        for call in (t_infinity, f_infinity)
+        for m, p, scale in [
+            (3, 4.0, 1e-320),  # ||x||_1^(2-m) overflows
+            (4, 6.0, 1e-200),
+            (4, 6.0, 1e-120),  # ||x||_1^(2-m) is finite, the head underflows
+            (3, 4.0, 1e-200),
+            (4, 6.0, 1e-103),  # the head is subnormal
+            (2, 2.5, 1e-200),  # the head is normal, its p-th powers underflow
+        ]
+    ]
+    + [(t_infinity, 4, 2.0, 1e150), (t_infinity, 3, 1.5, 1e200)],  # the head overflows, its p-th powers do not
+)
+def test_norms_outside_the_float_range_are_homogeneous(call, m, p, scale):
+    # T and F are ||x||_1 times their value at x / ||x||_1
+    cert = call([scale], m, p, 100)
+    unit = call([1.0], m, p, 100)
+    assert cert.value == pytest.approx(scale * unit.value, rel=1e-14, abs=0)
+    assert cert.tail_bound == pytest.approx(scale * unit.tail_bound, rel=1e-14, abs=0)
+    assert cert.upper >= cert.value
+
+
+@pytest.mark.parametrize("operator, call", [("T", t_infinity), ("F", f_infinity)])
+def test_norms_in_the_float_range_keep_their_bits(operator, call):
+    x = np.array([3e-20, -1e-20])
+    assert call(x, 3, 4.0, 1000).value == _head_norm(operator, x, 3, 4.0, 1000)
+
+
+def test_upper_is_never_below_a_term_when_powers_underflow():
+    assert CertifiedNorm(1.28e-200, 1e-201, 2.0, 10).upper == pytest.approx(1.2839e-200, rel=1e-4, abs=0)
+    assert CertifiedNorm(1e-201, 1.28e-200, 2.0, 10).upper >= 1.28e-200
+    assert CertifiedNorm(0.0, 0.0, 2.0, 10).upper == 0.0
 
 
 def _traced_peak(call):
