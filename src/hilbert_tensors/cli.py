@@ -207,18 +207,15 @@ def cmd_bounds(args: argparse.Namespace, rows: list) -> int:
 
 def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
     violated = False
-    for op in _OPS[args.op]:
+    ops = _OPS[args.op]
+    if args.search:  # one candidate stream, and one head per candidate, for every operator
+        reports = infinite.norm_searches(
+            ops, args.m, args.p, trials=args.trials, support=args.support, out_len=args.trunc, seed=args.seed
+        )
+    for i, op in enumerate(ops):
         bound = infinite.operator_norm_constant(op, args.m, args.p)
         if args.search:
-            rep = infinite.norm_search(
-                args.m,
-                args.p,
-                trials=args.trials,
-                support=args.support,
-                out_len=args.trunc,
-                seed=args.seed,
-                operator=op,
-            )
+            rep = reports[i]
             l1 = 1.0  # search candidates lie on the unit l^1 sphere
             kind, iterations = f"{op}-search", rep.trials
             value, slack = rep.best_value, bound - rep.best_value

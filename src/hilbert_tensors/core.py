@@ -124,15 +124,17 @@ def as_vector(x) -> np.ndarray:
 def even_root_domain(y: np.ndarray) -> np.ndarray:
     """y ready for an even root, with float-noise negatives clamped to 0.
 
-    Negatives above -1e-12 (1 + max|y|) are noise; anything more negative
-    raises with its 1-based index.  With no negative entry, y itself is returned.
+    Negatives above -1e-12 (1 + max|y|), the maximum over the non-NaN
+    entries, are noise; anything more negative raises with the 1-based index
+    of the most negative entry.  NaN passes through.  With no negative entry,
+    y itself is returned.
     """
     if y.size == 0 or y.min() >= 0:  # nothing to clamp; a NaN minimum takes the checks below
         return y
-    scale = float(np.max(np.abs(y)))
+    scale = float(np.max(np.abs(y), where=~np.isnan(y), initial=0.0))
     y = np.where((y < 0) & (y > -1e-12 * (1.0 + scale)), 0.0, y)
     if np.any(y < 0):
-        raise ValueError(f"even root of negative component at index {int(np.argmin(y)) + 1}")
+        raise ValueError(f"even root of negative component at index {int(np.nanargmin(y)) + 1}")
     return y
 
 

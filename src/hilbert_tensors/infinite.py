@@ -176,35 +176,40 @@ def _outside_float_range(l1: float, order: int, p: float) -> bool:
     return head < tiny or powers < tiny or head >= huge > powers
 
 
-def _certified_norm(operator: str, x, order: int, p: float, out_len: int) -> CertifiedNorm:
-    """Both norms as (sum |h_i|^q)^(1/p) over the head h = H_inf x^{m-1}.
+def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[CertifiedNorm, ...]:
+    """Each operator's norm as (sum |h_i|^q)^(1/p) over one head h = H_inf x^{m-1}.
 
     T scales h by ||x||_1^{2-m} first (q = p), which keeps large x finite;
     F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.  Both are homogeneous
     of degree one, so where the head or its p-th powers would leave the float
     range (tiny, or for T huge, finite ||x||_1), the value is ||x||_1 times
-    the value at x / ||x||_1.
+    the value at x / ||x||_1.  Each operator's work array is freed before the
+    next one is made, so the head and one work array are all that is held
+    (plus the clamped copy ``even_root_domain`` makes where a head for F at
+    odd m has float-noise negatives).
     """
-    q = tail_exponent(operator, order, p)
+    qs = [tail_exponent(operator, order, p) for operator in operators]
     xv = as_vector(x)
     generating_length(xv.size, order, out_len)  # the head's input rule, zero vector included
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf/nan in the result
         l1 = float(np.abs(xv).sum())
         if l1 == 0.0:
-            return CertifiedNorm(0.0, 0.0, p, out_len)
-        tail = l1 * zeta_tail_bound(q, out_len) ** (1.0 / p)
+            return tuple(CertifiedNorm(0.0, 0.0, p, out_len) for _ in operators)
+        tails = [l1 * zeta_tail_bound(q, out_len) ** (1.0 / p) for q in qs]
         if math.isfinite(l1) and _outside_float_range(l1, order, p):
-            value = _certified_norm(operator, xv / l1, order, p, out_len).value * l1
-            return CertifiedNorm(value, tail, p, out_len)
+            units = _certified_norms(operators, xv / l1, order, p, out_len)
+            return tuple(CertifiedNorm(unit.value * l1, tail, p, out_len) for unit, tail in zip(units, tails))
         head = apply_infinite(xv, order, out_len).values
-        if operator == "F" and order % 2 == 1:  # F takes an even root of every component
-            head = even_root_domain(head)
-        work = np.abs(head)  # the one head-sized work array: |h|, scaled for T, to the q
-        if operator == "T":
-            work *= l1 ** (2 - order)  # |h| s equals |h s| bit for bit
-        work **= q
-        value = float(np.sum(work) ** (1.0 / p))
-    return CertifiedNorm(value, tail, p, out_len)
+        values = []
+        for operator, q in zip(operators, qs):
+            even_root = operator == "F" and order % 2 == 1  # F takes an even root of every component
+            work = np.abs(even_root_domain(head) if even_root else head)  # |h|, scaled for T, to the q
+            if operator == "T":
+                work *= l1 ** (2 - order)  # |h| s equals |h s| bit for bit
+            work **= q
+            values.append(float(np.sum(work) ** (1.0 / p)))
+            del work
+    return tuple(CertifiedNorm(value, tail, p, out_len) for value, tail in zip(values, tails))
 
 
 def t_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> CertifiedNorm:
@@ -213,7 +218,8 @@ def t_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> Ce
     Needs p > 1.  The zero vector maps to the exact zero norm; an empty x,
     ``out_len < 1`` or order < 2 raises ValueError.
     """
-    return _certified_norm("T", x, order, p, out_len)
+    (cert,) = _certified_norms(("T",), x, order, p, out_len)
+    return cert
 
 
 def f_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> CertifiedNorm:
@@ -224,7 +230,8 @@ def f_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> Ce
     contraction is nonnegative for every real x; float noise below zero is
     clamped and anything materially negative raises with its 1-based index.
     """
-    return _certified_norm("F", x, order, p, out_len)
+    (cert,) = _certified_norms(("F",), x, order, p, out_len)
+    return cert
 
 
 def operator_norm_constant(operator: str, order: int, p: float) -> float:
@@ -290,14 +297,36 @@ def norm_search(
     followed by seeded random draws and local mass-move perturbations of the
     incumbent.  Deterministic for fixed seed; ties keep the earlier find.
     No gradient claims: the result is evidence for the norm, which the module
-    docstring proves is attained at e_1.
+    docstring proves is attained at e_1.  The one-operator case of
+    :func:`norm_searches`, which ``infinite --search --op both`` runs for T
+    and F over one candidate stream and one head per distinct candidate.
     """
-    tail_exponent(operator, order, p)
+    (report,) = norm_searches((operator,), order, p, trials, support, out_len, seed)
+    return report
+
+
+def norm_searches(
+    operators,
+    order: int,
+    p: float,
+    trials: int = 200,
+    support: int = 16,
+    out_len: int = 10_000,
+    seed: int = 0,
+) -> tuple[NormSearchReport, ...]:
+    """:func:`norm_search` for each of ``operators`` over one candidate stream.
+
+    Every operator draws the same candidates, except that a perturbation
+    moves mass in its own incumbent.  Candidates are grouped by their bytes,
+    and each distinct one gets one head for all the operators that drew it,
+    so each report equals that of a separate :func:`norm_search`.
+    """
+    for operator in operators:
+        tail_exponent(operator, order, p)
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if support < 1:
         raise ValueError("support must be >= 1")
-    evaluate = t_infinity if operator == "T" else f_infinity
     rng = SplitMix64(seed)
     idx = np.arange(1, support + 1, dtype=float)
 
@@ -309,22 +338,27 @@ def norm_search(
     for profile in (1.0 / idx, 1.0 / idx**2, 0.5**idx, 0.2**idx):
         candidates.append(_unit_l1(profile))
 
-    best_val = -math.inf
-    best_cert: CertifiedNorm | None = None
-    best_x: np.ndarray | None = None
+    # per operator: the incumbent's value, certificate and vector
+    best_val = [-math.inf] * len(operators)
+    best_cert: list[CertifiedNorm | None] = [None] * len(operators)
+    best_x: list[np.ndarray | None] = [None] * len(operators)
     evaluations = 0
 
-    def consider(x: np.ndarray) -> None:
-        nonlocal best_val, best_cert, best_x, evaluations
-        cert = evaluate(x, order, p, out_len)
+    def consider(xs: list[np.ndarray]) -> None:
+        """Evaluate xs[i] for operators[i], one head per distinct candidate."""
+        nonlocal evaluations
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for i, x in enumerate(xs):
+            groups.setdefault(x.tobytes(), (x, []))[1].append(i)
+        for x, members in groups.values():
+            certs = _certified_norms(tuple(operators[i] for i in members), x, order, p, out_len)
+            for i, cert in zip(members, certs):
+                if cert.value > best_val[i]:
+                    best_val[i], best_cert[i], best_x[i] = cert.value, cert, x
         evaluations += 1
-        if cert.value > best_val:
-            best_val = cert.value
-            best_cert = cert
-            best_x = x
 
     for cand in candidates:
-        consider(cand)
+        consider([cand] * len(operators))
 
     for trial in range(trials):
         mode = trial % 3
@@ -332,32 +366,37 @@ def norm_search(
             raw = np.array(rng.uniforms(support, -1.0, 1.0))
             if np.abs(raw).sum() == 0.0:
                 continue
-            consider(_unit_l1(raw))
+            consider([_unit_l1(raw)] * len(operators))
         elif mode == 1:
             weights = np.array(rng.uniforms(support)) / idx ** rng.uniform(0.0, 3.0)
             if weights.sum() == 0.0:
                 continue
-            consider(_unit_l1(weights))
+            consider([_unit_l1(weights)] * len(operators))
         else:
-            x = best_x.copy()
             a = rng.randint(support)
             b = rng.randint(support)
             delta = rng.uniform(0.0, 0.2)
-            x[a] = x[a] * (1.0 - delta)
-            x[b] = x[b] + math.copysign(delta, x[b] if x[b] != 0 else 1.0)
-            consider(_unit_l1(x))
+            moved = []
+            for incumbent in best_x:
+                x = incumbent.copy()
+                x[a] = x[a] * (1.0 - delta)
+                x[b] = x[b] + math.copysign(delta, x[b] if x[b] != 0 else 1.0)
+                moved.append(_unit_l1(x))
+            consider(moved)
 
-    assert best_cert is not None
-    return NormSearchReport(
-        operator=operator,
-        order=order,
-        p=p,
-        trials=trials,
-        support=support,
-        out_len=out_len,
-        seed=seed,
-        best_value=best_cert.value,
-        best_tail_bound=best_cert.tail_bound,
-        best_vector=[float(v) for v in best_x],
-        evaluations=evaluations,
+    return tuple(
+        NormSearchReport(
+            operator=operator,
+            order=order,
+            p=p,
+            trials=trials,
+            support=support,
+            out_len=out_len,
+            seed=seed,
+            best_value=cert.value,
+            best_tail_bound=cert.tail_bound,
+            best_vector=[float(v) for v in x],
+            evaluations=evaluations,
+        )
+        for operator, cert, x in zip(operators, best_cert, best_x)
     )

@@ -513,3 +513,34 @@ def test_infinite_t_outside_the_float_range_is_certified(capsys, m, x):
     assert row["certified"] is True and 0.0 < row["value"] < 1.3 * float(x)
     upper = float(err.split("certified upper=")[1].split()[0])
     assert upper >= row["value"]
+
+
+@pytest.mark.parametrize("m, p", [("2", "2"), ("3", "4"), ("4", "6")])
+def test_infinite_search_both_is_t_then_f(capsys, m, p):
+    # one shared candidate stream prints exactly the rows and lines of the two separate searches
+    args = ["infinite", "--search", "--m", m, "--p", p, "--trials", "25", "--trunc", "500", "--seed", "4",
+            "--show-vector"]
+    both = run_cli(args + ["--op", "both"], capsys)
+    t_code, t_out, t_err = run_cli(args + ["--op", "T"], capsys)
+    f_code, f_out, f_err = run_cli(args + ["--op", "F"], capsys)
+    assert both == (max(t_code, f_code), t_out + f_out, t_err + f_err)
+
+
+def test_infinite_search_both_makes_one_head_per_candidate(capsys, monkeypatch):
+    heads = []
+    apply = infinite.apply_infinite
+
+    def counted(x, order, out_len):
+        heads.append(order)
+        return apply(x, order, out_len)
+
+    monkeypatch.setattr(infinite, "apply_infinite", counted)
+    counts = {}
+    for op in ("T", "F", "both"):
+        heads.clear()
+        code, _, err = run_cli(["infinite", "--search", "--op", op, "--m", "3", "--p", "4", "--trials", "20",
+                                "--trunc", "500"], capsys)
+        assert code == 0, err
+        counts[op] = len(heads)
+    evaluations = int(err.split("evaluations=")[1].split()[0])
+    assert counts == {"T": evaluations, "F": evaluations, "both": evaluations}

@@ -585,3 +585,12 @@ def test_even_root_domain_nan_takes_the_checks():
     out = even_root_domain(y)
     assert out is not y
     assert out[0] == 1.0 and np.isnan(out[1])
+
+
+def test_even_root_domain_takes_its_noise_scale_from_the_non_nan_entries():
+    # a NaN entry neither blocks the clamp of float noise nor is named as the negative one
+    out = even_root_domain(np.array([1.0, np.nan, -1e-15]))
+    assert out[0] == 1.0 and np.isnan(out[1]) and out[2] == 0.0
+    with pytest.raises(ValueError, match="negative component at index 4"):
+        even_root_domain(np.array([1.0, np.nan, -1e-3, -2e-3]))
+    assert np.isnan(even_root_domain(np.array([np.nan, -1e-15]))).tolist() == [True, False]

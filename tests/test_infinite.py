@@ -19,6 +19,7 @@ from hilbert_tensors import (
     operator_norm_constant,
     t_infinity,
 )
+from hilbert_tensors.core import SequenceVector
 from hilbert_tensors.infinite import CertifiedNorm, tail_exponent, zeta_upper_bound
 
 
@@ -448,3 +449,61 @@ def test_multi_block_head_holds_two_head_sized_arrays_at_most(call):
     x = np.cos(np.arange(1, 17))
     head_bytes = apply_infinite(x, 4, 100_000).values.nbytes
     assert _traced_peak(lambda: call(x)) <= 2.5 * head_bytes
+
+
+def test_joint_evaluation_holds_two_head_sized_arrays_at_most():
+    # T's work array is freed before F's is made: the head plus one work array
+    x = np.cos(np.arange(1, 17))
+    head_bytes = apply_infinite(x, 4, 100_000).values.nbytes
+    joint = lambda: infinite._certified_norms(("T", "F"), x, 4, 6.0, 10**5)
+    assert _traced_peak(joint) <= 2.5 * head_bytes
+
+
+# -- one candidate stream for T and F ---------------------------------------------------
+
+
+@pytest.mark.parametrize("m, ps", [(2, (2.0, 3.5)), (3, (2.5, 4.0)), (4, (3.5, 6.0))])
+@pytest.mark.parametrize("support", [1, 5, 16])
+@pytest.mark.parametrize("seed", [0, 13])
+def test_joint_search_is_the_separate_searches(m, ps, support, seed):
+    for p in ps:
+        joint = infinite.norm_searches(("T", "F"), m, p, trials=30, support=support, out_len=300, seed=seed)
+        separate = tuple(
+            norm_search(m, p, trials=30, support=support, out_len=300, seed=seed, operator=op) for op in ("T", "F")
+        )
+        assert joint == separate
+
+
+@pytest.mark.parametrize("x", [[1.0], [0.5, -0.25, 0.25], np.cos(np.arange(1, 17))])
+def test_joint_norms_are_the_single_operator_norms(x):
+    for m, p in ((2, 2.5), (3, 4.0), (4, 6.0)):
+        assert infinite._certified_norms(("T", "F"), x, m, p, 1000) == (
+            t_infinity(x, m, p, 1000),
+            f_infinity(x, m, p, 1000),
+        )
+
+
+def test_joint_search_perturbs_each_incumbent(monkeypatch):
+    # with this head T (q = 6) keeps e1 while F (q = 2) moves to e2, so every
+    # perturbation is a different candidate for each and gets its own head
+    heads = []
+
+    def spread_head(x, order, out_len):
+        heads.append(x)
+        x = np.asarray(x, dtype=float)
+        head = np.zeros(out_len)
+        head[0] = x[0]
+        head[1 : 1 + 10 * (x.size - 1)] = np.repeat(0.6 * x[1:], 10)
+        return SequenceVector(head)
+
+    monkeypatch.setattr(infinite, "apply_infinite", spread_head)
+    joint = infinite.norm_searches(("T", "F"), 4, 6.0, trials=30, support=4, out_len=100, seed=3)
+    joint_heads = len(heads)
+    separate = tuple(
+        norm_search(4, 6.0, trials=30, support=4, out_len=100, seed=3, operator=op) for op in ("T", "F")
+    )
+    assert joint == separate
+    assert joint[0].best_vector == [1.0, 0.0, 0.0, 0.0]
+    assert joint[1].best_vector == [0.0, 1.0, 0.0, 0.0]
+    assert joint_heads == joint[0].evaluations + 30 // 3  # shared candidates once, perturbations twice
+    assert len(heads) - joint_heads == 2 * joint[0].evaluations
