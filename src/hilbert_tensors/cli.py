@@ -32,7 +32,6 @@ and slack < 0); ``infinite`` keeps its own rule (see :func:`cmd_infinite`).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -55,10 +54,6 @@ SLACK_NOISE_INFINITE = 1e-9
 
 # --op value -> the operators it evaluates
 _OPS = {"T": ("T",), "F": ("F",), "both": ("T", "F")}
-
-
-class UsageError(Exception):
-    pass
 
 
 def exit_status(violated: bool, all_certified: bool) -> int:
@@ -103,63 +98,52 @@ def parse_x(spec: str) -> np.ndarray:
 
 def _at_least(flag: str, value: int, low: int) -> None:
     if value < low:
-        raise UsageError(f"{flag} must be >= {low}, got {value}")
-
-
-@contextlib.contextmanager
-def _usage_errors():
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 def validate(args: argparse.Namespace) -> None:
     """Check every flag of a parsed command line before any work.
 
-    Raises UsageError naming the first flag out of range.  On success the
+    Raises ValueError, its own or a library rule's, naming the first flag
+    out of range; :func:`run` maps only these to exit 1.  On success the
     ``--n`` spec is replaced by its dimension tuple and, for ``infinite``,
     the ``--x`` spec by its vector.
     """
     if args.m < 2:
-        raise UsageError(f"order must be >= 2, got {args.m}")
+        raise ValueError(f"order must be >= 2, got {args.m}")
     if "n" in args:  # each check runs only where the command has the flag
-        with _usage_errors():
-            args.n = parse_dims(args.n)
+        args.n = parse_dims(args.n)
         if any(n < 1 for n in args.n):
-            raise UsageError("dimensions must be >= 1")
+            raise ValueError("dimensions must be >= 1")
         if args.command == "spectrum" and len(args.n) != 1:
-            raise UsageError("spectrum needs a single dimension, e.g. --n 4")
+            raise ValueError("spectrum needs a single dimension, e.g. --n 4")
         if args.command == "bounds" and any(b <= a for a, b in zip(args.n, args.n[1:])):
-            raise UsageError("dims must be strictly ascending")
+            raise ValueError("dims must be strictly ascending")
     if "tol" in args:
         if not 0 < args.tol < math.inf:
-            raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
+            raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
         _at_least("--max-iter", args.max_iter, 1)
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise UsageError(f"--out directory does not exist: {os.path.dirname(args.out)!r}")
+        raise ValueError(f"--out directory does not exist: {os.path.dirname(args.out)!r}")
     if args.out and os.path.isdir(args.out):
-        raise UsageError(f"--out names a directory, not a file: {args.out!r}")
+        raise ValueError(f"--out names a directory, not a file: {args.out!r}")
     if args.command == "infinite":
         if args.op not in _OPS:
-            raise UsageError(f"--op must be T, F, or both, got {args.op!r}")
+            raise ValueError(f"--op must be T, F, or both, got {args.op!r}")
         if not math.isfinite(args.p):
-            raise UsageError(f"--p must be finite, got {args.p}")
-        with _usage_errors():
-            for op in _OPS[args.op]:
-                infinite.tail_exponent(op, args.m, args.p)
+            raise ValueError(f"--p must be finite, got {args.p}")
+        for op in _OPS[args.op]:
+            infinite.tail_exponent(op, args.m, args.p)
         _at_least("--trunc", args.trunc, 1)
         _at_least("--trials", args.trials, 0)
         _at_least("--support", args.support, 1)
-        with _usage_errors():
-            x = parse_x(args.x)
+        x = parse_x(args.x)
         if not np.isfinite(x).all():
-            raise UsageError(f"--x entries must be finite, got {args.x!r}")
+            raise ValueError(f"--x entries must be finite, got {args.x!r}")
         args.x = x
     if args.command == "bench":
         _at_least("--repeats", args.repeats, 1)
-        with _usage_errors():
-            max_elements_budget()
+        max_elements_budget()
 
 
 def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:
@@ -348,13 +332,14 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     rows: list[dict] = []
     try:
-        validate(args)
+        try:
+            validate(args)
+        except ValueError as exc:  # the one usage-error path; a command's ValueError is a fault
+            print(f"hilbert-tensors: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         # overflow already shows as null values, certified: false and exit 3
         with np.errstate(over="ignore", invalid="ignore"):
             status = _COMMANDS[args.command](args, rows)
-    except UsageError as exc:
-        print(f"hilbert-tensors: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # anything else is a fault of the program, not of its arguments
         traceback.print_exc()
         print(f"hilbert-tensors: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ Solvers:
 
 Both run one power loop, ``_power_iteration``, and differ only in the
 start norm, the step and the stop quantity.  Both reject a start vector
-with a non-positive entry and ``max_iter < 1``.  Both work for any
-generating vector wired through ``core.hankel_apply`` but are only
-exercised against the Hilbert family here.
+with a non-positive entry and ``max_iter < 1``.  Both step through
+``HilbertTensor.apply_fast``, so no generating vector but Hilbert's reaches
+them (the shifted ones of ROADMAP.md's certified Z upper end would need one).
 """
 
 from __future__ import annotations

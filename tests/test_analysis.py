@@ -7,6 +7,7 @@ import pytest
 from hilbert_tensors import (
     HilbertTensor,
     SequenceVector,
+    analysis,
     bound_sweep,
     check_positive_definite,
     embedding_check,
@@ -181,3 +182,27 @@ def test_embedding_full_residual_positive_frozen():
 def test_embedding_rejects_bad_dims():
     with pytest.raises(ValueError):
         embedding_check(2, 3, 3)
+
+
+@pytest.mark.parametrize("dims, match", [([3, 2], "ascending"), ([0, 1], "positive")])
+def test_dimension_sweep_refuses_bad_dims_on_its_own(dims, match):
+    with pytest.raises(ValueError, match=match):
+        analysis.dimension_sweep(2, dims)
+
+
+def test_pd_negative_sampled_form_clears_all_positive(monkeypatch):
+    # the alternating vector (the first form evaluated) keeps its true value; every sample reads -1
+    t = HilbertTensor(2, 3)
+    true_form = HilbertTensor.quadratic_form_integral
+    calls = []
+
+    def negative_after_first(self, x, exact=False):
+        calls.append(x)
+        return true_form(self, x, exact) if len(calls) == 1 else -1.0
+
+    monkeypatch.setattr(HilbertTensor, "quadratic_form_integral", negative_after_first)
+    rep = check_positive_definite(t, trials=5, seed=2)
+    assert len(calls) == 1 + 5
+    assert rep.alternating_value > 0
+    assert rep.min_integral == -1.0
+    assert rep.all_positive is False

@@ -544,3 +544,58 @@ def test_infinite_search_both_makes_one_head_per_candidate(capsys, monkeypatch):
         counts[op] = len(heads)
     evaluations = int(err.split("evaluations=")[1].split()[0])
     assert counts == {"T": evaluations, "F": evaluations, "both": evaluations}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--n", "x"],
+        ["bounds", "--n", "5..2"],
+        ["bounds", "--n", "0"],
+        ["infinite", "--x", "e0"],
+        ["infinite", "--x=1,,2"],
+    ],
+)
+def test_library_rule_in_validate_is_usage_error(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == cli.EXIT_USAGE == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("hilbert-tensors: error: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_file_holds_the_stdout_report(capsys, tmp_path, fmt):
+    args = ["bounds", "--m", "2", "--n", "2..3", "--format", fmt]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and out
+    target = tmp_path / "report.txt"
+    code, file_out, _ = run_cli(args + ["--out", str(target)], capsys)
+    assert code == 0
+    assert file_out == ""
+    assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("m, p", [("2", "2"), ("3", "4")])
+def test_search_show_vector_prints_each_best_vector(capsys, m, p):
+    args = ["infinite", "--search", "--op", "both", "--m", m, "--p", p, "--trials", "12", "--support", "5",
+            "--trunc", "200", "--seed", "4", "--show-vector"]
+    code, _, err = run_cli(args, capsys)
+    assert code == 0
+    for op in ("T", "F"):
+        (line,) = [line for line in err.splitlines() if line.startswith(f"{op}-search vector: ")]
+        vector = json.loads(line.split(": ", 1)[1])
+        rep = infinite.norm_search(int(m), float(p), 12, 5, 200, 4, operator=op)
+        assert vector == rep.best_vector
+        assert math.fsum(abs(v) for v in vector) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_bounds_prints_its_monotonicity_verdict(capsys):
+    mono = analysis.dimension_sweep(3, [2, 3, 4]).monotonicity
+    code, _, err = run_cli(["bounds", "--m", "3", "--n", "2..4"], capsys)
+    assert code == 0
+    assert (
+        f"monotonicity m=3: strict_h={mono.strict_h} nondecreasing_z={mono.nondecreasing_z} "
+        f"certified={mono.certified}"
+    ) in err.splitlines()
+    assert mono.strict_h and mono.nondecreasing_z and mono.certified

@@ -19,6 +19,9 @@ from hilbert_tensors import (
     f_operator,
     hankel_apply,
     infinite,
+    reporting,
+    spectral_bound_h,
+    spectral_bound_z,
 )
 from hilbert_tensors.core import (
     _FFT_GROUP_BLOCKS,
@@ -594,3 +597,24 @@ def test_even_root_domain_takes_its_noise_scale_from_the_non_nan_entries():
     with pytest.raises(ValueError, match="negative component at index 4"):
         even_root_domain(np.array([1.0, np.nan, -1e-3, -2e-3]))
     assert np.isnan(even_root_domain(np.array([np.nan, -1e-15]))).tolist() == [True, False]
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: GeneratingVector.hilbert(0), "length >= 1"),
+        (lambda: convolution_power([1.0, 2.0], 0), "k >= 1"),
+        (lambda: spectral_bound_h(3, 1), "n = 1"),
+        (lambda: spectral_bound_z(3, 1), "n = 1"),
+        (lambda: reporting.render([], "xml"), "unknown format"),
+        (lambda: SplitMix64().randint(0), "n >= 1"),
+    ],
+    ids=["hilbert", "convolution_power", "spectral_bound_h", "spectral_bound_z", "render", "randint"],
+)
+def test_core_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_empty_sequence_vector_has_norm_zero():
+    assert SequenceVector([]).norm(2) == 0.0

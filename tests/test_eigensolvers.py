@@ -293,3 +293,18 @@ def test_f_operator_matches_eigen_relation():
     np.testing.assert_allclose(
         f_operator(t)(res.vector).values, rho_f * res.vector.values, rtol=1e-8
     )
+
+
+@pytest.mark.parametrize("solver", [h_spectral_radius, z_spectral_radius], ids=["H", "Z"])
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 5), (4, 3)])
+def test_trace_holds_one_value_per_iteration(solver, m, n):
+    res = solver(HilbertTensor(m, n))
+    assert res.converged
+    assert len(res.trace) == res.iterations
+    assert res.trace[-1] == res.value
+
+
+@pytest.mark.parametrize("solver", [h_spectral_radius, z_spectral_radius], ids=["H", "Z"])
+def test_start_of_the_wrong_length_is_refused(solver):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solver(HilbertTensor(2, 3), x0=[1.0, 1.0])

@@ -507,3 +507,39 @@ def test_joint_search_perturbs_each_incumbent(monkeypatch):
     assert joint[1].best_vector == [0.0, 1.0, 0.0, 0.0]
     assert joint_heads == joint[0].evaluations + 30 // 3  # shared candidates once, perturbations twice
     assert len(heads) - joint_heads == 2 * joint[0].evaluations
+
+
+def test_norm_search_memory_grows_with_support_not_its_square(monkeypatch):
+    # with the heads stubbed out, what is left is the search's own arrays:
+    # a list of all support + 4 structured candidates would hold support**2 doubles (32 MB here)
+    def first_coordinate(operators, x, order, p, out_len):
+        return tuple(infinite.CertifiedNorm(float(abs(x[0])), 0.0, p, out_len) for _ in operators)
+
+    monkeypatch.setattr(infinite, "_certified_norms", first_coordinate)
+    tracemalloc.start()
+    try:
+        (report,) = infinite.norm_searches(("T",), 2, 2.0, trials=30, support=2000, out_len=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.best_vector[0] == 1.0 and report.evaluations == 2000 + 4 + 30
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: infinite.zeta_tail_bound(1.0, 10), "q > 1"),
+        (lambda: infinite.zeta_upper_bound(1.0), "q > 1"),
+        (lambda: infinite.norm_searches(("T",), 2, 2.0, support=0), "support"),
+    ],
+    ids=["zeta_tail_bound", "zeta_upper_bound", "norm_searches"],
+)
+def test_infinite_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_zeta_upper_bound_survives_underflowing_terms():
+    # at q = 1e4 every term past 1 underflows to zero; the Euler-Maclaurin loop stops there
+    assert 1.0 <= infinite.zeta_upper_bound(1e4) <= 1.0 + 1e-14

@@ -100,3 +100,19 @@ def test_brute_max_sphere_rejects_large_dim():
 def test_brute_max_sphere_bad_norm():
     with pytest.raises(ValueError):
         brute_max_sphere(HilbertTensor(2, 2), "linf")
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3)])
+def test_brute_quadratic_form_float_path_matches_fast(m, n):
+    t = HilbertTensor(m, n)
+    rng = SplitMix64(m * 10 + n)
+    x = np.array(rng.uniforms(n, -1.0, 1.0))
+    value = brute_quadratic_form(t, x)
+    assert isinstance(value, float)
+    assert value == pytest.approx(t.quadratic_form(x), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_brute_apply_refuses_a_vector_of_the_wrong_length(exact):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        brute_apply(HilbertTensor(3, 3), [1.0, 2.0], exact=exact)
