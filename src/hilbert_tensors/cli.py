@@ -64,13 +64,17 @@ def exit_status(violated: bool, all_certified: bool) -> int:
     return EXIT_OK if all_certified else EXIT_UNCONVERGED
 
 
-def parse_dims(spec: str) -> tuple[int, ...]:
-    """Accept '3', '2..8', or '10,100,1000'; raise ValueError otherwise."""
+def parse_dims(spec: str) -> tuple[int, ...] | range:
+    """Accept '3', '2..8', or '10,100,1000'; raise ValueError otherwise.
+
+    'lo..hi' comes back as range(lo, hi + 1), not built, so that
+    :func:`validate` can check it by its ends.
+    """
     spec = spec.strip()
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
-            dims = tuple(range(int(lo), int(hi) + 1))
+            dims = range(int(lo), int(hi) + 1)
         else:
             dims = tuple(int(part) for part in spec.split(","))
     except ValueError:
@@ -112,13 +116,16 @@ def validate(args: argparse.Namespace) -> None:
     if args.m < 2:
         raise ValueError(f"order must be >= 2, got {args.m}")
     if "n" in args:  # each check runs only where the command has the flag
-        args.n = parse_dims(args.n)
-        if any(n < 1 for n in args.n):
+        dims = parse_dims(args.n)
+        # a range ascends, so its ends decide each check, and it is built only once they pass
+        ends = dims if isinstance(dims, tuple) else sorted({dims[0], dims[-1]})
+        if any(n < 1 for n in ends):
             raise ValueError("dimensions must be >= 1")
-        if args.command == "spectrum" and len(args.n) != 1:
+        if args.command == "spectrum" and len(ends) != 1:
             raise ValueError("spectrum needs a single dimension, e.g. --n 4")
-        if args.command == "bounds" and any(b <= a for a, b in zip(args.n, args.n[1:])):
+        if args.command == "bounds" and any(b <= a for a, b in zip(ends, ends[1:])):
             raise ValueError("dims must be strictly ascending")
+        args.n = tuple(dims)
     if "tol" in args:
         if not 0 < args.tol < math.inf:
             raise ValueError(f"--tol must be finite and > 0, got {args.tol}")

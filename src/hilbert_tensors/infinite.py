@@ -26,6 +26,23 @@ Equality holds at e_1.  The same argument on the first N components shows
 that e_1 also maximizes every truncated value, so :func:`norm_search` returns
 e_1 (up to rounding ties); its rows are evidence for a proven fact.  (At p = 2 the T constant is
 pi/sqrt(6).)
+
+So no candidate after e_1 beats it, and where ``out_len`` exceeds
+``_SCREEN_TRUNCATION`` (1000) :func:`norm_searches` screens candidates before
+building their length-``out_len`` heads.  A candidate replaces an incumbent
+only if its value is strictly larger, so an operator skips:
+
+* a candidate byte-equal to its incumbent or to the incumbent's negative:
+  the evaluation is deterministic and float rounding is symmetric under
+  negation, so both give the incumbent's head up to sign and its value bit
+  for bit;
+* a candidate whose certified upper end on a length-1000 head, widened by
+  ``_SCREEN_ALLOWANCE`` (1e-6 relative), is below the incumbent's value: a
+  truncated value never exceeds the true norm, and the true norm never
+  exceeds the certified upper end at any shorter truncation.
+
+The allowance stands for the rounding of the two heads and their sums.  No
+a-priori bound on that rounding exists yet, so it is a guard, not a proof.
 """
 
 from __future__ import annotations
@@ -58,6 +75,11 @@ _EM_COEFFS = tuple(
 # 4M + 3 roundings of u = 2^-53 (pow counted as two, the rising-factorial
 # factors, its coefficient), fsum one more and the two final additions two
 _EM_ROUNDING = 64 * 2.0**-53
+
+# norm_searches screens candidates on a head this long when out_len exceeds it,
+# and widens the short upper end by the relative allowance (a guard, not a proof)
+_SCREEN_TRUNCATION = 1000
+_SCREEN_ALLOWANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -322,6 +344,14 @@ def norm_searches(
     and each distinct one gets one head for all the operators that drew it,
     so each report equals that of a separate :func:`norm_search`.  Each
     candidate is built where it is considered: memory grows with ``support``.
+
+    Where ``out_len`` exceeds ``_SCREEN_TRUNCATION`` (1000), an operator
+    skips a candidate equal to its incumbent or the incumbent's negative, and
+    one whose length-1000 upper end, widened by the guard ``_SCREEN_ALLOWANCE``,
+    is below the incumbent's value (module docstring).  Neither could replace
+    the incumbent, so the reports are those of the unscreened search, and a
+    losing candidate costs a head of length 1000, not ``out_len``.
+    ``evaluations`` still counts every candidate considered.
     """
     for operator in operators:
         tail_exponent(operator, order, p)
@@ -338,13 +368,30 @@ def norm_searches(
     best_x: list[np.ndarray | None] = [None] * len(operators)
     evaluations = 0
 
+    def screen(key: bytes, x: np.ndarray, members: list[int]) -> list[int]:
+        """The members for which x, with bytes ``key``, may beat the incumbent at out_len."""
+        # the incumbent's bytes, or its negative's, give the incumbent's value bit for bit
+        members = [
+            i for i in members if best_x[i] is None or key not in (best_x[i].tobytes(), (-best_x[i]).tobytes())
+        ]
+        if not members:
+            return members
+        shorts = _certified_norms(tuple(operators[i] for i in members), x, order, p, _SCREEN_TRUNCATION)
+        # "not <" lets a nan upper end through to the full head
+        widened = [short.upper * (1.0 + _SCREEN_ALLOWANCE) for short in shorts]
+        return [i for i, upper in zip(members, widened) if not upper < best_val[i]]
+
     def consider(xs: list[np.ndarray]) -> None:
-        """Evaluate xs[i] for operators[i], one head per distinct candidate."""
+        """Evaluate xs[i] for operators[i], one head per distinct candidate that passes the screen."""
         nonlocal evaluations
         groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for i, x in enumerate(xs):
             groups.setdefault(x.tobytes(), (x, []))[1].append(i)
-        for x, members in groups.values():
+        for key, (x, members) in groups.items():
+            if out_len > _SCREEN_TRUNCATION:
+                members = screen(key, x, members)
+            if not members:
+                continue
             certs = _certified_norms(tuple(operators[i] for i in members), x, order, p, out_len)
             for i, cert in zip(members, certs):
                 if cert.value > best_val[i]:

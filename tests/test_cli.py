@@ -599,3 +599,22 @@ def test_bounds_prints_its_monotonicity_verdict(capsys):
         f"certified={mono.certified}"
     ) in err.splitlines()
     assert mono.strict_h and mono.nondecreasing_z and mono.certified
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["spectrum", "--n", "1..10000000000000000000"], "spectrum needs a single dimension, e.g. --n 4"),
+        (["bounds", "--n", "0..10000000000000000000"], "dimensions must be >= 1"),
+    ],
+)
+def test_huge_dimension_range_is_checked_by_its_ends(capsys, args, message):
+    # refused before the range is built: building it raises OverflowError (exit 4)
+    code, out, err = run_cli(args, capsys)
+    assert (code, out, err) == (1, "", f"hilbert-tensors: error: {message}\n")
+
+
+def test_one_dimension_range_is_a_single_dimension(capsys):
+    code, out, _ = run_cli(["spectrum", "--m", "2", "--n", "3..3"], capsys)
+    assert code == 0
+    assert [row["n"] for row in parse_rows(out)] == [3, 3]

@@ -543,3 +543,85 @@ def test_infinite_refusals(call, match):
 def test_zeta_upper_bound_survives_underflowing_terms():
     # at q = 1e4 every term past 1 underflows to zero; the Euler-Maclaurin loop stops there
     assert 1.0 <= infinite.zeta_upper_bound(1e4) <= 1.0 + 1e-14
+
+
+# -- screening candidates on a short head ------------------------------------------------
+
+
+def test_screen_lets_through_a_winner_whose_short_value_loses(monkeypatch):
+    # e2's head has its mass beyond the screen's truncation: its short value (0) is below
+    # e1's, its short upper end (the tail bound) above it, and its full value wins
+    short = infinite._SCREEN_TRUNCATION
+    out_len = 2 * short
+
+    def far_head(x, order, out_len):
+        head = np.zeros(out_len)
+        head[0] = 0.01 * x[0]
+        head[short : short + 10] = 0.01 * x[1]
+        return SequenceVector(head)
+
+    monkeypatch.setattr(infinite, "apply_infinite", far_head)
+    (incumbent,) = infinite._certified_norms(("T",), [1.0, 0.0], 2, 2.0, out_len)
+    (e2_short,) = infinite._certified_norms(("T",), [0.0, 1.0], 2, 2.0, short)
+    assert e2_short.value < incumbent.value < e2_short.upper
+    screened = norm_search(2, 2.0, trials=0, support=2, out_len=out_len)
+    assert screened.best_vector == [0.0, 1.0]
+    monkeypatch.setattr(infinite, "_SCREEN_TRUNCATION", out_len)
+    assert screened == norm_search(2, 2.0, trials=0, support=2, out_len=out_len)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("out_len", [1000, 100_000])
+def test_negated_candidate_has_the_same_norms_bit_for_bit(m, out_len):
+    # the premise of skipping a candidate equal to the incumbent's negative:
+    # rounding is symmetric under negation, on the direct and the FFT route
+    x = np.cos(np.arange(1, 17))
+    p = 2.0 * (m - 1)
+    assert infinite._certified_norms(("T", "F"), -x, m, p, out_len) == infinite._certified_norms(
+        ("T", "F"), x, m, p, out_len
+    )
+
+
+@pytest.mark.parametrize("operators", [("T",), ("F",), ("T", "F")], ids=["T", "F", "both"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("support", [1, 5, 16])
+@pytest.mark.parametrize("seed", [0, 13])
+def test_screened_search_is_the_unscreened_search(monkeypatch, operators, m, support, seed):
+    p = 2.0 * (m - 1)
+    screened = infinite.norm_searches(operators, m, p, support=support, out_len=5000, seed=seed)
+    monkeypatch.setattr(infinite, "_SCREEN_TRUNCATION", 5000)
+    assert screened == infinite.norm_searches(operators, m, p, support=support, out_len=5000, seed=seed)
+
+
+def _full_heads(monkeypatch, **search):
+    """Heads of length out_len that one T+F norm_searches call builds."""
+    out_len = search["out_len"]
+    lengths = []
+    apply = infinite.apply_infinite
+
+    def counted(x, order, length):
+        lengths.append(length)
+        return apply(x, order, length)
+
+    monkeypatch.setattr(infinite, "apply_infinite", counted)
+    reports = infinite.norm_searches(("T", "F"), **search)
+    assert all(report.best_vector[0] == 1.0 for report in reports)
+    return lengths.count(out_len), reports[0].evaluations
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 13])
+def test_default_search_builds_at_most_two_full_heads(monkeypatch, m, seed):
+    full, evaluations = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed,
+                                    out_len=infinite.DEFAULT_TRUNCATION)
+    assert evaluations == 16 + 4 + 200 and full <= 2
+    full, _ = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed, support=1,
+                          out_len=infinite.DEFAULT_TRUNCATION)
+    assert full == 1  # e1 once: every later candidate is e1 or -e1
+
+
+def test_no_screen_at_the_screen_truncation(monkeypatch):
+    # every candidate considered gets its full head, and no short one
+    out_len = infinite._SCREEN_TRUNCATION
+    full, evaluations = _full_heads(monkeypatch, order=3, p=4.0, trials=30, support=1, out_len=out_len)
+    assert full == evaluations
