@@ -16,7 +16,8 @@ A command takes only the flags it reads, except --seed, which every command
 takes and only ``infinite --search`` reads; :func:`validate` checks them before
 any work: --m >= 2, --out is no directory and its directory exists; --n (all
 but ``infinite``) parses with every dimension >= 1, a single one for
-``spectrum`` and strictly ascending ones for ``bounds``; --tol finite and > 0 and
+``spectrum`` and strictly ascending ones for ``bounds``, and no dimension whose
+generating vector numpy could not index; --tol finite and > 0 and
 --max-iter >= 1 (``spectrum``, ``bounds``); for ``infinite`` --op is T, F or
 both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k> (k >= 1) or
 finite comma-separated floats, --trunc >= 1, --trials >= 0, --support >= 1;
@@ -41,7 +42,7 @@ import traceback
 import numpy as np
 
 from . import analysis, infinite, reporting
-from .core import HilbertTensor, max_elements_budget
+from .core import HilbertTensor, generating_length, max_elements_budget
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,6 +126,12 @@ def validate(args: argparse.Namespace) -> None:
             raise ValueError("spectrum needs a single dimension, e.g. --n 4")
         if args.command == "bounds" and any(b <= a for a, b in zip(ends, ends[1:])):
             raise ValueError("dims must be strictly ascending")
+        for n in ends:
+            length = generating_length(n, args.m, n)
+            if length > np.iinfo(np.intp).max:
+                raise ValueError(
+                    f"--m {args.m} --n {n} needs a generating vector of {length} entries, more than numpy can index"
+                )
         args.n = tuple(dims)
     if "tol" in args:
         if not 0 < args.tol < math.inf:

@@ -10,10 +10,11 @@ to a self-convolution of the input followed by one correlation against v.
 of v against y = x^{*(m-1)}, which computes only the outputs returned; else
 overlap-save, irfft(rfft(v_j) * conj(rfft(x)^(m-1))) over blocks v_j of v, so
 the convolution power never leaves the frequency domain (the anti-circulant
-form of Ding, Qi and Wei, NLAA 2015).  Blocks are short when y is short
-against v, and one block covers every offset read otherwise; many blocks are
-taken in groups of ``_FFT_GROUP_BLOCKS`` that write into one output array, so
-no other head-sized array is made.  The block
+form of Ding, Qi and Wei, NLAA 2015).  Blocks are short, a power of two,
+when y is short against v; otherwise one block covers every offset read, at
+the smallest 2^a 3^b 5^c >= need, a length pocketfft transforms by radix-2, 3
+and 5 passes.  Many blocks are taken in groups of ``_FFT_GROUP_BLOCKS`` that
+write into one output array, so no other head-sized array is made.  The block
 spectra of v are memoised on its ``GeneratingVector``, and
 ``GeneratingVector.hilbert`` keeps the last vector it built, so repeated
 applies at one shape (solver iterations, norm-search candidates) transform
@@ -231,11 +232,12 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     ValueError on bad input; the zero vector maps to exact zeros.
 
     While need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, one valid-mode correlation
-    (out_len * len(y) multiply-adds).  Else overlap-save at block size
-    B = min(S, max(1024, the power of two >= 8 len(y))), S the power of two
-    >= need: each block of B offsets yields B - len(y) + 1 outputs from one
-    rfft(x, B) and the cached block spectra of ``gen``.  B = S is one block,
-    the whole of v[:need], and one irfft.  Several blocks go in groups of
+    (out_len * len(y) multiply-adds).  Else overlap-save with
+    X = max(1024, the power of two >= 8 len(y)): each block of B offsets
+    yields B - len(y) + 1 outputs from one rfft(x, B) and the cached block
+    spectra of ``gen``.  While need <= X, B = ``_fast_length(need)``, the
+    smallest 2^a 3^b 5^c >= need: one block, the whole of v[:need], and one
+    irfft.  Past X, B = X, a power of two.  Several blocks go in groups of
     ``_FFT_GROUP_BLOCKS``, each one product and one batched irfft written into
     its rows of the one output array; the bits are those of a single batch.
     A ``GeneratingVector`` keeps the spectra of its last shape; a raw array is
@@ -254,8 +256,9 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     y_len = need - n_out + 1  # len(y)
     if need * y_len <= _FFT_PRODUCT_THRESHOLD:
         return np.correlate(v[:need], convolution_power(xv, order - 1), "valid")
-    size = 1 << (need - 1).bit_length()
-    block = min(size, max(1024, 1 << (8 * y_len - 1).bit_length()))
+    block = max(1024, 1 << (8 * y_len - 1).bit_length())
+    if need <= block:  # one block over v[:need], at a length no larger than the power of two >= need
+        block = _fast_length(need)
     # row i < step of a block reads offsets i + s <= block - 1: no wrap-around
     step = block - y_len + 1
     key = (need, block, step)
@@ -269,7 +272,7 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
         fy = spectra * fx  # spectra * conj(fx)^(order-1), in place after the first product
         for _ in range(order - 2):
             fy *= fx
-        del fx  # at B = S, free its buffer before irfft allocates the output
+        del fx  # one block over v[:need]: free its buffer before irfft allocates the output
         return np.fft.irfft(fy, block)[:, :step].reshape(-1)[:n_out]
     # groups of blocks write into one output array, so no head-sized temporary is made
     out = np.empty((spectra.shape[0], step))
@@ -279,6 +282,23 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
             fy *= fx
         out[g : g + _FFT_GROUP_BLOCKS] = np.fft.irfft(fy, block)[:, :step]
     return out.reshape(-1)[:n_out]
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1), a length pocketfft transforms by radix-2, 3 and 5 passes.
+
+    The rule of scipy's ``next_fast_len(n, real=True)``: for each 3^b 5^c
+    below the power of two >= n, the least power of two that lifts it to n.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _block_spectra(v: np.ndarray, block: int, step: int) -> np.ndarray:

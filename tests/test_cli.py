@@ -618,3 +618,20 @@ def test_one_dimension_range_is_a_single_dimension(capsys):
     code, out, _ = run_cli(["spectrum", "--m", "2", "--n", "3..3"], capsys)
     assert code == 0
     assert [row["n"] for row in parse_rows(out)] == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--m", "2", "--n", "10000000000000000000"],
+        ["bounds", "--m", "2", "--n", "1..10000000000000000000"],
+    ],
+)
+def test_dimension_past_numpys_index_limit_is_a_usage_error(capsys, args):
+    # was exit 4: numpy's "Maximum allowed dimension exceeded", and OverflowError from building the range
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "hilbert-tensors: error: --m 2 --n 10000000000000000000 needs a generating vector of "
+        "19999999999999999999 entries, more than numpy can index\n"
+    )

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import weakref
 from fractions import Fraction
@@ -26,6 +27,7 @@ from hilbert_tensors import (
 from hilbert_tensors.core import (
     _FFT_GROUP_BLOCKS,
     _FFT_PRODUCT_THRESHOLD,
+    _fast_length,
     convolve,
     even_root_domain,
     generating_length,
@@ -545,11 +547,20 @@ def test_even_root_clamps_noise_and_rejects_negatives(route, monkeypatch):
 
 # -- grouped overlap-save blocks and the even-root fast exit --------------------------
 
+# every 2^a 3^b 5^c up to 2^21, sorted: the brute-force reference for the one-block length
+_SMOOTH_LENGTHS = sorted(
+    2**a * 3**b * 5**c for a in range(22) for b in range(14) for c in range(10) if 2**a * 3**b * 5**c <= 1 << 21
+)
+
+
+def _smallest_smooth_at_least(n):
+    return _SMOOTH_LENGTHS[bisect.bisect_left(_SMOOTH_LENGTHS, n)]
+
 
 def _one_shot_blocks(x, order, out_len):
     """The multi-block FFT route with every block in one product and one batched irfft."""
     y_len, need = _route_sizes(order, x.size, out_len)
-    block = min(1 << (need - 1).bit_length(), max(1024, 1 << (8 * y_len - 1).bit_length()))
+    block = min(_smallest_smooth_at_least(need), max(1024, 1 << (8 * y_len - 1).bit_length()))
     step = block - y_len + 1
     n_blocks = -(-(need - block + step) // step)
     padded = np.zeros((n_blocks - 1) * step + block)
@@ -575,6 +586,62 @@ def test_grouped_fft_route_is_the_one_shot_blocks_bit_for_bit(blocks):
     assert n_blocks == blocks
     out = hankel_apply(GeneratingVector.hilbert(need), x, order, out_len)
     assert np.array_equal(out, expected)
+
+
+# -- the one-block length: the smallest 2^a 3^b 5^c >= need ---------------------------
+
+_SCALE_NEEDS = [199_999, 299_999, 399_997]  # m = 2, 3, 4 at n = 10^5
+
+
+def test_fast_length_is_the_smallest_5_smooth_length():
+    for n in [*range(1, 5001), *_SCALE_NEEDS]:
+        assert _fast_length(n) == _smallest_smooth_at_least(n), n
+    assert [_fast_length(n) for n in _SCALE_NEEDS] == [200_000, 300_000, 400_000]
+
+
+def test_fast_length_is_scipys_next_fast_len():
+    fft = pytest.importorskip("scipy.fft")
+    for n in [*range(1, 5001), *range(5001, 200_000, 97), *_SCALE_NEEDS]:
+        assert _fast_length(n) == fft.next_fast_len(n, real=True), n
+
+
+def _cached_spectra_key(gen):
+    (key,) = gen._spectra
+    return key
+
+
+@pytest.mark.parametrize("m, n", [(2, 1500), (3, 900), (4, 600), (2, 10_000)])
+def test_one_block_route_transforms_at_the_fast_length(m, n):
+    tensor = HilbertTensor(m, n)
+    tensor.apply_fast(np.cos(np.arange(1, n + 1)))
+    y_len, need = _route_sizes(m, n, n)
+    block = _fast_length(need)
+    assert _cached_spectra_key(tensor.generating_vector()) == (need, block, block - y_len + 1)
+    assert block < 1 << (need - 1).bit_length()
+
+
+def test_multi_block_route_keeps_power_of_two_blocks():
+    x = np.cos(np.arange(1, 17))
+    apply_infinite(x, 4, 100_000)
+    y_len, need = _route_sizes(4, x.size, 100_000)
+    assert _cached_spectra_key(GeneratingVector.hilbert(need)) == (need, 1024, 1024 - y_len + 1)
+
+
+@pytest.mark.parametrize("m, n, block", [(2, 1550, 5**5), (3, 1000, 2**3 * 3 * 5**3), (4, 675, 2**2 * 3**3 * 5**2)])
+def test_one_block_route_accurate_at_a_5_smooth_length(m, n, block):
+    # m = 2: irfft at an odd length; m = 3, 4: lengths with radix-3 and radix-5 passes
+    x = np.cos(np.arange(1, n + 1))
+    out = HilbertTensor(m, n).apply_fast(x).values
+    y_len, need = _route_sizes(m, n, n)
+    assert need * y_len > _FFT_PRODUCT_THRESHOLD
+    assert _cached_spectra_key(GeneratingVector.hilbert(need))[1] == block
+    ay = np.abs(x)
+    for _ in range(m - 2):
+        ay = np.convolve(ay, np.abs(x))
+    v_norm = np.linalg.norm(1.0 / np.arange(1, need + 1))
+    bound = 8 * np.finfo(float).eps * np.log2(block) * v_norm * np.linalg.norm(ay)
+    err = np.max(np.abs(out.astype(np.longdouble) - _longdouble_rows(x, m, n, range(n))))
+    assert float(err) <= bound
 
 
 @pytest.mark.parametrize("y", [[], [0.0, 2.0, 3.0], [-0.0, 1e-300, np.inf]])
