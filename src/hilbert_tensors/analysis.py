@@ -114,7 +114,7 @@ def check_positive_definite(
     The alternating vector x_i = (-1)^i / i is always included.  Also
     records the smallest sampled value of H_n x^m over the unit 2-sphere.
     """
-    n = t._require_finite()
+    n = t.dim
     if t.order % 2 != 0:
         raise ValueError("positive definiteness is defined for even order only")
     rng = SplitMix64(seed)

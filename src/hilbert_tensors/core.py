@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -179,10 +180,6 @@ class GeneratingVector:
         cls._last_hilbert = None
         cls._last_hilbert = cls(1.0 / np.arange(1, length + 1))
         return cls._last_hilbert
-
-    @classmethod
-    def for_tensor(cls, order: int, dim: int) -> "GeneratingVector":
-        return cls.hilbert(generating_length(dim, order, dim))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -329,49 +326,40 @@ def _exact_convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class HilbertTensor:
-    """Symmetric order-m tensor with entries 1/(i_1 + ... + i_m - m + 1).
+    """Symmetric order-m, dimension-n tensor with entries 1/(i_1 + ... + i_m - m + 1).
 
-    ``dim=None`` stands for the infinite-dimensional tensor; only ``entry``
-    is meaningful then, the truncated operators live in
-    :mod:`hilbert_tensors.infinite`.
+    The finite tensor H_n only: it is the leading block of H_inf, so its
+    entries are those of any H_N with N >= the largest index.  H_inf acts
+    through T_inf and F_inf, whose heads :mod:`hilbert_tensors.infinite`
+    evaluates.  ``order`` and ``dim`` are integers (numpy integers too).
     """
 
     order: int
-    dim: int | None
+    dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "order", operator.index(self.order))
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
-        if self.dim is not None and self.dim < 1:
+        if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-
-    @classmethod
-    def infinite(cls, order: int) -> "HilbertTensor":
-        return cls(order, None)
-
-    def _require_finite(self) -> int:
-        if self.dim is None:
-            raise ValueError("operation needs a finite-dimensional tensor")
-        return self.dim
 
     # -- entries ------------------------------------------------------------
 
     def entry(self, idx) -> float:
-        """Entry at a 1-based index tuple of length ``order``."""
-        idx = tuple(idx)
+        """Entry at a 1-based integer index tuple of length ``order``."""
+        idx = tuple(map(operator.index, idx))
         if len(idx) != self.order:
             raise ValueError(f"need {self.order} indices, got {len(idx)}")
         for i in idx:
-            if i < 1 or (self.dim is not None and i > self.dim):
+            if not 1 <= i <= self.dim:
                 raise ValueError(f"index {i} out of range 1..{self.dim}")
         return 1.0 / (sum(idx) - self.order + 1)
 
-    def generating_vector(self) -> GeneratingVector:
-        return GeneratingVector.for_tensor(self.order, self._require_finite())
-
     def materialize_dense(self, max_elements: int | None = None) -> np.ndarray:
         """Dense m-way array of entries; refuses above the element budget."""
-        n = self._require_finite()
+        n = self.dim
         budget = max_elements_budget(max_elements)
         if n**self.order > budget:
             raise BudgetError(
@@ -386,9 +374,8 @@ class HilbertTensor:
     # -- tensor-vector contraction -------------------------------------------
 
     def _check_dim(self, xv) -> None:
-        n = self._require_finite()
-        if len(xv) != n:
-            raise ValueError(f"dimension mismatch: tensor dim {n}, vector length {len(xv)}")
+        if len(xv) != self.dim:
+            raise ValueError(f"dimension mismatch: tensor dim {self.dim}, vector length {len(xv)}")
 
     def apply_naive(self, x, exact: bool = False):
         """(H_n x^{m-1})_i by the literal (m-1)-fold index sum.
@@ -396,8 +383,7 @@ class HilbertTensor:
         With ``exact=True`` the input entries are taken as exact rationals and
         a list of Fractions is returned.
         """
-        n = self._require_finite()
-        m = self.order
+        n, m = self.dim, self.order
         if exact:
             xs = _exact_values(x)
             zero = Fraction(0)
@@ -419,11 +405,14 @@ class HilbertTensor:
     def apply_fast(self, x) -> SequenceVector:
         """Same value as ``apply_naive`` via convolution power + correlation.
 
-        Cost is O(m n log(m n)) against the naive O(n^m).
+        The n-head of H_inf x^{m-1}, bit for bit: the same cached generating
+        vector and route as ``infinite.apply_infinite(x, m, n)``.  Cost is
+        O(m n log(m n)) against the naive O(n^m).
         """
         xv = as_vector(x)
         self._check_dim(xv)
-        return SequenceVector(hankel_apply(self.generating_vector(), xv, self.order))
+        gen = GeneratingVector.hilbert(generating_length(self.dim, self.order, self.dim))
+        return SequenceVector(hankel_apply(gen, xv, self.order))
 
     def quadratic_form(self, x, exact: bool = False):
         """x^T (H_n x^{m-1}), the degree-m homogeneous form.
@@ -474,16 +463,18 @@ class HilbertTensor:
 
 def spectral_bound_h(order: int, dim: int) -> float:
     """Upper bound n^(m-1) sin(pi/n) for the largest H-eigenvalue (n >= 2); inf on overflow."""
-    return _sine_bound(dim, order - 1)
+    return _sine_bound(order, dim, order - 1)
 
 
 def spectral_bound_z(order: int, dim: int) -> float:
     """Upper bound n^(m/2) sin(pi/n) for the largest Z-eigenvalue (n >= 2); inf on overflow."""
-    return _sine_bound(dim, order / 2.0)
+    return _sine_bound(order, dim, order / 2.0)
 
 
-def _sine_bound(dim: int, power) -> float:
+def _sine_bound(order: int, dim: int, power) -> float:
     # an int power is exact until the product with the sine rounds it once
+    if order < 2:
+        raise ValueError(f"order must be >= 2, got {order}")
     if dim < 2:
         raise ValueError("the sine bound is vacuous at n = 1; need n >= 2")
     try:

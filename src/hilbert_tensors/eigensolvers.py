@@ -97,7 +97,6 @@ def _power_iteration(kind: str, t: HilbertTensor, tol: float, max_iter: int, x0)
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    t._require_finite()
     m = t.order
     x = _positive_start(t, x0, float(m) if kind == "H" else 2.0)
 

@@ -112,9 +112,11 @@ class CertifiedNorm:
 
 
 def zeta_tail_bound(q: float, n: int) -> float:
-    """Upper bound for sum_{i>n} i^{-q} via integral comparison (q > 1)."""
+    """Upper bound for sum_{i>n} i^{-q} via integral comparison (q > 1, n >= 1)."""
     if q <= 1:
         raise ValueError("tail bound needs exponent q > 1")
+    if n < 1:
+        raise ValueError(f"tail bound needs n >= 1, got {n}")
     return n ** (1.0 - q) / (q - 1.0)
 
 

@@ -65,13 +65,25 @@ def test_entry_symmetry_and_bounds():
         assert t.entry(perm) == base
 
 
-def test_infinite_tensor_entry_only():
-    t = HilbertTensor.infinite(3)
-    assert t.entry((10, 20, 30)) == pytest.approx(1.0 / 58)
-    with pytest.raises(ValueError):
-        t.apply_fast([1.0, 2.0])
-    with pytest.raises(ValueError):
-        t.materialize_dense()
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: HilbertTensor(3, None),
+        lambda: HilbertTensor(2, 2.5),
+        lambda: HilbertTensor(2.0, 3),
+        lambda: HilbertTensor(2, 3).entry((1.5, 1)),
+    ],
+    ids=["dim-none", "dim-float", "order-float", "entry-float"],
+)
+def test_tensor_takes_integers_only(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_tensor_takes_numpy_integers():
+    t = HilbertTensor(np.int64(2), np.int32(3))
+    assert t == HilbertTensor(2, 3) and type(t.order) is int and type(t.dim) is int
+    assert t.entry((np.int64(2), np.uint8(1))) == HilbertTensor(2, 3).entry((2, 1)) == 0.5
 
 
 def test_bad_constructor_args():
@@ -85,7 +97,7 @@ def test_bad_constructor_args():
 
 
 def test_generating_vector_values():
-    g = GeneratingVector.for_tensor(3, 4)
+    g = GeneratingVector.hilbert(generating_length(4, 3, 4))
     assert len(g) == 3 * 3 + 1
     for s, v in enumerate(g.values):
         assert v == 1.0 / (s + 1)
@@ -100,7 +112,7 @@ def test_generating_vector_too_short():
 
 
 def test_generating_length_is_the_head_rule():
-    assert generating_length(4, 3, 4) == len(GeneratingVector.for_tensor(3, 4)) == 10
+    assert generating_length(4, 3, 4) == len(GeneratingVector.hilbert(generating_length(4, 3, 4))) == 10
     assert generating_length(16, 4, 100_000) == 100_045
     # the checks run in a fixed order: support, out_len, order
     for args, message in [
@@ -506,7 +518,7 @@ def test_hilbert_keeps_one_read_only_vector():
     old = weakref.ref(gen)
     del gen, spectra
     tensor = HilbertTensor(3, 5)
-    assert tensor.generating_vector() is GeneratingVector.hilbert(13) is GeneratingVector.for_tensor(3, 5)
+    assert GeneratingVector.hilbert(generating_length(5, 3, 5)) is GeneratingVector.hilbert(13) is GeneratingVector.hilbert(generating_length(5, 3, 5))
     assert old() is None
 
 
@@ -616,8 +628,20 @@ def test_one_block_route_transforms_at_the_fast_length(m, n):
     tensor.apply_fast(np.cos(np.arange(1, n + 1)))
     y_len, need = _route_sizes(m, n, n)
     block = _fast_length(need)
-    assert _cached_spectra_key(tensor.generating_vector()) == (need, block, block - y_len + 1)
+    assert _cached_spectra_key(GeneratingVector.hilbert(generating_length(n, m, n))) == (need, block, block - y_len + 1)
     assert block < 1 << (need - 1).bit_length()
+
+
+@pytest.mark.parametrize("m, n", [(2, 50), (3, 50), (4, 50), (2, 1500), (3, 900), (4, 600)])
+def test_apply_fast_is_the_head_of_apply_infinite(m, n):
+    # H_n is the leading block of H_inf: the direct route (n = 50) and the one-block FFT route
+    x = np.cos(np.arange(1, n + 1))
+    gen = GeneratingVector.hilbert(generating_length(n, m, n))
+    fast = HilbertTensor(m, n).apply_fast(x).values
+    assert GeneratingVector.hilbert(generating_length(n, m, n)) is gen
+    head = apply_infinite(x, m, n).values
+    assert GeneratingVector.hilbert(generating_length(n, m, n)) is gen
+    assert np.array_equal(fast, head)
 
 
 def test_multi_block_route_keeps_power_of_two_blocks():
@@ -681,6 +705,14 @@ def test_even_root_domain_takes_its_noise_scale_from_the_non_nan_entries():
 def test_core_refusals(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("bound", [spectral_bound_h, spectral_bound_z])
+@pytest.mark.parametrize("order", [1, 0])
+def test_spectral_bounds_refuse_order_below_two(bound, order):
+    # the message HilbertTensor and generating_length give for the same order
+    with pytest.raises(ValueError, match=f"order must be >= 2, got {order}"):
+        bound(order, 5)
 
 
 def test_empty_sequence_vector_has_norm_zero():

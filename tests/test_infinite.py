@@ -530,10 +530,20 @@ def test_norm_search_memory_grows_with_support_not_its_square(monkeypatch):
     "call, match",
     [
         (lambda: infinite.zeta_tail_bound(1.0, 10), "q > 1"),
+        (lambda: infinite.zeta_tail_bound(2.0, -1), "n >= 1, got -1"),
+        (lambda: infinite.zeta_tail_bound(2.5, -1), "n >= 1, got -1"),
+        (lambda: infinite.zeta_tail_bound(2.0, 0), "n >= 1, got 0"),
         (lambda: infinite.zeta_upper_bound(1.0), "q > 1"),
         (lambda: infinite.norm_searches(("T",), 2, 2.0, support=0), "support"),
     ],
-    ids=["zeta_tail_bound", "zeta_upper_bound", "norm_searches"],
+    ids=[
+        "zeta_tail_bound",
+        "zeta_tail_bound-negative-n",
+        "zeta_tail_bound-negative-n-fractional-q",
+        "zeta_tail_bound-zero-n",
+        "zeta_upper_bound",
+        "norm_searches",
+    ],
 )
 def test_infinite_refusals(call, match):
     with pytest.raises(ValueError, match=match):
