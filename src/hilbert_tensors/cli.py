@@ -17,11 +17,14 @@ takes and only ``infinite --search`` reads; :func:`validate` checks them before
 any work: --m >= 2, --out is no directory and its directory exists; --n (all
 but ``infinite``) parses with every dimension >= 1, a single one for
 ``spectrum`` and strictly ascending ones for ``bounds``, and no dimension whose
-generating vector numpy could not index; --tol finite and > 0 and
---max-iter >= 1 (``spectrum``, ``bounds``); for ``infinite`` --op is T, F or
-both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k> (k >= 1) or
-finite comma-separated floats, --trunc >= 1, --trials >= 0, --support >= 1;
-for ``bench`` --repeats >= 1 and HILBERT_MAX_ELEMENTS, if set, is an integer.
+generating vector, as float64, is longer than numpy can allocate; --tol finite
+and > 0 and --max-iter >= 1 (``spectrum``, ``bounds``); for ``infinite`` --op
+is T, F or both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k>
+(k >= 1) or finite comma-separated floats, --trunc >= 1, --trials >= 0,
+--support >= 1, and the head's generating vector (support --support under
+--search, else the length of --x) within the same limit; for ``bench``
+--repeats >= 1.  The dense element budget of ``bench``'s naive arm is 10^7
+(``core.MAX_DENSE_ELEMENTS``).
 
 Exit codes: 0 all checks passed; 1 usage error; 2 a certified row violated
 a claimed bound; 3 a solver failed to converge or an ``infinite`` row
@@ -42,7 +45,7 @@ import traceback
 import numpy as np
 
 from . import analysis, infinite, reporting
-from .core import HilbertTensor, generating_length, max_elements_budget
+from .core import MAX_DENSE_ELEMENTS, HilbertTensor, generating_length
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,6 +109,13 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
+def _check_head(flags: str, support: int, order: int, out_len: int) -> None:
+    """Refuse a head whose float64 generating vector is longer than numpy can allocate."""
+    length = generating_length(support, order, out_len)
+    if length > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ValueError(f"{flags} needs a generating vector of {length} entries, more than numpy can allocate")
+
+
 def validate(args: argparse.Namespace) -> None:
     """Check every flag of a parsed command line before any work.
 
@@ -127,11 +137,7 @@ def validate(args: argparse.Namespace) -> None:
         if args.command == "bounds" and any(b <= a for a, b in zip(ends, ends[1:])):
             raise ValueError("dims must be strictly ascending")
         for n in ends:
-            length = generating_length(n, args.m, n)
-            if length > np.iinfo(np.intp).max:
-                raise ValueError(
-                    f"--m {args.m} --n {n} needs a generating vector of {length} entries, more than numpy can index"
-                )
+            _check_head(f"--m {args.m} --n {n}", n, args.m, n)
         args.n = tuple(dims)
     if "tol" in args:
         if not 0 < args.tol < math.inf:
@@ -154,10 +160,11 @@ def validate(args: argparse.Namespace) -> None:
         x = parse_x(args.x)
         if not np.isfinite(x).all():
             raise ValueError(f"--x entries must be finite, got {args.x!r}")
+        support = args.support if args.search else x.size
+        _check_head(f"--m {args.m} --trunc {args.trunc} with support {support}", support, args.m, args.trunc)
         args.x = x
     if args.command == "bench":
         _at_least("--repeats", args.repeats, 1)
-        max_elements_budget()
 
 
 def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:
@@ -252,14 +259,13 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
 
 
 def cmd_bench(args: argparse.Namespace, rows: list) -> int:
-    budget = max_elements_budget()
     m, repeats = args.m, args.repeats
     print(f"{'m':>3} {'n':>7} {'fast (s)':>12} {'naive (s)':>12} {'speedup':>9} {'delta':>10}", file=sys.stderr)
     for n in args.n:
         t = HilbertTensor(m, n)
         x = np.cos(np.arange(1, n + 1))  # fixed, seed-independent workload
         t_fast, fast = _timed(t.apply_fast, x, repeats)
-        if n**m <= budget:
+        if n**m <= MAX_DENSE_ELEMENTS:
             t_naive, naive = _timed(t.apply_naive, x, repeats)
             fast, naive = fast.values, np.asarray(naive)
             delta = float(np.max(np.abs(fast - naive)) / (1.0 + np.max(np.abs(naive))))

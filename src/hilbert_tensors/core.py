@@ -36,14 +36,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
 
-DEFAULT_MAX_ELEMENTS = 10_000_000
+# Dense element budget of ``materialize_dense`` and of the naive arm of ``bench``.
+MAX_DENSE_ELEMENTS = 10_000_000
 
 # Above this need * len(y) cost, hankel_apply takes the overlap-save FFT route.
 _FFT_PRODUCT_THRESHOLD = 1 << 22
@@ -56,35 +56,22 @@ _FFT_GROUP_BLOCKS = 16
 
 
 class BudgetError(RuntimeError):
-    """A dense computation would exceed the configured element budget."""
-
-
-def max_elements_budget(override: int | None = None) -> int:
-    """Dense element budget: explicit override, else HILBERT_MAX_ELEMENTS, else default."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get("HILBERT_MAX_ELEMENTS")
-    try:
-        return int(env) if env else DEFAULT_MAX_ELEMENTS
-    except ValueError:
-        raise ValueError(f"HILBERT_MAX_ELEMENTS must be an integer, got {env!r}") from None
+    """A dense computation would exceed its element budget."""
 
 
 class SequenceVector:
-    """Finite real vector with cached p-norms.
+    """Finite real vector with p-norms.
 
     Stands for an element of R^n, or for a finitely supported element of l^1.
-    Values are immutable after construction; norms are computed once per
-    exponent and cached.
+    Values are immutable after construction.
     """
 
-    __slots__ = ("values", "_norms")
+    __slots__ = ("values",)
 
     def __init__(self, values):
         v = np.array(as_vector(values))
         v.setflags(write=False)
         self.values = v
-        self._norms: dict[float, float] = {}
 
     def __len__(self) -> int:
         return self.values.size
@@ -106,13 +93,9 @@ class SequenceVector:
     def norm(self, p: float) -> float:
         if p < 1:
             raise ValueError(f"p-norms are defined here for p >= 1, got {p}")
-        key = float(p)
-        if key not in self._norms:
-            if self.values.size == 0:
-                self._norms[key] = 0.0
-            else:
-                self._norms[key] = float(np.linalg.norm(self.values, ord=key))
-        return self._norms[key]
+        if self.values.size == 0:
+            return 0.0
+        return float(np.linalg.norm(self.values, ord=float(p)))
 
 
 def as_vector(x) -> np.ndarray:
@@ -357,13 +340,12 @@ class HilbertTensor:
                 raise ValueError(f"index {i} out of range 1..{self.dim}")
         return 1.0 / (sum(idx) - self.order + 1)
 
-    def materialize_dense(self, max_elements: int | None = None) -> np.ndarray:
-        """Dense m-way array of entries; refuses above the element budget."""
+    def materialize_dense(self) -> np.ndarray:
+        """Dense m-way array of entries; refuses above ``MAX_DENSE_ELEMENTS`` before allocating."""
         n = self.dim
-        budget = max_elements_budget(max_elements)
-        if n**self.order > budget:
+        if n**self.order > MAX_DENSE_ELEMENTS:
             raise BudgetError(
-                f"dense tensor holds {n**self.order} elements, budget is {budget}"
+                f"dense tensor holds {n**self.order} elements, budget is {MAX_DENSE_ELEMENTS}"
             )
         offsets = np.arange(n, dtype=np.int64)
         total = offsets

@@ -4,7 +4,7 @@ Every row is a flat mapping with the fixed key order
 (m, n, kind, value, bound, slack, certified, iterations).  Floats are
 rendered with 17 significant digits; NaN and infinities are rendered like
 None (JSON ``null``, an empty CSV cell).  Output is UTF-8 with LF line
-endings, and serialization involves no timestamps or environment state, so
+endings, and serialization involves no timestamps or process state, so
 identical rows give byte-identical files.
 
 ``slack`` is the signed margin of the inequality a row checks, with any

@@ -321,13 +321,23 @@ def test_bench_runs_each_arm_repeats_times(capsys, monkeypatch):
     assert [r["kind"] for r in parse_rows(out)] == ["bench", "bench"]
 
 
-def test_bench_fast_only_over_budget(capsys, monkeypatch):
-    monkeypatch.setenv("HILBERT_MAX_ELEMENTS", "100")
-    code, out, _ = run_cli(["bench", "--m", "3", "--n", "10", "--repeats", "1"], capsys)
+def test_bench_fast_only_over_budget(capsys):
+    # 216^3 = 10,077,696 > core.MAX_DENSE_ELEMENTS = 10^7
+    code, out, _ = run_cli(["bench", "--m", "3", "--n", "216", "--repeats", "1"], capsys)
     assert code == 0
     row = parse_rows(out)[0]
     assert row["kind"] == "bench-fast-only"
     assert row["value"] is None and row["certified"] is False
+
+
+def test_dense_budget_reads_no_environment(capsys, monkeypatch):
+    # HILBERT_MAX_ELEMENTS once overrode the budget; a report follows from its argv alone
+    argv = ["bench", "--m", "3", "--n", "10", "--repeats", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    monkeypatch.setenv("HILBERT_MAX_ELEMENTS", "10")
+    assert run_cli(argv, capsys)[:2] == (code, out)
+    assert [row["kind"] for row in parse_rows(out)] == ["bench"]
+    assert HilbertTensor(2, 4).materialize_dense().shape == (4, 4)
 
 
 # -- argument checks and exit codes -------------------------------------------------
@@ -390,15 +400,6 @@ def test_missing_out_directory_is_usage_error(capsys, tmp_path):
     assert out == ""
     assert "--out" in err
     assert "value=" not in err
-
-
-def test_bad_max_elements_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("HILBERT_MAX_ELEMENTS", "abc")
-    code, out, err = run_cli(["bench", "--n", "3"], capsys)
-    assert code == 1
-    assert out == ""
-    assert "HILBERT_MAX_ELEMENTS" in err
-    assert "internal error" not in err
 
 
 def test_internal_fault_exit_4(capsys, monkeypatch):
@@ -633,5 +634,27 @@ def test_dimension_past_numpys_index_limit_is_a_usage_error(capsys, args):
     assert (code, out) == (1, "")
     assert err == (
         "hilbert-tensors: error: --m 2 --n 10000000000000000000 needs a generating vector of "
-        "19999999999999999999 entries, more than numpy can index\n"
+        "19999999999999999999 entries, more than numpy can allocate\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # numpy indexes these generating vectors but refuses to allocate them as float64
+        ["spectrum", "--m", "2", "--n", "1152921504606846976"],
+        ["spectrum", "--m", "2", "--n", "4611686018427387904"],
+        ["bounds", "--m", "2", "--n", "1..4611686018427387904"],
+        # the infinite head: support len(--x), or --support under --search
+        ["infinite", "--trunc", "10000000000000000000"],
+        ["infinite", "--x", "0", "--trunc", "10000000000000000000"],
+        ["infinite", "--search", "--support", "4611686018427387904", "--trials", "0"],
+    ],
+)
+def test_head_past_numpys_allocation_limit_is_a_usage_error(capsys, args):
+    # was exit 4: "array is too big", "Maximum allowed size exceeded" or MemoryError
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("hilbert-tensors: error: --m 2 ")
+    assert line.endswith("more than numpy can allocate")
