@@ -12,6 +12,9 @@ Machine-readable rows (JSON lines or CSV, see :mod:`reporting`) go to
 stderr so that report files are byte-identical across runs for a fixed
 configuration and seed.
 
+:func:`run` parses with one parser per process, built by :func:`build_parser`
+at the first call.
+
 A command takes only the flags it reads, except --seed, which every command
 takes and only ``infinite --search`` reads; :func:`validate` checks them before
 any work: --m >= 2, --out is no directory and its directory exists; --n (all
@@ -22,7 +25,8 @@ and > 0 and --max-iter >= 1 (``spectrum``, ``bounds``); for ``infinite`` --op
 is T, F or both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k>
 (k >= 1) or finite comma-separated floats, --trunc >= 1, --trials >= 0,
 --support >= 1, and the head's generating vector (support --support under
---search, else the length of --x) within the same limit; for ``bench``
+--search, else the length of --x, k for e<k>) within the same limit, checked
+before an e<k> is built; for ``bench``
 --repeats >= 1.  The dense element budget of ``bench``'s naive arm is 10^7
 (``core.MAX_DENSE_ELEMENTS``).
 
@@ -36,6 +40,7 @@ and slack < 0); ``infinite`` keeps its own rule (see :func:`cmd_infinite`).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -88,8 +93,12 @@ def parse_dims(spec: str) -> tuple[int, ...] | range:
     return dims
 
 
-def parse_x(spec: str) -> np.ndarray:
-    """Accept 'e<k>' or comma-separated floats; raise ValueError otherwise."""
+def parse_x(spec: str) -> np.ndarray | int:
+    """Accept 'e<k>' or comma-separated floats; raise ValueError otherwise.
+
+    'e<k>' comes back as the int k, not built, so that :func:`validate` can
+    check the head it needs before allocating it.
+    """
     spec = spec.strip()
     try:
         if not spec.startswith("e"):
@@ -99,9 +108,7 @@ def parse_x(spec: str) -> np.ndarray:
         raise ValueError(f"cannot parse vector spec {spec!r}") from None
     if k < 1:
         raise ValueError("coordinate vectors are e1, e2, ...")
-    x = np.zeros(k)
-    x[k - 1] = 1.0
-    return x
+    return k
 
 
 def _at_least(flag: str, value: int, low: int) -> None:
@@ -158,10 +165,14 @@ def validate(args: argparse.Namespace) -> None:
         _at_least("--trials", args.trials, 0)
         _at_least("--support", args.support, 1)
         x = parse_x(args.x)
-        if not np.isfinite(x).all():
+        unbuilt = isinstance(x, int)  # e<k> comes back as k
+        if not unbuilt and not np.isfinite(x).all():
             raise ValueError(f"--x entries must be finite, got {args.x!r}")
-        support = args.support if args.search else x.size
+        support = args.support if args.search else x if unbuilt else x.size
         _check_head(f"--m {args.m} --trunc {args.trunc} with support {support}", support, args.m, args.trunc)
+        if unbuilt and not args.search:  # built once its head passed; the search never reads --x
+            x = np.zeros(support)
+            x[-1] = 1.0
         args.x = x
     if args.command == "bench":
         _at_least("--repeats", args.repeats, 1)
@@ -348,8 +359,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` keeps no state between calls, so every run shares it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     rows: list[dict] = []
     try:
         try:

@@ -6,19 +6,23 @@ tensor is Hankel: it is fully described by the generating sequence
 v[s] = 1/(s + 1) over 0-based offsets s, and tensor-vector contraction reduces
 to a self-convolution of the input followed by one correlation against v.
 
-``hankel_apply`` picks its route once: when small, one valid-mode correlation
-of v against y = x^{*(m-1)}, which computes only the outputs returned; else
-overlap-save, irfft(rfft(v_j) * conj(rfft(x)^(m-1))) over blocks v_j of v, so
-the convolution power never leaves the frequency domain (the anti-circulant
-form of Ding, Qi and Wei, NLAA 2015).  Blocks are short, a power of two,
-when y is short against v; otherwise one block covers every offset read, at
-the smallest 2^a 3^b 5^c >= need, a length pocketfft transforms by radix-2, 3
-and 5 passes.  Many blocks are taken in groups of ``_FFT_GROUP_BLOCKS`` that
+The pipeline is plan, then apply.  ``hankel_operator`` plans the contraction
+for one (v, order, len x, out_len): it checks the shapes and picks the route
+once, and the callable it returns does only the arithmetic of each x.
+``hankel_apply`` is that operator applied once; a solver plans one operator
+per solve.  The routes: when small, one valid-mode correlation of v against
+y = x^{*(m-1)}, which computes only the outputs returned; else overlap-save,
+irfft(rfft(v_j) * conj(rfft(x)^(m-1))) over blocks v_j of v, so the
+convolution power never leaves the frequency domain (the anti-circulant form
+of Ding, Qi and Wei, NLAA 2015).  Blocks are short, a power of two, when y is
+short against v; otherwise one block covers every offset read, at the
+smallest 2^a 3^b 5^c >= need, a length pocketfft transforms by radix-2, 3 and
+5 passes.  Many blocks are taken in groups of ``_FFT_GROUP_BLOCKS`` that
 write into one output array, so no other head-sized array is made.  The block
 spectra of v are memoised on its ``GeneratingVector``, and
 ``GeneratingVector.hilbert`` keeps the last vector it built, so repeated
-applies at one shape (solver iterations, norm-search candidates) transform
-only x.
+plans at one shape (norm-search candidates) transform only x, as does each
+call of one operator (solver iterations).
 
 Three routes compute the same contraction and quadratic form:
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
@@ -203,13 +208,16 @@ def convolution_power(x, k: int) -> np.ndarray:
     return y
 
 
-def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
-    """Contract a Hankel tensor with generating sequence ``gen`` against x.
+def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Callable[..., np.ndarray]:
+    """Plan the contraction of a Hankel tensor with generating sequence ``gen`` against x of length n.
 
-    Computes out[i] = sum_s gen[i + s] * y[s] for 0-based i < out_len (default
-    len(x)), y the (order-1)-fold self-convolution of x.  ``gen`` must hold the
-    need = ``generating_length(len(x), order, out_len)`` values read, which raises
-    ValueError on bad input; the zero vector maps to exact zeros.
+    The returned callable maps x to out[i] = sum_s gen[i + s] * y[s] for
+    0-based i < out_len (default n), y the (order-1)-fold self-convolution of
+    x; it raises ValueError on an x of another length, and the zero vector
+    maps to exact zeros.  ``gen`` must hold the need =
+    ``generating_length(n, order, out_len)`` values read, which raises
+    ValueError on bad input.  The checks, the route and what the route reads
+    of ``gen`` are fixed here, once; each call does only the arithmetic of x.
 
     While need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, one valid-mode correlation
     (out_len * len(y) multiply-adds).  Else overlap-save with
@@ -228,14 +236,25 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
     """
     gen = gen if isinstance(gen, GeneratingVector) else GeneratingVector(gen)
     v = gen.values
-    xv = as_vector(x)
-    n_out = xv.size if out_len is None else int(out_len)
-    need = generating_length(xv.size, order, n_out)
+    n_out = n if out_len is None else int(out_len)
+    need = generating_length(n, order, n_out)
     if v.size < need:
         raise ValueError(f"generating vector too short: need {need}, have {v.size}")
     y_len = need - n_out + 1  # len(y)
+
+    def checked(x) -> np.ndarray:
+        xv = as_vector(x)
+        if xv.size != n:
+            raise ValueError(f"operator planned for vectors of length {n}, got {xv.size}")
+        return xv
+
     if need * y_len <= _FFT_PRODUCT_THRESHOLD:
-        return np.correlate(v[:need], convolution_power(xv, order - 1), "valid")
+        head = v[:need]
+
+        def apply_direct(x) -> np.ndarray:
+            return np.correlate(head, convolution_power(checked(x), order - 1), "valid")
+
+        return apply_direct
     block = max(1024, 1 << (8 * y_len - 1).bit_length())
     if need <= block:  # one block over v[:need], at a length no larger than the power of two >= need
         block = _fast_length(need)
@@ -246,22 +265,32 @@ def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
         gen._spectra.clear()
         gen._spectra[key] = _block_spectra(v[:need], block, step)
     spectra = gen._spectra[key]
-    fx = np.fft.rfft(xv, block)
-    np.conjugate(fx, out=fx)
-    if spectra.shape[0] == 1:
-        fy = spectra * fx  # spectra * conj(fx)^(order-1), in place after the first product
-        for _ in range(order - 2):
-            fy *= fx
-        del fx  # one block over v[:need]: free its buffer before irfft allocates the output
-        return np.fft.irfft(fy, block)[:, :step].reshape(-1)[:n_out]
-    # groups of blocks write into one output array, so no head-sized temporary is made
-    out = np.empty((spectra.shape[0], step))
-    for g in range(0, spectra.shape[0], _FFT_GROUP_BLOCKS):
-        fy = spectra[g : g + _FFT_GROUP_BLOCKS] * fx
-        for _ in range(order - 2):
-            fy *= fx
-        out[g : g + _FFT_GROUP_BLOCKS] = np.fft.irfft(fy, block)[:, :step]
-    return out.reshape(-1)[:n_out]
+
+    def apply_fft(x) -> np.ndarray:
+        fx = np.fft.rfft(checked(x), block)
+        np.conjugate(fx, out=fx)
+        if spectra.shape[0] == 1:
+            fy = spectra * fx  # spectra * conj(fx)^(order-1), in place after the first product
+            for _ in range(order - 2):
+                fy *= fx
+            del fx  # one block over v[:need]: free its buffer before irfft allocates the output
+            return np.fft.irfft(fy, block)[:, :step].reshape(-1)[:n_out]
+        # groups of blocks write into one output array, so no head-sized temporary is made
+        out = np.empty((spectra.shape[0], step))
+        for g in range(0, spectra.shape[0], _FFT_GROUP_BLOCKS):
+            fy = spectra[g : g + _FFT_GROUP_BLOCKS] * fx
+            for _ in range(order - 2):
+                fy *= fx
+            out[g : g + _FFT_GROUP_BLOCKS] = np.fft.irfft(fy, block)[:, :step]
+        return out.reshape(-1)[:n_out]
+
+    return apply_fft
+
+
+def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:
+    """``hankel_operator(gen, order, len(x), out_len)`` applied once to x: the same checks and bits."""
+    xv = as_vector(x)
+    return hankel_operator(gen, order, xv.size, out_len)(xv)
 
 
 def _fast_length(n: int) -> int:

@@ -18,9 +18,15 @@ Solvers:
 
 Both run one power loop, ``_power_iteration``, and differ only in the
 start norm, the step and the stop quantity.  Both reject a start vector
-with a non-positive entry and ``max_iter < 1``.  Both step through
-``HilbertTensor.apply_fast``, so no generating vector but Hilbert's reaches
-them (the shifted ones of ROADMAP.md's certified Z upper end would need one).
+with a non-positive entry and ``max_iter < 1``.  The loop takes a Hankel
+tensor by its generating vector, order and dimension, plans its apply once
+per solve with ``core.hankel_operator`` and then only applies it, so every
+iteration runs the arithmetic of ``core.hankel_apply`` on x and nothing
+else.  The two solvers pass the vector ``HilbertTensor.apply_fast`` uses,
+``GeneratingVector.hilbert(generating_length(n, m, n))``, so their bits are
+those of the fast apply; any other ``GeneratingVector``, for example the
+shifted sequence 1/(s+1+k) of the matrix 1/(i+j-1+s), goes through the same
+loop.
 """
 
 from __future__ import annotations
@@ -30,7 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HilbertTensor, SequenceVector, as_vector, real_root
+from .core import (
+    GeneratingVector,
+    HilbertTensor,
+    SequenceVector,
+    as_vector,
+    generating_length,
+    hankel_operator,
+    real_root,
+)
 
 
 @dataclass
@@ -55,20 +69,25 @@ class EigenResult:
     trace: list[float] = field(repr=False, default_factory=list)
 
 
-def _positive_start(t: HilbertTensor, x0, p: float) -> np.ndarray:
-    n = t.dim
+def _positive_start(dim: int, x0, p: float) -> np.ndarray:
     if x0 is None:
-        x = np.ones(n)
+        x = np.ones(dim)  # positive, with maximum 1 already
     else:
         x = as_vector(x0)
-        if len(x) != n:
-            raise ValueError(f"dimension mismatch: tensor dim {n}, start length {len(x)}")
+        if len(x) != dim:
+            raise ValueError(f"dimension mismatch: tensor dim {dim}, start length {len(x)}")
         if not np.isfinite(x).all():
             raise ValueError("power iteration needs a finite start vector")
-    if np.any(x <= 0):
-        raise ValueError("power iteration needs an entrywise positive start vector")
-    x = x / x.max()  # entries in (0, 1], so the p-norm neither overflows nor underflows to 0
+        if np.any(x <= 0):
+            raise ValueError("power iteration needs an entrywise positive start vector")
+        x = x / x.max()  # entries in (0, 1], so the p-norm neither overflows nor underflows to 0
     return x / float(np.sum(x**p) ** (1.0 / p))
+
+
+def _norm2(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a 1-d float array without its argument handling: the same dot and square root."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def equation_residual(kind: str, order: int, x: np.ndarray, y: np.ndarray, value: float) -> float:
@@ -80,25 +99,31 @@ def equation_residual(kind: str, order: int, x: np.ndarray, y: np.ndarray, value
     if kind == "H":
         return float(np.max(np.abs(y - value * x ** (order - 1))))
     if kind == "Z":
-        return float(np.linalg.norm(y - value * x))
+        return _norm2(y - value * x)
     raise ValueError(f"unknown eigenpair kind {kind!r}")
 
 
-def _power_iteration(kind: str, t: HilbertTensor, tol: float, max_iter: int, x0) -> EigenResult:
-    """The one power loop behind both solvers.
+def _power_iteration(kind: str, gen, order: int, dim: int, tol: float, max_iter: int, x0) -> EigenResult:
+    """The one power loop behind both solvers, on the Hankel tensor of ``gen``.
 
     Only the start norm, the step and the stop quantity depend on ``kind``.
-    Each iterate x is evaluated once, y = H_n x^{m-1}.  The loop stops
-    unconverged at the first non-finite value or certificate (overflow:
-    further iterates stay non-finite) and converged once the certificate,
-    the bracket width for H and the residual for Z, is at most ``tol``.
+    The order-``order``, dimension-``dim`` operator x -> H x^{m-1} is planned
+    once (``core.hankel_operator``) and each iterate x is evaluated once,
+    y = H x^{m-1}.  The loop stops unconverged at the first non-finite value
+    or certificate (overflow: further iterates stay non-finite) and converged
+    once the certificate, the bracket width for H and the residual for Z, is
+    at most ``tol``.
     """
     if not 0 < tol < math.inf:  # NaN would never stop the loop, inf would stop it at once
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    m = t.order
-    x = _positive_start(t, x0, float(m) if kind == "H" else 2.0)
+    m = order
+    x = _positive_start(dim, x0, float(m) if kind == "H" else 2.0)
+    apply = hankel_operator(gen, m, dim)
+    # loop invariants; at m = 2, x^{[m-1]} and y^{[1/(m-1)]} are x and y themselves, bit for bit
+    root_power, norm_power = 1.0 / (m - 1), 1.0 / m
+    linear = m == 2
 
     trace: list[float] = []
     lower = upper = None
@@ -107,15 +132,15 @@ def _power_iteration(kind: str, t: HilbertTensor, tol: float, max_iter: int, x0)
         for iterations in range(1, max_iter + 1):
             if iterations > 1:  # advance only when the new iterate gets evaluated
                 if kind == "H":
-                    root = y ** (1.0 / (m - 1))
-                    x = root / np.sum(root**m) ** (1.0 / m)
+                    root = y if linear else y**root_power
+                    x = root / (root**m).sum() ** norm_power
                 else:
-                    x = y / np.linalg.norm(y)
-            y = t.apply_fast(x).values
+                    x = y / _norm2(y)
+            y = apply(x)
             value = float(x @ y)
             trace.append(value)
             if kind == "H":
-                ratios = y / x ** (m - 1)
+                ratios = y / (x if linear else x ** (m - 1))
                 lower = float(ratios.min())
                 upper = float(ratios.max())
                 certificate = upper - lower
@@ -140,6 +165,11 @@ def _power_iteration(kind: str, t: HilbertTensor, tol: float, max_iter: int, x0)
         )
 
 
+def _hilbert_operands(t: HilbertTensor):
+    """The generating vector, order and dimension ``HilbertTensor.apply_fast`` uses for t."""
+    return GeneratingVector.hilbert(generating_length(t.dim, t.order, t.dim)), t.order, t.dim
+
+
 def h_spectral_radius(
     t: HilbertTensor,
     tol: float = 1e-10,
@@ -156,7 +186,7 @@ def h_spectral_radius(
     The reported value H_n x^m is a convex combination of the ratios, so it
     always lies inside the bracket.
     """
-    return _power_iteration("H", t, tol, max_iter, x0)
+    return _power_iteration("H", *_hilbert_operands(t), tol, max_iter, x0)
 
 
 def z_spectral_radius(
@@ -175,7 +205,7 @@ def z_spectral_radius(
     positive tensors.  The residual ||H_n x^{m-1} - mu x||_2 is the stopping
     certificate; a non-finite value or residual stops the loop unconverged.
     """
-    return _power_iteration("Z", t, tol, max_iter, x0)
+    return _power_iteration("Z", *_hilbert_operands(t), tol, max_iter, x0)
 
 
 def eigen_residual(t: HilbertTensor, pair: EigenResult) -> float:

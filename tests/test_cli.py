@@ -658,3 +658,73 @@ def test_head_past_numpys_allocation_limit_is_a_usage_error(capsys, args):
     (line,) = err.splitlines()
     assert line.startswith("hilbert-tensors: error: --m 2 ")
     assert line.endswith("more than numpy can allocate")
+
+
+def test_unit_vector_past_numpys_allocation_limit_is_a_usage_error(capsys):
+    # e<k> is checked by its head before it is built; numpy's "array is too big" named no flag
+    code, out, err = run_cli(["infinite", "--x", "e4611686018427387904"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "hilbert-tensors: error: --m 2 --trunc 100000 with support 4611686018427387904 needs a generating "
+        "vector of 4611686018427487903 entries, more than numpy can allocate\n"
+    )
+
+
+def test_search_never_builds_the_unit_vector(capsys):
+    # --search does not read --x, so a huge e<k> there allocates nothing and the search runs
+    code, out, _ = run_cli(["infinite", "--search", "--x", "e4611686018427387904", "--trials", "3",
+                            "--trunc", "200"], capsys)
+    assert code == 0
+    assert [row["kind"] for row in parse_rows(out)] == ["T-search"]
+
+
+def test_unit_vector_is_the_coordinate_list(capsys):
+    code, out, err = run_cli(["infinite", "--m", "3", "--p", "4", "--op", "both", "--x", "e3"], capsys)
+    assert code == 0
+    assert run_cli(["infinite", "--m", "3", "--p", "4", "--op", "both", "--x=0,0,1"], capsys) == (code, out, err)
+
+
+# -- one parser per process -----------------------------------------------------------
+
+
+def test_run_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    orig = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or orig())
+    cli._parser.cache_clear()  # as in a new process
+    for argv in (["spectrum", "--n", "3"], ["bounds", "--n", "2..4"], ["infinite", "--x", "e2", "--trunc", "50"],
+                 ["bench", "--n", "5", "--repeats", "1"], ["spectrum", "--n", "0"]):
+        run_cli(argv, capsys)
+    assert len(builds) == 1
+
+
+USAGE_ERRORS = [
+    ["spectrum", "--bogus"],
+    ["infinite", "--n", "5"],
+    ["bounds", "--m", "x"],
+    ["bench", "--repeats"],
+    [],
+    ["spectrum", "--n", "0"],
+    ["infinite", "--x=1,nan"],
+]
+
+
+def _usage_error(argv, capsys):
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:  # argparse's own errors leave through Parser.error
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_error_after_good_calls_is_the_first_calls(capsys, argv):
+    # nothing of one parse carries over into the next through the shared parser
+    cli._parser.cache_clear()  # as in a new process
+    first = _usage_error(argv, capsys)
+    assert first[:2] == (1, "") and first[2]
+    for good in (["spectrum", "--m", "3", "--n", "4", "--tol", "1e-9"], ["infinite", "--search", "--trials", "2",
+                                                                         "--support", "3", "--trunc", "100"]):
+        assert run_cli(good, capsys)[0] == 0
+    assert _usage_error(argv, capsys) == first

@@ -31,6 +31,7 @@ from hilbert_tensors.core import (
     convolve,
     even_root_domain,
     generating_length,
+    hankel_operator,
     real_root,
 )
 
@@ -709,3 +710,70 @@ def test_spectral_bounds_refuse_order_below_two(bound, order):
 
 def test_empty_sequence_vector_has_norm_zero():
     assert SequenceVector([]).norm(2) == 0.0
+
+
+# -- plan, then apply: hankel_operator ------------------------------------------------
+
+
+def _route(gen):
+    """The route a plan took, read off the spectra it left on its fresh generating vector."""
+    if not gen._spectra:
+        return "direct"
+    (spectra,) = gen._spectra.values()
+    return "one-block" if spectra.shape[0] == 1 else "multi-block"
+
+
+@pytest.mark.parametrize(
+    "order, n, out_len, route",
+    [
+        pytest.param(3, 30, None, "direct", id="direct"),
+        # each order's last dimension on the direct route and its first on the one-block FFT route
+        pytest.param(2, 1448, None, "direct", id="2-1448"),
+        pytest.param(2, 1449, None, "one-block", id="2-1449"),
+        pytest.param(3, 836, None, "direct", id="3-836"),
+        pytest.param(3, 837, None, "one-block", id="3-837"),
+        pytest.param(4, 591, None, "direct", id="4-591"),
+        pytest.param(4, 592, None, "one-block", id="4-592"),
+        pytest.param(4, 16, 100_000, "multi-block", id="multi-block"),
+    ],
+)
+def test_hankel_operator_is_hankel_apply_bit_for_bit(order, n, out_len, route):
+    need = generating_length(n, order, out_len or n)
+    gen = GeneratingVector(1.0 / np.arange(1, need + 1))  # fresh, so the route is read off its spectra
+    apply = hankel_operator(gen, order, n, out_len)
+    assert _route(gen) == route
+    xs = [np.cos(np.arange(1, n + 1)), np.array(SplitMix64(n).uniforms(n, -1, 1)), np.zeros(n)]
+    # each x twice and in turn: no call leaves anything behind for the next
+    for x in xs + xs:
+        out = apply(x)
+        assert np.array_equal(out, hankel_apply(gen, x, order, out_len))
+        fast = HilbertTensor(order, n).apply_fast(x) if out_len is None else apply_infinite(x, order, out_len)
+        assert np.array_equal(out, fast.values)
+    assert not np.any(apply(np.zeros(n)))
+
+
+@pytest.mark.parametrize(
+    "n, out_len", [pytest.param(30, None, id="direct"), pytest.param(1500, None, id="one-block"),
+                   pytest.param(16, 100_000, id="multi-block")]
+)
+def test_hankel_operator_refuses_a_vector_of_another_length(n, out_len):
+    apply = hankel_operator(GeneratingVector.hilbert(generating_length(n, 3, out_len or n)), 3, n, out_len)
+    for bad in (np.ones(n - 1), np.ones(n + 1), np.ones((1, n))):
+        with pytest.raises(ValueError):
+            apply(bad)
+
+
+@pytest.mark.parametrize(
+    "plan, match",
+    [
+        (lambda: hankel_operator(GeneratingVector.hilbert(4), 2, 3), "too short: need 5, have 4"),
+        (lambda: hankel_operator([1.0, 0.5], 2, 0), "empty input vector"),
+        (lambda: hankel_operator([1.0, 0.5], 1, 2), "order must be >= 2"),
+        (lambda: hankel_operator([1.0, 0.5], 2, 1, 0), "out_len must be >= 1"),
+    ],
+    ids=["short", "empty", "order", "out_len"],
+)
+def test_hankel_operator_checks_when_it_plans(plan, match):
+    # the plan refuses before any x is seen, with hankel_apply's messages
+    with pytest.raises(ValueError, match=match):
+        plan()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hilbert_tensors import (
+    GeneratingVector,
     HilbertTensor,
     SplitMix64,
     eigen_residual,
@@ -13,6 +14,8 @@ from hilbert_tensors import (
     t_operator,
     z_spectral_radius,
 )
+from hilbert_tensors import core
+from hilbert_tensors.eigensolvers import _power_iteration
 from hilbert_tensors.oracle import OracleConfig, brute_max_sphere, dense_matrix_eigenpair
 
 CLOSED_FORM_N2 = (4 + math.sqrt(13)) / 6
@@ -308,3 +311,36 @@ def test_trace_holds_one_value_per_iteration(solver, m, n):
 def test_start_of_the_wrong_length_is_refused(solver):
     with pytest.raises(ValueError, match="dimension mismatch"):
         solver(HilbertTensor(2, 3), x0=[1.0, 1.0])
+
+
+# -- the power loop on any Hankel generating vector ----------------------------------
+
+
+@pytest.mark.parametrize("kind", ["H", "Z"])
+@pytest.mark.parametrize("s", [1, 5])
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_power_loop_on_shifted_hilbert_matrix_matches_eigvalsh(kind, s, n):
+    # M_s(i, j) = 1/(i + j - 1 + s), 1-based: the Hankel matrix of v[k] = 1/(s + 1 + k)
+    gen = GeneratingVector(1.0 / (s + 1 + np.arange(2 * n - 1)))
+    res = _power_iteration(kind, gen, 2, n, 1e-13, 100_000, None)
+    i = np.arange(1, n + 1)
+    expected = np.linalg.eigvalsh(1.0 / (i[:, None] + i[None, :] - 1 + s))[-1]
+    assert res.converged
+    assert res.value == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind, solver", [("H", h_spectral_radius), ("Z", z_spectral_radius)])
+def test_solve_on_the_fft_route_transforms_the_generating_vector_once(kind, solver, monkeypatch):
+    # m = 2, n = 1500 takes the one-block FFT route; the tiny tol keeps the loop going to max_iter
+    calls = []
+    orig = core._block_spectra
+    monkeypatch.setattr(core, "_block_spectra", lambda *args: calls.append(args[1:]) or orig(*args))
+    n = 1500
+    gen = GeneratingVector(1.0 / np.arange(1, 2 * n))  # a fresh vector, so nothing is cached yet
+    res = _power_iteration(kind, gen, 2, n, 1e-300, 30, None)
+    assert res.iterations == 30 and not res.converged
+    assert len(calls) == 1
+    # the same values as the vector apply_fast uses: the Hilbert solver's bits
+    hilbert = solver(HilbertTensor(2, n), tol=1e-300, max_iter=30)
+    assert res.value == hilbert.value and res.trace == hilbert.trace
+    assert np.array_equal(res.vector.values, hilbert.vector.values)

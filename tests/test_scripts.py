@@ -171,3 +171,16 @@ def test_verify_theorems_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv
     assert argv[0] in err
     assert "Traceback" not in err
     assert out == "" and not out_dir.exists()
+
+
+def test_report_digests_repeat_their_lines():
+    digests = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))
+    # the list holds the pinned usage errors and the one-block FFT solves
+    assert ["infinite", "--x", "e4611686018427387904"] in digests["ARGVS"]
+    assert ["spectrum", "--m", "2", "--n", "1500", "--show-vector"] in digests["ARGVS"]
+    argvs = [["spectrum", "--m", "3", "--n", "5"], ["bench", "--m", "2", "--n", "10", "--repeats", "1"],
+             ["infinite", "--x", "e0"]]
+    first = [digests["digest_line"](argv) for argv in argvs]
+    assert first == [digests["digest_line"](argv) for argv in argvs]
+    assert [line.split("\t")[:2] for line in first] == [
+        ["spectrum --m 3 --n 5", "0"], ["bench --m 2 --n 10 --repeats 1", "0"], ["infinite --x e0", "1"]]
