@@ -75,6 +75,8 @@ bounds --m 2 --n 1..80
 bounds --m 3 --n 1..40
 bounds --m 4 --n 1..16
 bounds --m 3 --n 5,17,60 --tol 1e-12 --max-iter 50 --format csv
+bounds --m 3 --n 1
+bounds --m 4 --n 7
 infinite --m 3 --p 4 --op both --x e5 --trunc 20000
 bench --m 2 --n 10,100,1500
 bench --m 3 --n 10,40,216

@@ -30,10 +30,7 @@ from .core import (
 )
 from .eigensolvers import (
     EigenResult,
-    eigen_residual,
-    f_operator,
     h_spectral_radius,
-    t_operator,
     z_spectral_radius,
 )
 from .infinite import (
@@ -69,10 +66,8 @@ __all__ = [
     "bound_sweep",
     "check_positive_definite",
     "convolution_power",
-    "eigen_residual",
     "embedding_check",
     "f_infinity",
-    "f_operator",
     "h_spectral_radius",
     "hankel_apply",
     "hilbert_inequality_check",
@@ -82,6 +77,5 @@ __all__ = [
     "spectral_bound_h",
     "spectral_bound_z",
     "t_infinity",
-    "t_operator",
     "z_spectral_radius",
 ]

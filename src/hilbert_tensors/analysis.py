@@ -12,22 +12,28 @@ Covered claims, each turned into a report with explicit slack:
 * the principal sub-tensor embedding: the H-eigenpair of H_n, zero-padded
   into H_k, reproduces the eigen-equation on the first n components.
   (On components beyond n the contraction is strictly positive while the
-  padded vector is zero, so the equation genuinely fails there; the full
-  residual is reported as data, not asserted.)
+  padded vector is zero, so the equation genuinely fails there.)
+
+``dimension_sweep`` makes every report of the ``bounds`` command in one
+ascending pass that streams: each dimension's bound report, and the embed
+report of the previous dimension into it, are built as soon as that
+dimension is solved, and only the previous H eigenpair and scalar values
+are kept, so its memory grows with the largest dimension, not with their
+sum.
 
 Every check returns its report, whatever it finds; none raises on a failed
 claim.  Callers judge the report rows, not the reports: the CLI and
 ``scripts/verify_theorems.py`` turn reports into rows whose ``bound`` holds
 any allowance, judge each row with ``reporting.violated`` and map the
-verdicts to exit codes through ``cli.exit_status``.  ``strict_h``,
-``nondecreasing_z``, ``violation_observed`` and ``asserted`` are report data
-that no verdict reads.
+verdicts to exit codes through ``cli.exit_status``.  ``strict_h`` and
+``nondecreasing_z`` are report data that no verdict reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,8 +75,6 @@ class MonotonicityReport:
     nondecreasing_z: bool
     certified: bool
     tolerance: float
-    # kept so eigenvector monotonicity can be explored; nothing is asserted
-    vectors_h: list[list[float]] = field(repr=False, default_factory=list)
 
 
 @dataclass
@@ -79,8 +83,6 @@ class PositiveDefiniteReport:
     n: int
     trials: int
     min_integral: float
-    min_sphere_value: float
-    alternating_value: float
     all_positive: bool
 
 
@@ -90,9 +92,6 @@ class InequalityReport:
     trials: int
     bound_constant: float  # n sin(pi/n)
     worst_ratio: float  # max LHS / (bound_constant ||x||_2^2)
-    worst_lhs_over_norm: float  # the empirical constant max LHS / ||x||_2^2
-    asserted: bool
-    violation_observed: bool
 
 
 @dataclass
@@ -100,9 +99,7 @@ class EmbeddingReport:
     m: int
     n: int
     k: int
-    eigenvalue: float
     restricted_residual: float  # over the embedded block, components 1..n
-    full_residual: float  # over all k components; positive by construction
     converged: bool
 
 
@@ -111,8 +108,8 @@ def check_positive_definite(
 ) -> PositiveDefiniteReport:
     """Sample x != 0 and check the integral form of H_n x^m stays positive.
 
-    The alternating vector x_i = (-1)^i / i is always included.  Also
-    records the smallest sampled value of H_n x^m over the unit 2-sphere.
+    The alternating vector x_i = (-1)^i / i is always included, as the first
+    form evaluated.
     """
     n = t.dim
     if t.order % 2 != 0:
@@ -120,24 +117,18 @@ def check_positive_definite(
     rng = SplitMix64(seed)
 
     alternating = np.array([(-1) ** i / i for i in range(1, n + 1)])
-    alternating_value = t.quadratic_form_integral(alternating)
-
-    min_integral = alternating_value
-    min_sphere = t.quadratic_form(alternating / np.linalg.norm(alternating))
+    min_integral = t.quadratic_form_integral(alternating)
     for _ in range(trials):
         x = np.array(rng.uniforms(n, -1.0, 1.0))
         while not np.any(x):
             x = np.array(rng.uniforms(n, -1.0, 1.0))
         min_integral = min(min_integral, t.quadratic_form_integral(x))
-        min_sphere = min(min_sphere, t.quadratic_form(x / np.linalg.norm(x)))
 
     return PositiveDefiniteReport(
         m=t.order,
         n=n,
         trials=trials,
         min_integral=float(min_integral),
-        min_sphere_value=float(min_sphere),
-        alternating_value=float(alternating_value),
         all_positive=min_integral > 0.0,
     )
 
@@ -145,9 +136,7 @@ def check_positive_definite(
 def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> InequalityReport:
     """Measure sum_{ij} |x_i||x_j| / (i+j-1) against n sin(pi/n) ||x||_2^2.
 
-    Returns the report at every n.  ``violation_observed`` says whether some
-    sample exceeded the bound (worst ratio above 1 + 1e-12) and ``asserted``
-    whether n >= 4; both are data.  ``scripts/verify_theorems.py`` checks
+    Returns the report at every n.  ``scripts/verify_theorems.py`` checks
     every n by its row, which is violated once the worst ratio exceeds 1.
     """
     if n < 2:
@@ -157,7 +146,6 @@ def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> Inequ
     rng = SplitMix64(seed)
 
     worst_ratio = 0.0
-    worst_lhs_over_norm = 0.0
     for _ in range(trials):
         x = np.array(rng.uniforms(n, -1.0, 1.0))
         sq = float(x @ x)
@@ -165,18 +153,9 @@ def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> Inequ
             continue
         u = np.abs(x)
         lhs = float(u @ t.apply_fast(u).values)
-        worst_lhs_over_norm = max(worst_lhs_over_norm, lhs / sq)
         worst_ratio = max(worst_ratio, lhs / (constant * sq))
 
-    return InequalityReport(
-        n=n,
-        trials=trials,
-        bound_constant=constant,
-        worst_ratio=worst_ratio,
-        worst_lhs_over_norm=worst_lhs_over_norm,
-        asserted=n >= 4,
-        violation_observed=worst_ratio > 1.0 + 1e-12,
-    )
+    return InequalityReport(n=n, trials=trials, bound_constant=constant, worst_ratio=worst_ratio)
 
 
 def solve_dims(
@@ -184,20 +163,18 @@ def solve_dims(
     dims,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-) -> list[tuple[EigenResult, EigenResult]]:
-    """The (H, Z) eigenpairs of H_n for each n in ``dims``: one solve of each kind per entry.
+) -> Iterator[tuple[EigenResult, EigenResult]]:
+    """The (H, Z) eigenpairs of H_n for each n in ``dims``, one dimension at a time.
 
-    The pairs come without their iteration history: no report reads it, and
-    a sweep would otherwise hold every iterate of every solve until its
-    reports are built.
+    One solve of each kind per entry, made when the pair is asked for, so a
+    sweep holds only the pairs it keeps.  The pairs come without their
+    iteration history: no report reads it.
     """
-    pairs = []
     for n in dims:
         t = HilbertTensor(m, n)
         h = h_spectral_radius(t, tol=tol, max_iter=max_iter)
         z = z_spectral_radius(t, tol=tol, max_iter=max_iter)
-        pairs.append((replace(h, trace=[]), replace(z, trace=[])))
-    return pairs
+        yield replace(h, trace=[]), replace(z, trace=[])
 
 
 def bound_report(m: int, n: int, h: EigenResult, z: EigenResult) -> BoundReport:
@@ -219,10 +196,14 @@ def bound_report(m: int, n: int, h: EigenResult, z: EigenResult) -> BoundReport:
     )
 
 
-def monotonicity_report(m: int, dims, pairs, tol: float) -> MonotonicityReport:
-    """rho(F_n) and rho(T_n) from the solved (H, Z) pairs of ascending ``dims``."""
-    rho_f = [h.value ** (1.0 / (m - 1)) for h, _ in pairs]
-    rho_t = [z.value for _, z in pairs]
+def _radii(m: int, h: EigenResult, z: EigenResult) -> tuple[float, float, bool]:
+    """rho(F_n), rho(T_n) and whether both solves converged: all a monotonicity report keeps of a dimension."""
+    return h.value ** (1.0 / (m - 1)), z.value, h.converged and z.converged
+
+
+def monotonicity_report(m: int, dims, radii, tol: float) -> MonotonicityReport:
+    """rho(F_n) and rho(T_n) from the ``_radii`` of ascending ``dims``."""
+    rho_f, rho_t, converged = (list(column) for column in zip(*radii))
     return MonotonicityReport(
         m=m,
         dims=list(dims),
@@ -230,18 +211,17 @@ def monotonicity_report(m: int, dims, pairs, tol: float) -> MonotonicityReport:
         rho_z_seq=rho_t,
         strict_h=all(b - a > tol for a, b in zip(rho_f, rho_f[1:])),
         nondecreasing_z=all(b - a >= -2 * tol for a, b in zip(rho_t, rho_t[1:])),
-        certified=all(h.converged and z.converged for h, z in pairs),
+        certified=all(converged),
         tolerance=tol,
-        vectors_h=[[float(v) for v in h.vector] for h, _ in pairs],
     )
 
 
 def embedding_report(m: int, k: int, h: EigenResult) -> EmbeddingReport:
-    """Zero-pad the solved H-eigenpair of H_n into H_k and measure both residuals.
+    """Zero-pad the solved H-eigenpair of H_n into H_k and measure the residual on the embedded block.
 
-    On the embedded block the padded pair satisfies the H_k eigen-equation
-    up to solver accuracy; beyond it the contraction is strictly positive
-    against a zero right-hand side, so ``full_residual`` stays positive.
+    There the padded pair satisfies the H_k eigen-equation up to solver
+    accuracy; beyond it the contraction is strictly positive against a zero
+    right-hand side.
     """
     n = len(h.vector)
     padded = np.zeros(k)
@@ -251,9 +231,7 @@ def embedding_report(m: int, k: int, h: EigenResult) -> EmbeddingReport:
         m=m,
         n=n,
         k=k,
-        eigenvalue=h.value,
         restricted_residual=equation_residual("H", m, padded[:n], y[:n], h.value),
-        full_residual=equation_residual("H", m, padded, y, h.value),
         converged=h.converged,
     )
 
@@ -275,8 +253,7 @@ def bound_sweep(
     dims = list(dims)
     if any(n < 2 for n in dims):
         raise ValueError("bound rows need n >= 2; the sine bound is vacuous at n = 1")
-    pairs = solve_dims(m, dims, tol, max_iter)
-    return [bound_report(m, n, h, z) for n, (h, z) in zip(dims, pairs)]
+    return [bound_report(m, n, h, z) for n, (h, z) in zip(dims, solve_dims(m, dims, tol, max_iter))]
 
 
 def monotonicity_sweep(
@@ -288,7 +265,7 @@ def monotonicity_sweep(
     """Track rho(F_n) and rho(T_n) over strictly ascending dimensions."""
     dims = list(dims)
     _check_dims(dims)
-    return monotonicity_report(m, dims, solve_dims(m, dims, tol, max_iter), tol)
+    return monotonicity_report(m, dims, [_radii(m, h, z) for h, z in solve_dims(m, dims, tol, max_iter)], tol)
 
 
 def embedding_check(
@@ -320,22 +297,25 @@ def dimension_sweep(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> DimensionSweep:
-    """Solve H and Z once per dimension some report needs; derive all reports from them.
+    """Solve H and Z once per dimension some report needs, in ascending order, and report as it goes.
 
-    With a single dimension only its bound report is made (none at n = 1),
-    so nothing is solved that no report reads.
+    Each dimension's bound report, and the embed report of the previous
+    dimension into it, are made right after its solve, while its generating
+    vector is the cached one.  Only the previous H eigenpair and the
+    ``_radii`` are kept.  With a single dimension only its bound report is
+    made (none at n = 1), so nothing is solved that no report reads.
     """
     dims = list(dims)
     _check_dims(dims)
-    bound_dims = [n for n in dims if n >= 2]
-    solved = dims if len(dims) >= 2 else bound_dims
-    pairs = dict(zip(solved, solve_dims(m, solved, tol, max_iter)))
-    mono = None
-    if len(dims) >= 2:
-        mono = monotonicity_report(m, dims, [pairs[n] for n in dims], tol)
-    return DimensionSweep(
-        m=m,
-        bounds=[bound_report(m, n, *pairs[n]) for n in bound_dims],
-        monotonicity=mono,
-        embeddings=[embedding_report(m, k, pairs[n][0]) for n, k in zip(dims, dims[1:])],
-    )
+    solved = dims if len(dims) >= 2 else [n for n in dims if n >= 2]
+    bounds, embeddings, radii = [], [], []
+    prev_h = None
+    for n, (h, z) in zip(solved, solve_dims(m, solved, tol, max_iter)):
+        if n >= 2:
+            bounds.append(bound_report(m, n, h, z))
+        if prev_h is not None:
+            embeddings.append(embedding_report(m, n, prev_h))
+        radii.append(_radii(m, h, z))
+        prev_h = h
+    mono = monotonicity_report(m, dims, radii, tol) if len(dims) >= 2 else None
+    return DimensionSweep(m=m, bounds=bounds, monotonicity=mono, embeddings=embeddings)

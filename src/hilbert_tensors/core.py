@@ -128,13 +128,6 @@ def even_root_domain(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def real_root(y: np.ndarray, k: int) -> np.ndarray:
-    """Entrywise real k-th root, sign kept; even k goes through ``even_root_domain``."""
-    if k % 2 == 0:
-        y = even_root_domain(y)
-    return np.copysign(np.abs(y) ** (1.0 / k), y)
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratingVector:
     """Hankel generating sequence with values[s] = 1/(s+1) at offset s.

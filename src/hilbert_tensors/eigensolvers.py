@@ -17,7 +17,10 @@ Solvers:
   orthant, and positive entries keep the iterates inside it.
 
 Both run one power loop, ``_power_iteration``, and differ only in the
-start norm, the step and the stop quantity.  Both reject a start vector
+start norm, the step and the stop quantity.  ``equation_residual`` is the
+one eigen-equation residual: the Z certificate, the ``residual`` of every
+result and the embedding check's measure; to recheck a returned pair, pass
+it y = ``HilbertTensor.apply_fast(x)``.  Both reject a start vector
 with a non-positive entry and ``max_iter < 1``.  The loop takes a Hankel
 tensor by its generating vector, order and dimension, plans its apply once
 per solve with ``core.hankel_operator`` and then only applies it, so every
@@ -43,7 +46,6 @@ from .core import (
     as_vector,
     generating_length,
     hankel_operator,
-    real_root,
 )
 
 
@@ -206,41 +208,3 @@ def z_spectral_radius(
     certificate; a non-finite value or residual stops the loop unconverged.
     """
     return _power_iteration("Z", *_hilbert_operands(t), tol, max_iter, x0)
-
-
-def eigen_residual(t: HilbertTensor, pair: EigenResult) -> float:
-    """Recompute the defining-equation residual for a returned pair.
-
-    H-kind: ||H_n x^{m-1} - lambda x^{[m-1]}||_inf.
-    Z-kind: ||H_n x^{m-1} - mu x||_2.
-    """
-    x = pair.vector.values
-    return equation_residual(pair.kind, t.order, x, t.apply_fast(x).values, pair.value)
-
-
-def f_operator(t: HilbertTensor):
-    """F_n x = (H_n x^{m-1})^{[1/(m-1)]} as a callable on vectors.
-
-    For odd m the inner contraction is entrywise nonnegative for every real
-    x (it is a moment integral), so the even root is always defined up to
-    float rounding; tiny negative noise is clamped, genuine negatives raise.
-    """
-    k = t.order - 1
-
-    def apply_f(x) -> SequenceVector:
-        return SequenceVector(real_root(t.apply_fast(x).values, k))
-
-    return apply_f
-
-
-def t_operator(t: HilbertTensor):
-    """T_n x = ||x||_2^{2-m} H_n x^{m-1} as a callable; T_n(0) = 0."""
-
-    def apply_t(x) -> SequenceVector:
-        xv = as_vector(x)
-        norm = float(np.linalg.norm(xv))
-        if norm == 0.0:
-            return SequenceVector(np.zeros_like(xv))
-        return SequenceVector(norm ** (2 - t.order) * t.apply_fast(xv).values)
-
-    return apply_t

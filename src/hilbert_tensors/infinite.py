@@ -294,11 +294,6 @@ class NormSearchReport:
     best_vector: list[float] = field(repr=False)
     evaluations: int = 0
 
-    @property
-    def gap_to_constant(self) -> float:
-        """operator_norm_constant(operator, order, p) - best_value, computed on access."""
-        return operator_norm_constant(self.operator, self.order, self.p) - self.best_value
-
 
 def _unit_l1(x: np.ndarray) -> np.ndarray:
     s = np.abs(x).sum()

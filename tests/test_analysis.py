@@ -1,19 +1,23 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hilbert_tensors import (
+    GeneratingVector,
     HilbertTensor,
     SequenceVector,
     analysis,
     bound_sweep,
     check_positive_definite,
     embedding_check,
+    h_spectral_radius,
     hilbert_inequality_check,
     monotonicity_sweep,
 )
+from hilbert_tensors.eigensolvers import equation_residual
 from hilbert_tensors.oracle import dense_matrix_eigenpair
 
 
@@ -29,13 +33,12 @@ def test_pd_small_sample():
     rep = check_positive_definite(HilbertTensor(2, 2), trials=200, seed=1)
     assert rep.all_positive
     assert rep.min_integral > 0
-    assert rep.min_sphere_value > 0
 
 
 def test_pd_alternating_vector_value():
-    # x = (-1, 1/2): integral of (-1 + t/2)^2 = 1 - 1/2 + 1/12 = 7/12
-    rep = check_positive_definite(HilbertTensor(2, 2), trials=1, seed=0)
-    assert rep.alternating_value == pytest.approx(7 / 12, rel=1e-12)
+    # x = (-1, 1/2): integral of (-1 + t/2)^2 = 1 - 1/2 + 1/12 = 7/12; with no samples it is the minimum
+    rep = check_positive_definite(HilbertTensor(2, 2), trials=0, seed=0)
+    assert rep.min_integral == pytest.approx(7 / 12, rel=1e-12)
 
 
 def test_pd_leading_coordinate():
@@ -70,18 +73,15 @@ def test_inequality_n2_frozen_vector():
 
 def test_inequality_small_n_records_only():
     rep = hilbert_inequality_check(2, trials=500, seed=3)
-    assert not rep.asserted
     assert rep.worst_ratio < 1.0
     assert rep.bound_constant == pytest.approx(2.0)
-    # the empirical constant is at most the top matrix eigenvalue
+    # the empirical constant max LHS / ||x||_2^2 is at most the top matrix eigenvalue
     top, _ = dense_matrix_eigenpair(2)
-    assert rep.worst_lhs_over_norm <= top + 1e-10
+    assert rep.worst_ratio * rep.bound_constant <= top + 1e-10
 
 
 def test_inequality_n8_sample():
     rep = hilbert_inequality_check(8, trials=1000, seed=4)
-    assert rep.asserted
-    assert not rep.violation_observed
     assert 0 < rep.worst_ratio < 1.0
 
 
@@ -91,8 +91,6 @@ def test_inequality_violation_is_reported_not_raised(monkeypatch, n):
     orig = HilbertTensor.apply_fast
     monkeypatch.setattr(HilbertTensor, "apply_fast", lambda self, x: SequenceVector(3.0 * orig(self, x).values))
     rep = hilbert_inequality_check(n, trials=50, seed=4)
-    assert rep.asserted == (n >= 4)
-    assert rep.violation_observed
     assert rep.worst_ratio > 1.0
 
 
@@ -151,13 +149,10 @@ def test_monotonicity_m2_dims_1_2_3():
     assert rep.rho_h_seq[0] == pytest.approx(1.0, abs=1e-10)
     assert rep.rho_h_seq[1] == pytest.approx((4 + math.sqrt(13)) / 6, abs=1e-8)
     assert rep.rho_h_seq[2] == pytest.approx(1.4083189271236538, abs=1e-8)
-    assert len(rep.vectors_h) == 3
 
 
 def test_monotonicity_m3_rho_f_is_root():
     rep = monotonicity_sweep(3, [2, 3])
-    from hilbert_tensors import h_spectral_radius
-
     lam = h_spectral_radius(HilbertTensor(3, 2)).value
     assert rep.rho_h_seq[0] == pytest.approx(math.sqrt(lam), rel=1e-10)
 
@@ -176,7 +171,10 @@ def test_embedding_full_residual_positive_frozen():
     # m=2: pad x=(1) of H_1 into H_2; component 2 of H_2 (1,0) is 1/2 vs 0
     rep = embedding_check(2, 1, 2)
     assert rep.restricted_residual <= 1e-12
-    assert rep.full_residual == pytest.approx(0.5, rel=1e-12)
+    h = h_spectral_radius(HilbertTensor(2, 1))
+    padded = np.array([h.vector.values[0], 0.0])
+    full = equation_residual("H", 2, padded, HilbertTensor(2, 2).apply_fast(padded).values, h.value)
+    assert full == pytest.approx(0.5, rel=1e-12)
 
 
 def test_embedding_rejects_bad_dims():
@@ -188,6 +186,46 @@ def test_embedding_rejects_bad_dims():
 def test_dimension_sweep_refuses_bad_dims_on_its_own(dims, match):
     with pytest.raises(ValueError, match=match):
         analysis.dimension_sweep(2, dims)
+
+
+# -- the streaming dimension sweep ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_dimension_sweep_reports_equal_the_single_sweeps(m):
+    sweep = analysis.dimension_sweep(m, range(1, 9))
+    assert sweep.bounds == bound_sweep(m, range(2, 9))
+    assert sweep.monotonicity == monotonicity_sweep(m, range(1, 9))
+    assert sweep.embeddings == [embedding_check(m, n, n + 1) for n in range(1, 8)]
+
+
+def test_dimension_sweep_holds_one_eigenvector_at_a_time():
+    # keeping the H and Z eigenvectors of every dimension would take 2 * sum(n) doubles
+    dims = range(2, 201)
+    analysis.dimension_sweep(3, [2, 3])  # first-call allocations are not the sweep's
+    tracemalloc.start()
+    try:
+        analysis.dimension_sweep(3, dims)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(dims) * 8
+
+
+def test_dimension_sweep_builds_one_generating_vector_per_dimension(monkeypatch):
+    # each embed apply into k runs while the generating vector of k's solves is the cached one
+    builds = []
+    post_init = GeneratingVector.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GeneratingVector, "_last_hilbert", None)
+    monkeypatch.setattr(GeneratingVector, "__post_init__", counted)
+    sweep = analysis.dimension_sweep(3, range(2, 31))
+    assert len(sweep.embeddings) == 28
+    assert len(builds) == 29
 
 
 def test_pd_negative_sampled_form_clears_all_positive(monkeypatch):
@@ -203,6 +241,6 @@ def test_pd_negative_sampled_form_clears_all_positive(monkeypatch):
     monkeypatch.setattr(HilbertTensor, "quadratic_form_integral", negative_after_first)
     rep = check_positive_definite(t, trials=5, seed=2)
     assert len(calls) == 1 + 5
-    assert rep.alternating_value > 0
+    assert true_form(t, calls[0]) > 0
     assert rep.min_integral == -1.0
     assert rep.all_positive is False

@@ -17,7 +17,6 @@ from hilbert_tensors import (
     apply_infinite,
     convolution_power,
     f_infinity,
-    f_operator,
     hankel_apply,
     infinite,
     reporting,
@@ -32,7 +31,6 @@ from hilbert_tensors.core import (
     even_root_domain,
     generating_length,
     hankel_operator,
-    real_root,
 )
 
 
@@ -515,16 +513,7 @@ def test_hilbert_keeps_one_read_only_vector():
     assert old() is None
 
 
-# -- clamped real root ---------------------------------------------------------------
-
-
-def test_real_root_odd_keeps_sign():
-    np.testing.assert_allclose(real_root(np.array([-8.0, 27.0]), 3), [-2.0, 3.0])
-
-
-def _f_operator_root(y, monkeypatch):
-    monkeypatch.setattr(HilbertTensor, "apply_fast", lambda self, x: SequenceVector(y))
-    return f_operator(HilbertTensor(3, len(y)))(np.ones(len(y))).values
+# -- the even-root domain ------------------------------------------------------------
 
 
 def _f_infinity_value(y, monkeypatch):
@@ -532,13 +521,12 @@ def _f_infinity_value(y, monkeypatch):
     return f_infinity([1.0], 3, 4.0, out_len=len(y)).value
 
 
-@pytest.mark.parametrize("route", ["helper", "f_operator", "f_infinity"])
+@pytest.mark.parametrize("route", ["helper", "f_infinity"])
 def test_even_root_clamps_noise_and_rejects_negatives(route, monkeypatch):
     noisy = np.array([4.0, -1e-15, 9.0])
     negative = np.array([4.0, 9.0, -1e-3])
     apply = {
-        "helper": lambda y: real_root(y, 2),
-        "f_operator": lambda y: _f_operator_root(y, monkeypatch),
+        "helper": lambda y: np.sqrt(even_root_domain(y)),
         "f_infinity": lambda y: _f_infinity_value(y, monkeypatch),
     }[route]
     out = apply(noisy)

@@ -11,6 +11,7 @@ from hilbert_tensors import (
     HilbertTensor,
     SplitMix64,
     apply_infinite,
+    cli,
     f_infinity,
     h_spectral_radius,
     hankel_apply,
@@ -357,11 +358,15 @@ def test_norm_search_never_exceeds_bound():
         assert rep.best_value <= PI_OVER_SQRT6 + 1e-9
 
 
-def test_norm_search_gap_is_to_its_own_constant():
+def test_norm_search_gap_is_to_its_own_constant(capsys):
     # F at m = 3, p = 4: the constant is (pi^2/6)^(1/4), not pi/sqrt(6)
+    argv = "infinite --search --op F --m 3 --p 4 --trials 6 --support 4 --trunc 1000 --seed 3"
+    assert cli.run(argv.split()) == 0
+    [line] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("F-search: ")]
     rep = norm_search(3, 4.0, trials=6, support=4, out_len=1000, seed=3, operator="F")
-    assert rep.gap_to_constant == operator_norm_constant("F", 3, 4.0) - rep.best_value
-    assert 0 < rep.gap_to_constant < PI_OVER_SQRT6 - rep.best_value
+    gap = operator_norm_constant("F", 3, 4.0) - rep.best_value
+    assert f" gap to constant={gap:.3e} " in line
+    assert 0 < gap < PI_OVER_SQRT6 - rep.best_value
 
 
 # -- one work array per head ------------------------------------------------------------
