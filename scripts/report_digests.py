@@ -1,6 +1,7 @@
 """Digest the CLI's reports over a fixed argv list, to show that a change keeps their bytes.
 
     python scripts/report_digests.py
+    python scripts/report_digests.py --base REF
 
 Runs every argv of ``ARGVS`` as ``python -m hilbert_tensors <argv>`` with
 the library of this checkout (``src/`` first on ``PYTHONPATH``), one
@@ -9,9 +10,18 @@ subprocess at a time, and prints one line per argv:
     <argv, shell-quoted> TAB <exit code> TAB <SHA-256>
 
 The digest covers stdout and stderr; for ``bench`` it covers stdout only,
-since its stderr holds wall-clock timings.  Run the script in two checkouts
-(copy it into the older one if it lacks it) and compare the outputs: equal
-lines mean equal exit codes and bytes.  The exit code of the script is 0.
+since its stderr holds wall-clock timings.  Equal lines mean equal exit
+codes and bytes.  The exit code of the script is 0.
+
+With ``--base REF`` it checks the git revision REF out into a temporary
+detached worktree, runs this checkout's ``ARGVS`` on REF's ``src/`` and on
+this tree's ``src/``, prints the argvs whose lines differ, and removes the
+worktree, also on error.  It exits 1 unless the set of differing argvs
+equals the entries of ``scripts/BYTES_EXPECTED``: one line per argv whose
+report a change alters on purpose, ``<argv, shell-quoted> TAB <cause>``.  An
+entry that no longer differs fails too, so the file empties one change
+later.  Both trees run on one machine, so FFT bits from different numpy
+builds or CPUs are never compared.
 
 Uses the standard library only, so it runs in a checkout without the test
 dependencies.
@@ -19,14 +29,18 @@ dependencies.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = ROOT / "scripts" / "BYTES_EXPECTED"
 
 ARGVS = tuple(
     shlex.split(line)
@@ -78,6 +92,11 @@ bounds --m 3 --n 5,17,60 --tol 1e-12 --max-iter 50 --format csv
 bounds --m 3 --n 1
 bounds --m 4 --n 7
 infinite --m 3 --p 4 --op both --x e5 --trunc 20000
+infinite --search --op both --m 3 --p 4 --trunc 500 --seed 5 --show-vector
+infinite --search --op both --m 2 --p 2 --support 40 --seed 5 --show-vector
+infinite --search --op F --m 3 --p 3 --seed 5 --show-vector
+infinite --search --op F --m 4 --p 4 --seed 11 --show-vector
+infinite --search --op both --m 4 --p 6 --support 2000 --trials 30 --seed 5
 bench --m 2 --n 10,100,1500
 bench --m 3 --n 10,40,216
 spectrum --m 0 --n 2
@@ -117,11 +136,11 @@ infinite --x e4611686018427387904
 )
 
 
-def digest_line(argv: list[str]) -> str:
-    """Run one argv through ``python -m hilbert_tensors``; its line of the report."""
+def digest_line(argv: list[str], root: Path = ROOT) -> str:
+    """Run one argv through ``python -m hilbert_tensors`` on ``root``'s library; its line of the report."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "hilbert_tensors", *argv], capture_output=True, env=env, cwd=ROOT)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hilbert_tensors", *argv], capture_output=True, env=env, cwd=root)
     digest = hashlib.sha256()
     digest.update(b"%d\n" % len(proc.stdout) + proc.stdout)
     if argv[0] != "bench":  # bench's stderr holds wall-clock timings
@@ -129,10 +148,61 @@ def digest_line(argv: list[str]) -> str:
     return f"{shlex.join(argv)}\t{proc.returncode}\t{digest.hexdigest()}"
 
 
+def read_expected(path: Path) -> dict[str, str]:
+    """The ``argv TAB cause`` entries of a BYTES_EXPECTED file, argv -> cause; blank lines are skipped."""
+    expected = {}
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        argv, _, cause = line.partition("\t")
+        if not cause.strip():
+            raise ValueError(f"{path.name} line {number}: expected 'argv<TAB>cause', got {line!r}")
+        expected[argv] = cause
+    return expected
+
+
+def compare(base_lines: list[str], head_lines: list[str], expected: dict[str, str]) -> tuple[list[str], list[str]]:
+    """The argvs whose lines differ, and what breaks the rule that they are exactly ``expected``.
+
+    Both line lists come from the same argv list, in its order.
+    """
+    differing = [head.split("\t", 1)[0] for base, head in zip(base_lines, head_lines, strict=True) if base != head]
+    problems = [f"changed but not in BYTES_EXPECTED: {argv}" for argv in differing if argv not in expected]
+    problems += [f"in BYTES_EXPECTED but unchanged: {argv}" for argv in expected if argv not in differing]
+    return differing, problems
+
+
+@contextlib.contextmanager
+def worktree(ref: str):
+    """A temporary detached git worktree of this repository at ``ref``; removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
+        path = Path(tmp) / "base"
+        git = ["git", "-C", str(ROOT), "worktree"]
+        subprocess.run([*git, "add", "--detach", "--quiet", str(path), ref], check=True)
+        try:
+            yield path
+        finally:
+            subprocess.run([*git, "remove", "--force", str(path)], check=True)
+
+
 def main() -> int:
-    for argv in ARGVS:
-        print(digest_line(argv), flush=True)
-    return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", metavar="REF", help="compare against this git revision")
+    args = parser.parse_args()
+    if args.base is None:
+        for argv in ARGVS:
+            print(digest_line(argv), flush=True)
+        return 0
+    expected = read_expected(EXPECTED)
+    with worktree(args.base) as base:
+        base_lines = [digest_line(argv, base) for argv in ARGVS]
+    differing, problems = compare(base_lines, [digest_line(argv) for argv in ARGVS], expected)
+    for argv in differing:
+        print(argv)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"{len(differing)} of {len(ARGVS)} argvs differ from {args.base}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

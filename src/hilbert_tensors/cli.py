@@ -228,6 +228,8 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
         reports = infinite.norm_searches(
             ops, args.m, args.p, trials=args.trials, support=args.support, out_len=args.trunc, seed=args.seed
         )
+    else:  # one head for every operator
+        certs = infinite._certified_norms(ops, args.x, args.m, args.p, args.trunc)
     for i, op in enumerate(ops):
         bound = infinite.operator_norm_constant(op, args.m, args.p)
         if args.search:
@@ -244,8 +246,7 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
                 print(f"{op}-search vector: {rep.best_vector}", file=sys.stderr)
         else:
             l1 = float(np.abs(args.x).sum())
-            evaluate = infinite.t_infinity if op == "T" else infinite.f_infinity
-            cert = evaluate(args.x, args.m, args.p, args.trunc)
+            cert = certs[i]
             kind, iterations = op, None
             value, slack = cert.value, bound - cert.upper
             print(

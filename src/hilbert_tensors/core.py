@@ -21,8 +21,9 @@ smallest 2^a 3^b 5^c >= need, a length pocketfft transforms by radix-2, 3 and
 write into one output array, so no other head-sized array is made.  The block
 spectra of v are memoised on its ``GeneratingVector``, and
 ``GeneratingVector.hilbert`` keeps the last vector it built, so repeated
-plans at one shape (norm-search candidates) transform only x, as does each
-call of one operator (solver iterations).
+plans at one shape (a norm search's full heads) transform only x, as does
+each call of one operator (solver iterations, a norm search's short screen
+heads).
 
 Three routes compute the same contraction and quadratic form:
 

@@ -28,7 +28,7 @@ e_1 (up to rounding ties); its rows are evidence for a proven fact.  (At p = 2 t
 pi/sqrt(6).)
 
 So no candidate after e_1 beats it, and where ``out_len`` exceeds
-``_SCREEN_TRUNCATION`` (1000) :func:`norm_searches` screens candidates before
+``_SCREEN_TRUNCATION`` (128) :func:`norm_searches` screens candidates before
 building their length-``out_len`` heads.  A candidate replaces an incumbent
 only if its value is strictly larger, so an operator skips:
 
@@ -36,10 +36,17 @@ only if its value is strictly larger, so an operator skips:
   the evaluation is deterministic and float rounding is symmetric under
   negation, so both give the incumbent's head up to sign and its value bit
   for bit;
-* a candidate whose certified upper end on a length-1000 head, widened by
+* a candidate whose certified upper end on a length-128 head, widened by
   ``_SCREEN_ALLOWANCE`` (1e-6 relative), is below the incumbent's value: a
   truncated value never exceeds the true norm, and the true norm never
   exceeds the certified upper end at any shorter truncation.
+
+Every candidate of one search has the same support, so the search plans the
+short head once, as one ``core.hankel_operator``, and takes every screened
+candidate's short head from it.  ``hankel_apply`` is that operator applied
+once, so the short norms are :func:`_certified_norms` at length 128, bit for
+bit.  The length only moves cost, not reports: with the default search,
+lengths 32 to 1000 all let e_1 alone through to a full head.
 
 The allowance stands for the rounding of the two heads and their sums.  No
 a-priori bound on that rounding exists yet, so it is a guard, not a proof.
@@ -54,7 +61,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import GeneratingVector, SequenceVector, as_vector, even_root_domain, generating_length, hankel_apply
+from .core import (
+    GeneratingVector,
+    SequenceVector,
+    as_vector,
+    even_root_domain,
+    generating_length,
+    hankel_apply,
+    hankel_operator,
+)
 from .rng import SplitMix64
 
 PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
@@ -77,8 +92,10 @@ _EM_COEFFS = tuple(
 _EM_ROUNDING = 64 * 2.0**-53
 
 # norm_searches screens candidates on a head this long when out_len exceeds it,
-# and widens the short upper end by the relative allowance (a guard, not a proof)
-_SCREEN_TRUNCATION = 1000
+# and widens the short upper end by the relative allowance (a guard, not a proof).
+# 64 to 256 gave the fastest default T+F searches, 32 and 1000 slower ones, and
+# each length let e_1 alone through to a full head (2-core x86-64, numpy 2.4)
+_SCREEN_TRUNCATION = 128
 _SCREEN_ALLOWANCE = 1e-6
 
 
@@ -201,33 +218,45 @@ def _outside_float_range(l1: float, order: int, p: float) -> bool:
 
 
 def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[CertifiedNorm, ...]:
-    """Each operator's norm as (sum |h_i|^q)^(1/p) over one head h = H_inf x^{m-1}.
+    """Each operator's norm as (sum |h_i|^q)^(1/p) over one head h = H_inf x^{m-1} of length ``out_len``.
 
-    T scales h by ||x||_1^{2-m} first (q = p), which keeps large x finite;
-    F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.  Both are homogeneous
-    of degree one, so where the head or its p-th powers would leave the float
-    range (tiny, or for T huge, finite ||x||_1), the value is ||x||_1 times
-    the value at x / ||x||_1.  Each operator's work array is freed before the
-    next one is made, so the head and one work array are all that is held
-    (plus the clamped copy ``even_root_domain`` makes where a head for F at
-    odd m has float-noise negatives).
+    Checks the operators and p, then the head's inputs, and takes the head
+    from :func:`apply_infinite`; :func:`_head_norms` does the rest.
     """
     qs = [tail_exponent(operator, order, p) for operator in operators]
     xv = as_vector(x)
     generating_length(xv.size, order, out_len)  # the head's input rule, zero vector included
+    return _head_norms(lambda v: apply_infinite(v, order, out_len).values, operators, qs, xv, order, p, out_len)
+
+
+def _head_norms(head, operators, qs, xv: np.ndarray, order: int, p: float, out_len: int) -> tuple[CertifiedNorm, ...]:
+    """Each operator's certified norm from ``head(xv)``, the length-``out_len`` head of H_inf xv^{m-1}.
+
+    ``qs`` are the operators' tail exponents.  The value is (sum |h_i|^q)^(1/p):
+    T scales h by ||x||_1^{2-m} first (q = p), which keeps large x finite;
+    F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.  The tail bound is
+    ||x||_1 (sum_{i>out_len} i^{-q})^{1/p}.  Both are homogeneous of degree
+    one, so where the head or its p-th powers would leave the float range
+    (tiny, or for T huge, finite ||x||_1), the value is ||x||_1 times the
+    value at x / ||x||_1.  The zero vector calls no head.  Each operator's
+    work array is freed before the next one is made, so the head and one
+    work array are all that is held (plus the clamped copy
+    ``even_root_domain`` makes where a head for F at odd m has float-noise
+    negatives).
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf/nan in the result
         l1 = float(np.abs(xv).sum())
         if l1 == 0.0:
             return tuple(CertifiedNorm(0.0, 0.0, p, out_len) for _ in operators)
         tails = [l1 * zeta_tail_bound(q, out_len) ** (1.0 / p) for q in qs]
         if math.isfinite(l1) and _outside_float_range(l1, order, p):
-            units = _certified_norms(operators, xv / l1, order, p, out_len)
+            units = _head_norms(head, operators, qs, xv / l1, order, p, out_len)
             return tuple(CertifiedNorm(unit.value * l1, tail, p, out_len) for unit, tail in zip(units, tails))
-        head = apply_infinite(xv, order, out_len).values
+        h = head(xv)
         values = []
         for operator, q in zip(operators, qs):
             even_root = operator == "F" and order % 2 == 1  # F takes an even root of every component
-            work = np.abs(even_root_domain(head) if even_root else head)  # |h|, scaled for T, to the q
+            work = np.abs(even_root_domain(h) if even_root else h)  # |h|, scaled for T, to the q
             if operator == "T":
                 work *= l1 ** (2 - order)  # |h| s equals |h s| bit for bit
             work **= q
@@ -342,38 +371,44 @@ def norm_searches(
     so each report equals that of a separate :func:`norm_search`.  Each
     candidate is built where it is considered: memory grows with ``support``.
 
-    Where ``out_len`` exceeds ``_SCREEN_TRUNCATION`` (1000), an operator
+    Where ``out_len`` exceeds ``_SCREEN_TRUNCATION`` (128), an operator
     skips a candidate equal to its incumbent or the incumbent's negative, and
-    one whose length-1000 upper end, widened by the guard ``_SCREEN_ALLOWANCE``,
+    one whose length-128 upper end, widened by the guard ``_SCREEN_ALLOWANCE``,
     is below the incumbent's value (module docstring).  Neither could replace
     the incumbent, so the reports are those of the unscreened search, and a
-    losing candidate costs a head of length 1000, not ``out_len``.
-    ``evaluations`` still counts every candidate considered.
+    losing candidate costs a head of length 128, not ``out_len``.  The short
+    head is planned once per search, as one ``core.hankel_operator`` for the
+    ``support``-long candidates.  ``evaluations`` still counts every
+    candidate considered.
     """
-    for operator in operators:
-        tail_exponent(operator, order, p)
+    qs = [tail_exponent(operator, order, p) for operator in operators]
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if support < 1:
         raise ValueError("support must be >= 1")
     rng = SplitMix64(seed)
     idx = np.arange(1, support + 1, dtype=float)
+    screened = out_len > _SCREEN_TRUNCATION
+    if screened:  # every candidate has ``support`` entries: one plan serves the whole search
+        short_len = _SCREEN_TRUNCATION
+        gen = GeneratingVector.hilbert(generating_length(support, order, short_len))
+        short_head = hankel_operator(gen, order, support, short_len)
 
-    # per operator: the incumbent's value, certificate and vector
+    # per operator: the incumbent's value, certificate and vector, and the bytes
+    # of the incumbent and its negative, which give its value bit for bit
     best_val = [-math.inf] * len(operators)
     best_cert: list[CertifiedNorm | None] = [None] * len(operators)
     best_x: list[np.ndarray | None] = [None] * len(operators)
+    best_keys: list[tuple[bytes, ...]] = [()] * len(operators)
     evaluations = 0
 
     def screen(key: bytes, x: np.ndarray, members: list[int]) -> list[int]:
         """The members for which x, with bytes ``key``, may beat the incumbent at out_len."""
-        # the incumbent's bytes, or its negative's, give the incumbent's value bit for bit
-        members = [
-            i for i in members if best_x[i] is None or key not in (best_x[i].tobytes(), (-best_x[i]).tobytes())
-        ]
+        members = [i for i in members if key not in best_keys[i]]
         if not members:
             return members
-        shorts = _certified_norms(tuple(operators[i] for i in members), x, order, p, _SCREEN_TRUNCATION)
+        ops, op_qs = [operators[i] for i in members], [qs[i] for i in members]
+        shorts = _head_norms(short_head, ops, op_qs, x, order, p, short_len)
         # "not <" lets a nan upper end through to the full head
         widened = [short.upper * (1.0 + _SCREEN_ALLOWANCE) for short in shorts]
         return [i for i, upper in zip(members, widened) if not upper < best_val[i]]
@@ -385,7 +420,7 @@ def norm_searches(
         for i, x in enumerate(xs):
             groups.setdefault(x.tobytes(), (x, []))[1].append(i)
         for key, (x, members) in groups.items():
-            if out_len > _SCREEN_TRUNCATION:
+            if screened:
                 members = screen(key, x, members)
             if not members:
                 continue
@@ -393,6 +428,7 @@ def norm_searches(
             for i, cert in zip(members, certs):
                 if cert.value > best_val[i]:
                     best_val[i], best_cert[i], best_x[i] = cert.value, cert, x
+                    best_keys[i] = (key, (-x).tobytes())
         evaluations += 1
 
     for k in range(support):

@@ -406,7 +406,7 @@ def test_internal_fault_exit_4(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("simulated fault")
 
-    monkeypatch.setattr(infinite, "t_infinity", broken)
+    monkeypatch.setattr(infinite, "_certified_norms", broken)
     code, out, err = run_cli(["infinite", "--m", "2", "--p", "2", "--trunc", "100"], capsys)
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
@@ -540,11 +540,36 @@ def test_infinite_search_both_makes_one_head_per_candidate(capsys, monkeypatch):
     for op in ("T", "F", "both"):
         heads.clear()
         code, _, err = run_cli(["infinite", "--search", "--op", op, "--m", "3", "--p", "4", "--trials", "20",
-                                "--trunc", "500"], capsys)
+                                "--trunc", str(infinite._SCREEN_TRUNCATION)], capsys)  # unscreened
         assert code == 0, err
         counts[op] = len(heads)
     evaluations = int(err.split("evaluations=")[1].split()[0])
     assert counts == {"T": evaluations, "F": evaluations, "both": evaluations}
+
+
+@pytest.mark.parametrize(
+    "m, p, x, halve_f",
+    [
+        ("2", "2", "0.5,-0.25,0.25", False),
+        ("3", "4", "1,-0.5,0.25", False),  # F at odd m: the even-root path
+        ("3", "4", "1,-0.01,0.005", True),  # F's row violates its halved constant: exit 2 against T's 0
+        ("4", "6", "3,0.25,-0.1,0.05", False),
+    ],
+)
+def test_infinite_both_x_is_t_then_f_from_one_head(capsys, monkeypatch, m, p, x, halve_f):
+    heads = []
+    apply, constant = infinite.apply_infinite, infinite.operator_norm_constant
+    monkeypatch.setattr(infinite, "apply_infinite", lambda *args: heads.append(args) or apply(*args))
+    if halve_f:
+        monkeypatch.setattr(infinite, "operator_norm_constant",
+                            lambda op, m, p: constant(op, m, p) / (2 if op == "F" else 1))
+    args = ["infinite", "--m", m, "--p", p, f"--x={x}", "--trunc", "20000"]
+    both = run_cli(args + ["--op", "both"], capsys)
+    assert len(heads) == 1
+    t_code, t_out, t_err = run_cli(args + ["--op", "T"], capsys)
+    f_code, f_out, f_err = run_cli(args + ["--op", "F"], capsys)
+    assert (t_code, f_code) == ((0, 2) if halve_f else (0, 0))
+    assert both == (max(t_code, f_code), t_out + f_out, t_err + f_err)
 
 
 @pytest.mark.parametrize(

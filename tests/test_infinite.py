@@ -12,6 +12,7 @@ from hilbert_tensors import (
     SplitMix64,
     apply_infinite,
     cli,
+    core,
     f_infinity,
     h_spectral_radius,
     hankel_apply,
@@ -20,7 +21,7 @@ from hilbert_tensors import (
     operator_norm_constant,
     t_infinity,
 )
-from hilbert_tensors.core import SequenceVector
+from hilbert_tensors.core import SequenceVector, generating_length
 from hilbert_tensors.infinite import CertifiedNorm, tail_exponent, zeta_upper_bound
 
 
@@ -569,13 +570,15 @@ def test_screen_lets_through_a_winner_whose_short_value_loses(monkeypatch):
     short = infinite._SCREEN_TRUNCATION
     out_len = 2 * short
 
-    def far_head(x, order, out_len):
+    def far_head(x, out_len):
         head = np.zeros(out_len)
         head[0] = 0.01 * x[0]
         head[short : short + 10] = 0.01 * x[1]
-        return SequenceVector(head)
+        return head
 
-    monkeypatch.setattr(infinite, "apply_infinite", far_head)
+    # full heads come from apply_infinite, the screen's short heads from the operator it plans
+    monkeypatch.setattr(infinite, "apply_infinite", lambda x, order, out_len: SequenceVector(far_head(x, out_len)))
+    monkeypatch.setattr(infinite, "hankel_operator", lambda gen, order, n, out_len: lambda x: far_head(x, out_len))
     (incumbent,) = infinite._certified_norms(("T",), [1.0, 0.0], 2, 2.0, out_len)
     (e2_short,) = infinite._certified_norms(("T",), [0.0, 1.0], 2, 2.0, short)
     assert e2_short.value < incumbent.value < e2_short.upper
@@ -633,6 +636,40 @@ def test_default_search_builds_at_most_two_full_heads(monkeypatch, m, seed):
     full, _ = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed, support=1,
                           out_len=infinite.DEFAULT_TRUNCATION)
     assert full == 1  # e1 once: every later candidate is e1 or -e1
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 13])
+def test_default_search_builds_one_full_head(monkeypatch, m, seed):
+    full, _ = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed, out_len=infinite.DEFAULT_TRUNCATION)
+    assert full == 1  # e1's: the screen drops every later candidate
+
+
+@pytest.mark.parametrize("m, support", [(2, 1), (2, 5), (2, 16), (3, 1), (3, 5), (3, 16), (4, 1), (4, 5), (4, 16),
+                                        (4, 2000)])  # 2000: the short operator takes the FFT route
+def test_screen_plans_once_and_its_norms_are_the_certified_norms(monkeypatch, m, support):
+    short = infinite._SCREEN_TRUNCATION
+    p = 2.0 * (m - 1) + 0.5  # q != 2 for T and F; F at m = 3 takes the even-root path
+    plans, screened = [], []
+    plan, norms = infinite.hankel_operator, infinite._head_norms
+    monkeypatch.setattr(infinite, "hankel_operator", lambda gen, *shape: plans.append(shape) or plan(gen, *shape))
+
+    def recorded(head, operators, qs, xv, order, p, out_len):
+        certs = norms(head, operators, qs, xv, order, p, out_len)
+        if out_len == short:
+            screened.append((tuple(operators), xv.copy(), certs))
+        return certs
+
+    monkeypatch.setattr(infinite, "_head_norms", recorded)
+    infinite.norm_searches(("T", "F"), m, p, trials=30, support=support, out_len=5000, seed=4)
+    assert plans == [(m, support, short)]
+    assert len(screened) >= support - 1
+    if support == 2000:  # hankel_operator takes the FFT route where need * len(y) passes this threshold
+        need = generating_length(support, m, short)
+        assert need * (need - short + 1) > core._FFT_PRODUCT_THRESHOLD
+    monkeypatch.undo()
+    for operators, x, certs in screened:
+        assert certs == infinite._certified_norms(operators, x, m, p, short)
 
 
 def test_no_screen_at_the_screen_truncation(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -184,3 +185,30 @@ def test_report_digests_repeat_their_lines():
     assert first == [digests["digest_line"](argv) for argv in argvs]
     assert [line.split("\t")[:2] for line in first] == [
         ["spectrum --m 3 --n 5", "0"], ["bench --m 2 --n 10 --repeats 1", "0"], ["infinite --x e0", "1"]]
+
+
+def test_report_digests_base_passes_only_on_exactly_the_expected_changes(tmp_path):
+    digests = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))
+    compare, read_expected = digests["compare"], digests["read_expected"]
+    base = ["spectrum --m 3\t0\taaa", "bounds --n 2..5\t0\tbbb", "infinite --x e0\t1\tccc"]
+    head = ["spectrum --m 3\t0\taaa", "bounds --n 2..5\t0\tBBB", "infinite --x e0\t2\tccc"]
+    changed = ["bounds --n 2..5", "infinite --x e0"]
+    assert compare(base, base, {}) == ([], [])
+    assert compare(base, head, dict.fromkeys(changed, "cause")) == (changed, [])
+    # a change that is not listed fails, and so does a listed argv that no longer changes
+    assert compare(base, head, {"bounds --n 2..5": "cause"}) == (
+        changed, ["changed but not in BYTES_EXPECTED: infinite --x e0"])
+    assert compare(base, head, {**dict.fromkeys(changed, "cause"), "spectrum --m 3": "cause"}) == (
+        changed, ["in BYTES_EXPECTED but unchanged: spectrum --m 3"])
+    with pytest.raises(ValueError):
+        compare(base, head[:2], {})
+
+    expected = tmp_path / "BYTES_EXPECTED"
+    expected.write_text("bounds --n 2..5\tone cause\n\ninfinite --x e0\tanother\n", encoding="utf-8")
+    assert read_expected(expected) == {"bounds --n 2..5": "one cause", "infinite --x e0": "another"}
+    expected.write_text("bounds --n 2..5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1"):
+        read_expected(expected)
+    # every committed entry names an argv of the list, or it could never differ
+    listed = {shlex.join(argv) for argv in digests["ARGVS"]}
+    assert set(read_expected(digests["EXPECTED"])) <= listed
