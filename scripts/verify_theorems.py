@@ -95,7 +95,7 @@ def main() -> int:
                   for n in dims]
             # a sampling check has nothing to converge: every row is certified
             rows += [make_row(m, rep.n, "pd-min-integral", rep.min_integral, 0.0, rep.min_integral,
-                              True, rep.trials) for rep in pd]
+                              True, args.trials) for rep in pd]
             labels += ["ok" if rep.all_positive else "VIOLATION" for rep in pd]
             failed_dims = [str(rep.n) for rep in pd if not rep.all_positive]
             verdict = f"FAILED at n={','.join(failed_dims)}" if failed_dims else "ok"
@@ -104,7 +104,7 @@ def main() -> int:
     for n in dims:
         rep = hilbert_inequality_check(n, trials=args.trials, seed=args.seed)
         rows.append(make_row(2, n, "hilbert-ineq-ratio", rep.worst_ratio, 1.0,
-                             1.0 - rep.worst_ratio, True, rep.trials))
+                             1.0 - rep.worst_ratio, True, args.trials))
         labels.append(label(rows[-1:]))
         print(f"  inequality n={n}: worst ratio {rep.worst_ratio:.6f} "
               f"(constant {rep.bound_constant:.6f})  {labels[-1]}")

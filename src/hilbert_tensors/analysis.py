@@ -31,7 +31,6 @@ verdicts to exit codes through ``cli.exit_status``.  ``strict_h`` and
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -50,7 +49,6 @@ class BoundReport:
     ``rho_z`` is the largest Z-eigenvalue rho(T_n).
     """
 
-    m: int
     n: int
     rho_h: float
     rho_z: float
@@ -67,7 +65,6 @@ class BoundReport:
 class MonotonicityReport:
     """rho(F_n) and rho(T_n) across an ascending dimension sweep."""
 
-    m: int
     dims: list[int]
     rho_h_seq: list[float]  # rho(F_n) = (largest H-eigenvalue)^(1/(m-1))
     rho_z_seq: list[float]
@@ -79,9 +76,7 @@ class MonotonicityReport:
 
 @dataclass
 class PositiveDefiniteReport:
-    m: int
     n: int
-    trials: int
     min_integral: float
     all_positive: bool
 
@@ -89,14 +84,12 @@ class PositiveDefiniteReport:
 @dataclass
 class InequalityReport:
     n: int
-    trials: int
     bound_constant: float  # n sin(pi/n)
     worst_ratio: float  # max LHS / (bound_constant ||x||_2^2)
 
 
 @dataclass
 class EmbeddingReport:
-    m: int
     n: int
     k: int
     restricted_residual: float  # over the embedded block, components 1..n
@@ -106,10 +99,11 @@ class EmbeddingReport:
 def check_positive_definite(
     t: HilbertTensor, trials: int = 1000, seed: int = 0
 ) -> PositiveDefiniteReport:
-    """Sample x != 0 and check the integral form of H_n x^m stays positive.
+    """Sample x in [-1, 1]^n and check the integral form of H_n x^m stays positive.
 
     The alternating vector x_i = (-1)^i / i is always included, as the first
-    form evaluated.
+    form evaluated.  A draw is zero only with probability 2^-53 per entry,
+    so none is redrawn.
     """
     n = t.dim
     if t.order % 2 != 0:
@@ -120,17 +114,9 @@ def check_positive_definite(
     min_integral = t.quadratic_form_integral(alternating)
     for _ in range(trials):
         x = np.array(rng.uniforms(n, -1.0, 1.0))
-        while not np.any(x):
-            x = np.array(rng.uniforms(n, -1.0, 1.0))
         min_integral = min(min_integral, t.quadratic_form_integral(x))
 
-    return PositiveDefiniteReport(
-        m=t.order,
-        n=n,
-        trials=trials,
-        min_integral=float(min_integral),
-        all_positive=min_integral > 0.0,
-    )
+    return PositiveDefiniteReport(n=n, min_integral=float(min_integral), all_positive=min_integral > 0.0)
 
 
 def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> InequalityReport:
@@ -142,20 +128,18 @@ def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> Inequ
     if n < 2:
         raise ValueError("the inequality check needs n >= 2")
     t = HilbertTensor(2, n)
-    constant = n * math.sin(math.pi / n)
+    constant = spectral_bound_h(2, n)
     rng = SplitMix64(seed)
 
     worst_ratio = 0.0
     for _ in range(trials):
         x = np.array(rng.uniforms(n, -1.0, 1.0))
         sq = float(x @ x)
-        if sq == 0.0:
-            continue
         u = np.abs(x)
         lhs = float(u @ t.apply_fast(u).values)
         worst_ratio = max(worst_ratio, lhs / (constant * sq))
 
-    return InequalityReport(n=n, trials=trials, bound_constant=constant, worst_ratio=worst_ratio)
+    return InequalityReport(n=n, bound_constant=constant, worst_ratio=worst_ratio)
 
 
 def solve_dims(
@@ -182,7 +166,6 @@ def bound_report(m: int, n: int, h: EigenResult, z: EigenResult) -> BoundReport:
     bound_h = spectral_bound_h(m, n)
     bound_z = spectral_bound_z(m, n)
     return BoundReport(
-        m=m,
         n=n,
         rho_h=h.value,
         rho_z=z.value,
@@ -201,15 +184,19 @@ def _radii(m: int, h: EigenResult, z: EigenResult) -> tuple[float, float, bool]:
     return h.value ** (1.0 / (m - 1)), z.value, h.converged and z.converged
 
 
-def monotonicity_report(m: int, dims, radii, tol: float) -> MonotonicityReport:
-    """rho(F_n) and rho(T_n) from the ``_radii`` of ascending ``dims``."""
+def monotonicity_report(dims, radii, tol: float) -> MonotonicityReport:
+    """rho(F_n) and rho(T_n) from the ``_radii`` of ascending ``dims``.
+
+    Each flag holds exactly when every gap row of ``reporting.sweep_rows``
+    has slack >= 0: ``strict_h`` when each rho(F) gap is at least ``tol``,
+    ``nondecreasing_z`` when each rho(T) gap is at least ``-2 tol``.
+    """
     rho_f, rho_t, converged = (list(column) for column in zip(*radii))
     return MonotonicityReport(
-        m=m,
         dims=list(dims),
         rho_h_seq=rho_f,
         rho_z_seq=rho_t,
-        strict_h=all(b - a > tol for a, b in zip(rho_f, rho_f[1:])),
+        strict_h=all(b - a >= tol for a, b in zip(rho_f, rho_f[1:])),
         nondecreasing_z=all(b - a >= -2 * tol for a, b in zip(rho_t, rho_t[1:])),
         certified=all(converged),
         tolerance=tol,
@@ -228,7 +215,6 @@ def embedding_report(m: int, k: int, h: EigenResult) -> EmbeddingReport:
     padded[:n] = h.vector.values
     y = HilbertTensor(m, k).apply_fast(padded).values
     return EmbeddingReport(
-        m=m,
         n=n,
         k=k,
         restricted_residual=equation_residual("H", m, padded[:n], y[:n], h.value),
@@ -265,7 +251,7 @@ def monotonicity_sweep(
     """Track rho(F_n) and rho(T_n) over strictly ascending dimensions."""
     dims = list(dims)
     _check_dims(dims)
-    return monotonicity_report(m, dims, [_radii(m, h, z) for h, z in solve_dims(m, dims, tol, max_iter)], tol)
+    return monotonicity_report(dims, [_radii(m, h, z) for h, z in solve_dims(m, dims, tol, max_iter)], tol)
 
 
 def embedding_check(
@@ -317,5 +303,5 @@ def dimension_sweep(
             embeddings.append(embedding_report(m, n, prev_h))
         radii.append(_radii(m, h, z))
         prev_h = h
-    mono = monotonicity_report(m, dims, radii, tol) if len(dims) >= 2 else None
+    mono = monotonicity_report(dims, radii, tol) if len(dims) >= 2 else None
     return DimensionSweep(m=m, bounds=bounds, monotonicity=mono, embeddings=embeddings)

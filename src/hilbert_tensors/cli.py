@@ -235,7 +235,7 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
         if args.search:
             rep = reports[i]
             l1 = 1.0  # search candidates lie on the unit l^1 sphere
-            kind, iterations = f"{op}-search", rep.trials
+            kind, iterations = f"{op}-search", args.trials
             value, slack = rep.best_value, bound - rep.best_value
             print(
                 f"{op}-search: best={rep.best_value:.12g} tail={rep.best_tail_bound:.3e} "

@@ -309,19 +309,17 @@ def operator_norm_constant(operator: str, order: int, p: float) -> float:
 
 @dataclass
 class NormSearchReport:
-    """Best certified lower bound found for an operator norm on the l^1 sphere."""
+    """Best certified lower bound found for an operator norm on the l^1 sphere.
 
-    operator: str
-    order: int
-    p: float
-    trials: int
-    support: int
-    out_len: int
-    seed: int
+    ``evaluations`` is the number of candidates considered, screened ones
+    included: ``support + 4 + trials`` (the coordinate vectors, four
+    decaying profiles, then one candidate per trial).
+    """
+
     best_value: float
     best_tail_bound: float
     best_vector: list[float] = field(repr=False)
-    evaluations: int = 0
+    evaluations: int
 
 
 def _unit_l1(x: np.ndarray) -> np.ndarray:
@@ -400,7 +398,6 @@ def norm_searches(
     best_cert: list[CertifiedNorm | None] = [None] * len(operators)
     best_x: list[np.ndarray | None] = [None] * len(operators)
     best_keys: list[tuple[bytes, ...]] = [()] * len(operators)
-    evaluations = 0
 
     def screen(key: bytes, x: np.ndarray, members: list[int]) -> list[int]:
         """The members for which x, with bytes ``key``, may beat the incumbent at out_len."""
@@ -415,7 +412,6 @@ def norm_searches(
 
     def consider(xs: list[np.ndarray]) -> None:
         """Evaluate xs[i] for operators[i], one head per distinct candidate that passes the screen."""
-        nonlocal evaluations
         groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for i, x in enumerate(xs):
             groups.setdefault(x.tobytes(), (x, []))[1].append(i)
@@ -429,7 +425,6 @@ def norm_searches(
                 if cert.value > best_val[i]:
                     best_val[i], best_cert[i], best_x[i] = cert.value, cert, x
                     best_keys[i] = (key, (-x).tobytes())
-        evaluations += 1
 
     for k in range(support):
         e = np.zeros(support)
@@ -459,18 +454,6 @@ def norm_searches(
             consider(moved)
 
     return tuple(
-        NormSearchReport(
-            operator=operator,
-            order=order,
-            p=p,
-            trials=trials,
-            support=support,
-            out_len=out_len,
-            seed=seed,
-            best_value=cert.value,
-            best_tail_bound=cert.tail_bound,
-            best_vector=[float(v) for v in x],
-            evaluations=evaluations,
-        )
-        for operator, cert, x in zip(operators, best_cert, best_x)
+        NormSearchReport(cert.value, cert.tail_bound, [float(v) for v in x], support + 4 + trials)
+        for cert, x in zip(best_cert, best_x)
     )

@@ -16,6 +16,7 @@ from hilbert_tensors import (
     h_spectral_radius,
     hilbert_inequality_check,
     monotonicity_sweep,
+    reporting,
 )
 from hilbert_tensors.eigensolvers import equation_residual
 from hilbert_tensors.oracle import dense_matrix_eigenpair
@@ -156,6 +157,17 @@ def test_monotonicity_m3_rho_f_is_root():
     lam = h_spectral_radius(HilbertTensor(3, 2)).value
     assert rep.rho_h_seq[0] == pytest.approx(math.sqrt(lam), rel=1e-10)
 
+
+
+@pytest.mark.parametrize("gap, holds", [(1e-10, True), (math.nextafter(1e-10, 0.0), False)])
+def test_strict_h_agrees_with_its_gap_row_at_the_tolerance(gap, holds):
+    # a gap of exactly tol is an H-gap row with slack 0, which holds; one ulp less is violated
+    mono = analysis.monotonicity_report([1, 2], [(0.0, 0.0, True), (gap, 0.0, True)], 1e-10)
+    sweep = analysis.DimensionSweep(m=2, bounds=[], monotonicity=mono, embeddings=[])
+    (row,) = [row for row in reporting.sweep_rows(sweep) if row["kind"] == "H-gap"]
+    assert (row["slack"] == 0.0) is holds
+    assert mono.strict_h is holds is not reporting.violated(row)
+    assert mono.nondecreasing_z
 
 # -- embedding --------------------------------------------------------------------
 

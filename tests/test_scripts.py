@@ -212,3 +212,14 @@ def test_report_digests_base_passes_only_on_exactly_the_expected_changes(tmp_pat
     # every committed entry names an argv of the list, or it could never differ
     listed = {shlex.join(argv) for argv in digests["ARGVS"]}
     assert set(read_expected(digests["EXPECTED"])) <= listed
+
+
+def test_report_digests_hash_the_verification_file_once_per_argv_text():
+    digests = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))
+    texts = [shlex.join(argv) for argv in digests["ARGVS"]]
+    assert len(set(texts)) == len(texts)  # BYTES_EXPECTED is keyed on argv text
+    verify = "scripts/verify_theorems.py --orders 2,3,4 --max-dim 6 --trials 20 --out ."
+    argv = digests["ARGVS"][texts.index(verify)]
+    first = digests["digest_line"](argv)
+    assert first == digests["digest_line"](argv)
+    assert first.split("\t")[:2] == [verify, "0"]
