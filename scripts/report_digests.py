@@ -63,7 +63,9 @@ def workload_argvs() -> list[list[str]]:
 
 
 # then solves on the one-block FFT route, bounds ranges at m = 2, 3 and 4, two
-# bench runs, the usage errors the tests pin, and the verification script
+# bench runs, the usage errors the tests pin, the verification script, and
+# single-vector rows on the homogeneity rescaling (a head or ||x||_1^(2-m)
+# outside the float range) and on Euler-Maclaurin zeta at large p
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -120,6 +122,11 @@ infinite --x 0 --trunc 10000000000000000000
 infinite --search --support 4611686018427387904 --trials 0
 infinite --x e4611686018427387904
 scripts/verify_theorems.py --orders 2,3,4 --max-dim 6 --trials 20 --out .
+infinite --m 4 --p 2 --op T --x 1e-200
+infinite --m 4 --p 2 --op T --x 1e-120
+infinite --m 4 --p 2 --op T --x 1e150
+infinite --m 3 --p 2 --op T --x 1e-320
+infinite --m 2 --p 100 --x e1
 """.strip().splitlines()
 )
 

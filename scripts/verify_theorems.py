@@ -7,13 +7,13 @@ embedding residuals), then positive definiteness sampling (even m); the
 finite Hilbert inequality constants follow at the end, one claim per n.
 Every printed claim is judged by its own rows with ``reporting.violated``,
 as ``bounds`` judges them: unconverged if a row is uncertified, else
-VIOLATION if a row is violated, else ok.  Only the positive-definiteness
-claim reads its report (``all_positive``).  The exit code is the CLI's
-(``cli.exit_status``): 0 every claim certified and holding, 1 usage error,
-2 a certified claim violated, 3 some claim uncertified.  The written rows,
-judged by ``reporting.violated``, give the same code, unless a sampled
-positive-definiteness minimum is exactly 0: slack 0 holds, the strict claim
-does not.
+VIOLATION if a row is violated, else ok.  Every printed bound and flag is
+read from the rows too: the monotonicity flags are ``reporting.all_hold``
+over the gap rows of each kind.  The exit code is the CLI's
+(``cli.exit_status``): 0 every claim certified and holding, 1 usage error
+(refused before any work), 2 a certified claim violated, 3 some claim
+uncertified.  The written rows, judged by ``reporting.violated``, give the
+same code.
 
 Usage:
     python scripts/verify_theorems.py --orders 2,3,4 --max-dim 8 --out results/
@@ -23,10 +23,10 @@ import math
 import sys
 from pathlib import Path
 
-from hilbert_tensors import HilbertTensor, check_positive_definite, hilbert_inequality_check
+from hilbert_tensors import HilbertTensor, check_positive_definite, hilbert_inequality_check, spectral_bound_h
 from hilbert_tensors.analysis import dimension_sweep
 from hilbert_tensors.cli import Parser, exit_status
-from hilbert_tensors.reporting import make_row, render, sweep_rows, violated
+from hilbert_tensors.reporting import all_hold, make_row, render, sweep_rows, violated
 
 
 def label(rows) -> str:
@@ -64,9 +64,13 @@ def main() -> int:
         parser.error(f"--tol must be finite and > 0, got {args.tol}")
     if args.max_iter < 1:
         parser.error(f"--max-iter must be >= 1, got {args.max_iter}")
+    if args.trials < 0:
+        parser.error(f"--trials must be >= 0, got {args.trials}")
+    out_dir = Path(args.out)
+    if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
+        parser.error(f"--out names a file, not a directory: {args.out!r}")
 
     dims = list(range(2, args.max_dim + 1))
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     labels = []  # one per claim
@@ -77,27 +81,27 @@ def main() -> int:
         sweep_out = sweep_rows(sweep)
         rows += sweep_out
         for rep in sweep.bounds:
-            labels.append(label(rows_of(sweep_out, ("H", "Z"), rep.n)))
-            print(f"  n={rep.n}: rho_h={rep.rho_h:.8f} (bound {rep.bound_h:.4f})  "
-                  f"rho_z={rep.rho_z:.8f} (bound {rep.bound_z:.4f})  {labels[-1]}")
+            h, z = rows_of(sweep_out, ("H", "Z"), rep.n)
+            labels.append(label([h, z]))
+            print(f"  n={rep.n}: rho_h={h['value']:.8f} (bound {h['bound']:.4f})  "
+                  f"rho_z={z['value']:.8f} (bound {z['bound']:.4f})  {labels[-1]}")
 
-        mono = sweep.monotonicity
         labels.append(label(rows_of(sweep_out, ("H-gap", "Z-gap"))))
-        print(f"  monotone: strict rho(F) {mono.strict_h}, "
-              f"nondecreasing rho(T) {mono.nondecreasing_z}  {labels[-1]}")
+        print(f"  monotone: strict rho(F) {all_hold(sweep_out, 'H-gap')}, "
+              f"nondecreasing rho(T) {all_hold(sweep_out, 'Z-gap')}  {labels[-1]}")
         for emb in sweep.embeddings:
             labels.append(label(rows_of(sweep_out, ("H-embed",), emb.k)))
             print(f"  embedding n={emb.n} into k={emb.k}: "
                   f"restricted residual {emb.restricted_residual:.3e}  {labels[-1]}")
 
         if m % 2 == 0:
-            pd = [check_positive_definite(HilbertTensor(m, n), trials=args.trials, seed=args.seed)
-                  for n in dims]
-            # a sampling check has nothing to converge: every row is certified
-            rows += [make_row(m, rep.n, "pd-min-integral", rep.min_integral, 0.0, rep.min_integral,
-                              True, args.trials) for rep in pd]
-            labels += ["ok" if rep.all_positive else "VIOLATION" for rep in pd]
-            failed_dims = [str(rep.n) for rep in pd if not rep.all_positive]
+            for n in dims:
+                rep = check_positive_definite(HilbertTensor(m, n), trials=args.trials, seed=args.seed)
+                # a sampling check has nothing to converge: every row is certified
+                rows.append(make_row(m, n, "pd-min-integral", rep.min_integral, 0.0, rep.min_integral,
+                                     True, args.trials))
+                labels.append(label(rows[-1:]))
+            failed_dims = [str(n) for n, verdict in zip(dims, labels[-len(dims):]) if verdict != "ok"]
             verdict = f"FAILED at n={','.join(failed_dims)}" if failed_dims else "ok"
             print(f"  positive definiteness sampled over n=2..{args.max_dim}: {verdict}")
 
@@ -107,7 +111,7 @@ def main() -> int:
                              1.0 - rep.worst_ratio, True, args.trials))
         labels.append(label(rows[-1:]))
         print(f"  inequality n={n}: worst ratio {rep.worst_ratio:.6f} "
-              f"(constant {rep.bound_constant:.6f})  {labels[-1]}")
+              f"(constant {spectral_bound_h(2, n):.6f})  {labels[-1]}")
 
     path = out_dir / f"verification.{args.format}"
     path.write_text(render(rows, args.format), encoding="utf-8", newline="\n")

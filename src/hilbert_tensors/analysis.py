@@ -1,6 +1,6 @@
 """Quantitative checks of the Hilbert-tensor claims, as machine-readable reports.
 
-Covered claims, each turned into a report with explicit slack:
+Covered claims, each measured into a report:
 
 * positive definiteness of even-order tensors (via the integral form),
 * the finite Hilbert inequality
@@ -17,16 +17,13 @@ Covered claims, each turned into a report with explicit slack:
 ``dimension_sweep`` makes every report of the ``bounds`` command in one
 ascending pass that streams: each dimension's bound report, and the embed
 report of the previous dimension into it, are built as soon as that
-dimension is solved, and only the previous H eigenpair and scalar values
-are kept, so its memory grows with the largest dimension, not with their
-sum.
+dimension is solved, and only the previous H eigenpair and the scalar
+bound reports are kept, so its memory grows with the largest dimension,
+not with their sum.
 
-Every check returns its report, whatever it finds; none raises on a failed
-claim.  Callers judge the report rows, not the reports: the CLI and
-``scripts/verify_theorems.py`` turn reports into rows whose ``bound`` holds
-any allowance, judge each row with ``reporting.violated`` and map the
-verdicts to exit codes through ``cli.exit_status``.  ``strict_h`` and
-``nondecreasing_z`` are report data that no verdict reads.
+A report keeps only what its solves or samples measured; no check judges a
+claim or raises on a failed one.  Each claim's bound, allowance, slack and
+verdict are set on its rows (``reporting``, ``scripts/verify_theorems.py``).
 """
 
 from __future__ import annotations
@@ -36,14 +33,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HilbertTensor, spectral_bound_h, spectral_bound_z
+from .core import HilbertTensor, spectral_bound_h
 from .eigensolvers import EigenResult, equation_residual, h_spectral_radius, z_spectral_radius
 from .rng import SplitMix64
 
 
 @dataclass
 class BoundReport:
-    """One dimension's eigenvalues against the sine bounds.
+    """One solved dimension: its largest eigenvalues and how they were found.
 
     ``rho_h`` is the largest H-eigenvalue, i.e. rho(F_n)^{m-1};
     ``rho_z`` is the largest Z-eigenvalue rho(T_n).
@@ -52,10 +49,6 @@ class BoundReport:
     n: int
     rho_h: float
     rho_z: float
-    bound_h: float
-    bound_z: float
-    slack_h: float
-    slack_z: float
     certified: bool
     iterations_h: int
     iterations_z: int
@@ -68,8 +61,6 @@ class MonotonicityReport:
     dims: list[int]
     rho_h_seq: list[float]  # rho(F_n) = (largest H-eigenvalue)^(1/(m-1))
     rho_z_seq: list[float]
-    strict_h: bool
-    nondecreasing_z: bool
     certified: bool
     tolerance: float
 
@@ -78,14 +69,12 @@ class MonotonicityReport:
 class PositiveDefiniteReport:
     n: int
     min_integral: float
-    all_positive: bool
 
 
 @dataclass
 class InequalityReport:
     n: int
-    bound_constant: float  # n sin(pi/n)
-    worst_ratio: float  # max LHS / (bound_constant ||x||_2^2)
+    worst_ratio: float  # max LHS / (n sin(pi/n) ||x||_2^2)
 
 
 @dataclass
@@ -108,6 +97,8 @@ def check_positive_definite(
     n = t.dim
     if t.order % 2 != 0:
         raise ValueError("positive definiteness is defined for even order only")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     rng = SplitMix64(seed)
 
     alternating = np.array([(-1) ** i / i for i in range(1, n + 1)])
@@ -116,7 +107,7 @@ def check_positive_definite(
         x = np.array(rng.uniforms(n, -1.0, 1.0))
         min_integral = min(min_integral, t.quadratic_form_integral(x))
 
-    return PositiveDefiniteReport(n=n, min_integral=float(min_integral), all_positive=min_integral > 0.0)
+    return PositiveDefiniteReport(n=n, min_integral=float(min_integral))
 
 
 def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> InequalityReport:
@@ -127,6 +118,8 @@ def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> Inequ
     """
     if n < 2:
         raise ValueError("the inequality check needs n >= 2")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     t = HilbertTensor(2, n)
     constant = spectral_bound_h(2, n)
     rng = SplitMix64(seed)
@@ -139,7 +132,7 @@ def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> Inequ
         lhs = float(u @ t.apply_fast(u).values)
         worst_ratio = max(worst_ratio, lhs / (constant * sq))
 
-    return InequalityReport(n=n, bound_constant=constant, worst_ratio=worst_ratio)
+    return InequalityReport(n=n, worst_ratio=worst_ratio)
 
 
 def solve_dims(
@@ -161,44 +154,25 @@ def solve_dims(
         yield replace(h, trace=[]), replace(z, trace=[])
 
 
-def bound_report(m: int, n: int, h: EigenResult, z: EigenResult) -> BoundReport:
-    """Compare one dimension's solved eigenvalues against the sine bounds."""
-    bound_h = spectral_bound_h(m, n)
-    bound_z = spectral_bound_z(m, n)
+def bound_report(h: EigenResult, z: EigenResult) -> BoundReport:
+    """One dimension's record from its solved (H, Z) pair."""
     return BoundReport(
-        n=n,
+        n=len(h.vector),
         rho_h=h.value,
         rho_z=z.value,
-        bound_h=bound_h,
-        bound_z=bound_z,
-        slack_h=bound_h - h.value,
-        slack_z=bound_z - z.value,
         certified=h.converged and z.converged,
         iterations_h=h.iterations,
         iterations_z=z.iterations,
     )
 
 
-def _radii(m: int, h: EigenResult, z: EigenResult) -> tuple[float, float, bool]:
-    """rho(F_n), rho(T_n) and whether both solves converged: all a monotonicity report keeps of a dimension."""
-    return h.value ** (1.0 / (m - 1)), z.value, h.converged and z.converged
-
-
-def monotonicity_report(dims, radii, tol: float) -> MonotonicityReport:
-    """rho(F_n) and rho(T_n) from the ``_radii`` of ascending ``dims``.
-
-    Each flag holds exactly when every gap row of ``reporting.sweep_rows``
-    has slack >= 0: ``strict_h`` when each rho(F) gap is at least ``tol``,
-    ``nondecreasing_z`` when each rho(T) gap is at least ``-2 tol``.
-    """
-    rho_f, rho_t, converged = (list(column) for column in zip(*radii))
+def monotonicity_report(m: int, records: list[BoundReport], tol: float) -> MonotonicityReport:
+    """rho(F_n) and rho(T_n) from the bound reports of ascending dimensions."""
     return MonotonicityReport(
-        dims=list(dims),
-        rho_h_seq=rho_f,
-        rho_z_seq=rho_t,
-        strict_h=all(b - a >= tol for a, b in zip(rho_f, rho_f[1:])),
-        nondecreasing_z=all(b - a >= -2 * tol for a, b in zip(rho_t, rho_t[1:])),
-        certified=all(converged),
+        dims=[rep.n for rep in records],
+        rho_h_seq=[rep.rho_h ** (1.0 / (m - 1)) for rep in records],
+        rho_z_seq=[rep.rho_z for rep in records],
+        certified=all(rep.certified for rep in records),
         tolerance=tol,
     )
 
@@ -235,11 +209,11 @@ def bound_sweep(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> list[BoundReport]:
-    """Run both eigensolvers per dimension and compare against the sine bounds."""
+    """Run both eigensolvers per dimension, for rows against the sine bounds."""
     dims = list(dims)
     if any(n < 2 for n in dims):
         raise ValueError("bound rows need n >= 2; the sine bound is vacuous at n = 1")
-    return [bound_report(m, n, h, z) for n, (h, z) in zip(dims, solve_dims(m, dims, tol, max_iter))]
+    return [bound_report(h, z) for h, z in solve_dims(m, dims, tol, max_iter)]
 
 
 def monotonicity_sweep(
@@ -251,7 +225,7 @@ def monotonicity_sweep(
     """Track rho(F_n) and rho(T_n) over strictly ascending dimensions."""
     dims = list(dims)
     _check_dims(dims)
-    return monotonicity_report(dims, [_radii(m, h, z) for h, z in solve_dims(m, dims, tol, max_iter)], tol)
+    return monotonicity_report(m, [bound_report(h, z) for h, z in solve_dims(m, dims, tol, max_iter)], tol)
 
 
 def embedding_check(
@@ -287,21 +261,19 @@ def dimension_sweep(
 
     Each dimension's bound report, and the embed report of the previous
     dimension into it, are made right after its solve, while its generating
-    vector is the cached one.  Only the previous H eigenpair and the
-    ``_radii`` are kept.  With a single dimension only its bound report is
-    made (none at n = 1), so nothing is solved that no report reads.
+    vector is the cached one.  Only the previous H eigenpair and the bound
+    reports are kept.  With a single dimension only its bound report is made
+    (none at n = 1), so nothing is solved that no report reads.
     """
     dims = list(dims)
     _check_dims(dims)
     solved = dims if len(dims) >= 2 else [n for n in dims if n >= 2]
-    bounds, embeddings, radii = [], [], []
+    records, embeddings = [], []
     prev_h = None
-    for n, (h, z) in zip(solved, solve_dims(m, solved, tol, max_iter)):
-        if n >= 2:
-            bounds.append(bound_report(m, n, h, z))
+    for h, z in solve_dims(m, solved, tol, max_iter):
+        records.append(bound_report(h, z))
         if prev_h is not None:
-            embeddings.append(embedding_report(m, n, prev_h))
-        radii.append(_radii(m, h, z))
+            embeddings.append(embedding_report(m, records[-1].n, prev_h))
         prev_h = h
-    mono = monotonicity_report(dims, radii, tol) if len(dims) >= 2 else None
-    return DimensionSweep(m=m, bounds=bounds, monotonicity=mono, embeddings=embeddings)
+    mono = monotonicity_report(m, records, tol) if len(dims) >= 2 else None
+    return DimensionSweep(m, [rep for rep in records if rep.n >= 2], mono, embeddings)

@@ -214,8 +214,8 @@ def cmd_bounds(args: argparse.Namespace, rows: list) -> int:
     mono = sweep.monotonicity
     if mono is not None:
         print(
-            f"monotonicity m={args.m}: strict_h={mono.strict_h} "
-            f"nondecreasing_z={mono.nondecreasing_z} certified={mono.certified}",
+            f"monotonicity m={args.m}: strict_h={reporting.all_hold(rows, 'H-gap')} "
+            f"nondecreasing_z={reporting.all_hold(rows, 'Z-gap')} certified={mono.certified}",
             file=sys.stderr,
         )
     return exit_status(bool(violations), all(row["certified"] for row in rows))

@@ -12,11 +12,15 @@ allowance already inside the row's ``bound``.  :func:`violated` is the one
 verdict on a row: certified with negative slack.  The ``bounds`` and
 ``bench`` commands and ``scripts/verify_theorems.py`` judge their rows with
 it; ``infinite`` rows are the one exception (see ``cli.cmd_infinite``).
+:func:`sweep_rows` sets every bound and slack of the dimension sweep's
+claims, the sine bounds from ``core.spectral_bound_h/z``.
 """
 
 from __future__ import annotations
 
 import math
+
+from .core import spectral_bound_h, spectral_bound_z
 
 ROW_KEYS = ("m", "n", "kind", "value", "bound", "slack", "certified", "iterations")
 
@@ -38,21 +42,25 @@ def violated(row) -> bool:
     return bool(row["certified"] and slack is not None and slack < 0)
 
 
+def all_hold(rows, kind: str) -> bool:
+    """Whether every row of the given kind has slack >= 0, certified or not (the printed monotonicity flags)."""
+    return all(row["slack"] >= 0 for row in rows if row["kind"] == kind)
+
+
 def sweep_rows(sweep) -> list[dict]:
     """The H, Z, H-gap, Z-gap and H-embed rows of an ``analysis.DimensionSweep``, in that order."""
     m = sweep.m
     rows = []
     for rep in sweep.bounds:
-        cert = rep.certified
-        rows.append(make_row(m, rep.n, "H", rep.rho_h, rep.bound_h, rep.slack_h, cert, rep.iterations_h))
-        rows.append(make_row(m, rep.n, "Z", rep.rho_z, rep.bound_z, rep.slack_z, cert, rep.iterations_z))
+        cert, bound_h, bound_z = rep.certified, spectral_bound_h(m, rep.n), spectral_bound_z(m, rep.n)
+        rows.append(make_row(m, rep.n, "H", rep.rho_h, bound_h, bound_h - rep.rho_h, cert, rep.iterations_h))
+        rows.append(make_row(m, rep.n, "Z", rep.rho_z, bound_z, bound_z - rep.rho_z, cert, rep.iterations_z))
     mono = sweep.monotonicity
     if mono is not None:
         tol = mono.tolerance
-        for n, a, b in zip(mono.dims[1:], mono.rho_h_seq, mono.rho_h_seq[1:]):
-            rows.append(make_row(m, n, "H-gap", b - a, tol, b - a - tol, mono.certified, None))
-        for n, a, b in zip(mono.dims[1:], mono.rho_z_seq, mono.rho_z_seq[1:]):
-            rows.append(make_row(m, n, "Z-gap", b - a, -2 * tol, b - a + 2 * tol, mono.certified, None))
+        for kind, seq, bound in (("H-gap", mono.rho_h_seq, tol), ("Z-gap", mono.rho_z_seq, -2 * tol)):
+            for n, a, b in zip(mono.dims[1:], seq, seq[1:]):
+                rows.append(make_row(m, n, kind, b - a, bound, b - a - bound, mono.certified, None))
     for emb in sweep.embeddings:
         res = emb.restricted_residual
         rows.append(make_row(m, emb.k, "H-embed", res, SLACK_NOISE, SLACK_NOISE - res, emb.converged, None))

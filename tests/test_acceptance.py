@@ -17,16 +17,15 @@ from hilbert_tensors import (
     PI_OVER_SQRT6,
     HilbertTensor,
     SplitMix64,
-    bound_sweep,
     cli,
-    embedding_check,
     f_infinity,
     h_spectral_radius,
-    monotonicity_sweep,
     t_infinity,
     z_spectral_radius,
 )
+from hilbert_tensors.analysis import dimension_sweep
 from hilbert_tensors.oracle import brute_apply, dense_matrix_eigenpair
+from hilbert_tensors.reporting import sweep_rows
 
 SEED = 20_240_901
 
@@ -154,20 +153,23 @@ def test_criterion_4_positive_definiteness():
 
 @criterion(5, "sine bounds on both spectral radii")
 def test_criterion_5_spectral_bounds():
+    # through the pass and the rows the bounds command reports
     start = time.perf_counter()
     for m in (2, 3, 4):
-        reports = bound_sweep(m, range(2, 9), tol=1e-10, max_iter=100_000)
-        for rep in reports:
+        sweep = dimension_sweep(m, range(2, 9), tol=1e-10, max_iter=100_000)
+        rows = sweep_rows(sweep)
+        for rep in sweep.bounds:
+            h, z = [row for row in rows if row["n"] == rep.n and row["kind"] in ("H", "Z")]
             assert rep.certified, f"m={m} n={rep.n}: solver did not converge"
-            assert rep.rho_h <= rep.bound_h + 1e-8, (
+            assert h["value"] <= h["bound"] + 1e-8, (
                 f"H bound violated at m={m} n={rep.n}: "
-                f"rho_h={rep.rho_h:.17g} bound={rep.bound_h:.17g} "
-                f"iterations={rep.iterations_h}"
+                f"rho_h={h['value']:.17g} bound={h['bound']:.17g} "
+                f"iterations={h['iterations']}"
             )
-            assert rep.rho_z <= rep.bound_z + 1e-8, (
+            assert z["value"] <= z["bound"] + 1e-8, (
                 f"Z bound violated at m={m} n={rep.n}: "
-                f"rho_z={rep.rho_z:.17g} bound={rep.bound_z:.17g} "
-                f"iterations={rep.iterations_z}"
+                f"rho_z={z['value']:.17g} bound={z['bound']:.17g} "
+                f"iterations={z['iterations']}"
             )
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s over the 2 min budget"
@@ -178,16 +180,17 @@ def test_criterion_5_spectral_bounds():
 def test_criterion_6_monotonicity():
     tol = 1e-10
     for m in (2, 3, 4):
-        rep = monotonicity_sweep(m, range(1, 9), tol=tol, max_iter=100_000)
+        sweep = dimension_sweep(m, range(1, 9), tol=tol, max_iter=100_000)
+        rep = sweep.monotonicity
         assert rep.certified
         gaps_h = [b - a for a, b in zip(rep.rho_h_seq, rep.rho_h_seq[1:])]
         assert all(g > tol for g in gaps_h), f"m={m}: rho(F) gaps {gaps_h}"
         gaps_z = [b - a for a, b in zip(rep.rho_z_seq, rep.rho_z_seq[1:])]
         assert all(g >= -2 * tol for g in gaps_z), f"m={m}: rho(T) gaps {gaps_z}"
-        for n in range(1, 8):
-            emb = embedding_check(m, n, n + 1, tol=tol, max_iter=100_000)
+        assert [(emb.n, emb.k) for emb in sweep.embeddings] == [(n, n + 1) for n in range(1, 8)]
+        for emb in sweep.embeddings:
             assert emb.restricted_residual <= 1e-8, (
-                f"m={m}: embedding residual {emb.restricted_residual:.3e} at ({n},{n + 1})"
+                f"m={m}: embedding residual {emb.restricted_residual:.3e} at ({emb.n},{emb.k})"
             )
     return "rho(F) strictly increasing, rho(T) nondecreasing, embeddings tight"
 

@@ -17,6 +17,7 @@ from hilbert_tensors import (
     hilbert_inequality_check,
     monotonicity_sweep,
     reporting,
+    spectral_bound_h,
 )
 from hilbert_tensors.eigensolvers import equation_residual
 from hilbert_tensors.oracle import dense_matrix_eigenpair
@@ -32,7 +33,6 @@ def test_pd_rejects_odd_order():
 
 def test_pd_small_sample():
     rep = check_positive_definite(HilbertTensor(2, 2), trials=200, seed=1)
-    assert rep.all_positive
     assert rep.min_integral > 0
 
 
@@ -40,6 +40,16 @@ def test_pd_alternating_vector_value():
     # x = (-1, 1/2): integral of (-1 + t/2)^2 = 1 - 1/2 + 1/12 = 7/12; with no samples it is the minimum
     rep = check_positive_definite(HilbertTensor(2, 2), trials=0, seed=0)
     assert rep.min_integral == pytest.approx(7 / 12, rel=1e-12)
+
+
+@pytest.mark.parametrize("check", [
+    lambda trials: check_positive_definite(HilbertTensor(2, 3), trials=trials),
+    lambda trials: hilbert_inequality_check(3, trials=trials),
+], ids=["positive-definite", "inequality"])
+def test_sampling_checks_reject_negative_trials(check):
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        check(-1)
+    check(0)  # the alternating vector alone, or no sample
 
 
 def test_pd_leading_coordinate():
@@ -52,7 +62,7 @@ def test_pd_leading_coordinate():
 
 def test_pd_m4_n3_thousand_trials():
     rep = check_positive_definite(HilbertTensor(4, 3), trials=1000, seed=2)
-    assert rep.all_positive
+    assert rep.min_integral > 0
 
 
 # -- Hilbert inequality ----------------------------------------------------------
@@ -75,10 +85,10 @@ def test_inequality_n2_frozen_vector():
 def test_inequality_small_n_records_only():
     rep = hilbert_inequality_check(2, trials=500, seed=3)
     assert rep.worst_ratio < 1.0
-    assert rep.bound_constant == pytest.approx(2.0)
+    assert spectral_bound_h(2, 2) == pytest.approx(2.0)
     # the empirical constant max LHS / ||x||_2^2 is at most the top matrix eigenvalue
     top, _ = dense_matrix_eigenpair(2)
-    assert rep.worst_ratio * rep.bound_constant <= top + 1e-10
+    assert rep.worst_ratio * spectral_bound_h(2, 2) <= top + 1e-10
 
 
 def test_inequality_n8_sample():
@@ -98,6 +108,19 @@ def test_inequality_violation_is_reported_not_raised(monkeypatch, n):
 # -- bound sweep ------------------------------------------------------------------
 
 
+def bound_rows(m, reports):
+    """The (H row, Z row) pair that ``reporting.sweep_rows`` makes of each bound report."""
+    sweep = analysis.DimensionSweep(m=m, bounds=reports, monotonicity=None, embeddings=[])
+    rows = reporting.sweep_rows(sweep)
+    return list(zip(rows[::2], rows[1::2]))
+
+
+def gap_flags(m, mono):
+    """Whether every H-gap row, and every Z-gap row, of a monotonicity report holds."""
+    rows = reporting.sweep_rows(analysis.DimensionSweep(m=m, bounds=[], monotonicity=mono, embeddings=[]))
+    return reporting.all_hold(rows, "H-gap"), reporting.all_hold(rows, "Z-gap")
+
+
 def test_bound_sweep_rejects_n1():
     with pytest.raises(ValueError):
         bound_sweep(2, [1, 2])
@@ -105,20 +128,21 @@ def test_bound_sweep_rejects_n1():
 
 def test_bound_sweep_m2_values():
     reports = bound_sweep(2, [2, 3, 4])
-    for rep in reports:
+    for rep, (h_row, z_row) in zip(reports, bound_rows(2, reports), strict=True):
         expected, _ = dense_matrix_eigenpair(rep.n)
         assert rep.certified
         assert rep.rho_h == pytest.approx(expected, abs=1e-8)
         assert rep.rho_z == pytest.approx(expected, abs=1e-8)
-        assert rep.bound_h == pytest.approx(rep.n * math.sin(math.pi / rep.n))
-        assert rep.slack_h >= 0
-        assert rep.slack_z >= 0
+        assert h_row["bound"] == pytest.approx(rep.n * math.sin(math.pi / rep.n))
+        assert h_row["slack"] >= 0
+        assert z_row["slack"] >= 0
 
 
 def test_bound_sweep_m3_bound_value():
     rep = bound_sweep(3, [2])[0]
-    assert rep.bound_h == pytest.approx(4.0)  # 2^2 sin(pi/2)
-    assert rep.bound_z == pytest.approx(2 ** 1.5)
+    [(h_row, z_row)] = bound_rows(3, [rep])
+    assert h_row["bound"] == pytest.approx(4.0)  # 2^2 sin(pi/2)
+    assert z_row["bound"] == pytest.approx(2 ** 1.5)
     assert rep.rho_h <= 4.0
 
 
@@ -129,8 +153,9 @@ def test_bound_sweep_single_dim():
 def test_bound_sweep_sine_bound_too_large_for_a_float_is_inf():
     # 5^499 overflows a float; the H bound is inf instead of an OverflowError
     [rep] = bound_sweep(500, [5], max_iter=50)
-    assert rep.bound_h == math.inf
-    assert rep.bound_z == 5 ** 250.0 * math.sin(math.pi / 5)  # still finite, same bits
+    [(h_row, z_row)] = bound_rows(500, [rep])
+    assert h_row["bound"] == math.inf
+    assert z_row["bound"] == 5 ** 250.0 * math.sin(math.pi / 5)  # still finite, same bits
     assert not rep.certified
 
 
@@ -146,7 +171,7 @@ def test_monotonicity_rejects_non_ascending():
 
 def test_monotonicity_m2_dims_1_2_3():
     rep = monotonicity_sweep(2, [1, 2, 3])
-    assert rep.strict_h and rep.nondecreasing_z and rep.certified
+    assert gap_flags(2, rep) == (True, True) and rep.certified
     assert rep.rho_h_seq[0] == pytest.approx(1.0, abs=1e-10)
     assert rep.rho_h_seq[1] == pytest.approx((4 + math.sqrt(13)) / 6, abs=1e-8)
     assert rep.rho_h_seq[2] == pytest.approx(1.4083189271236538, abs=1e-8)
@@ -162,12 +187,13 @@ def test_monotonicity_m3_rho_f_is_root():
 @pytest.mark.parametrize("gap, holds", [(1e-10, True), (math.nextafter(1e-10, 0.0), False)])
 def test_strict_h_agrees_with_its_gap_row_at_the_tolerance(gap, holds):
     # a gap of exactly tol is an H-gap row with slack 0, which holds; one ulp less is violated
-    mono = analysis.monotonicity_report([1, 2], [(0.0, 0.0, True), (gap, 0.0, True)], 1e-10)
+    records = [analysis.BoundReport(n, rho, 0.0, True, 1, 1) for n, rho in ((1, 0.0), (2, gap))]
+    mono = analysis.monotonicity_report(2, records, 1e-10)
     sweep = analysis.DimensionSweep(m=2, bounds=[], monotonicity=mono, embeddings=[])
     (row,) = [row for row in reporting.sweep_rows(sweep) if row["kind"] == "H-gap"]
     assert (row["slack"] == 0.0) is holds
-    assert mono.strict_h is holds is not reporting.violated(row)
-    assert mono.nondecreasing_z
+    assert gap_flags(2, mono) == (holds, True)
+    assert holds is not reporting.violated(row)
 
 # -- embedding --------------------------------------------------------------------
 
@@ -255,4 +281,4 @@ def test_pd_negative_sampled_form_clears_all_positive(monkeypatch):
     assert len(calls) == 1 + 5
     assert true_form(t, calls[0]) > 0
     assert rep.min_integral == -1.0
-    assert rep.all_positive is False
+    assert (rep.min_integral > 0) is False

@@ -114,8 +114,8 @@ def test_bounds_nonconvergence_exit(capsys):
 
 
 def test_bounds_violated_sine_bound_exits_2(capsys, monkeypatch):
-    orig = analysis.spectral_bound_h
-    monkeypatch.setattr(analysis, "spectral_bound_h", lambda m, n: orig(m, n) / 2)
+    orig = reporting.spectral_bound_h
+    monkeypatch.setattr(reporting, "spectral_bound_h", lambda m, n: orig(m, n) / 2)
     code, out, err = run_cli(["bounds", "--m", "2", "--n", "2..4"], capsys)
     assert code == cli.EXIT_VIOLATION == 2
     assert "BOUND VIOLATION: m=2 n=2 kind=H" in err
@@ -617,14 +617,16 @@ def test_search_show_vector_prints_each_best_vector(capsys, m, p):
 
 
 def test_bounds_prints_its_monotonicity_verdict(capsys):
-    mono = analysis.dimension_sweep(3, [2, 3, 4]).monotonicity
+    sweep = analysis.dimension_sweep(3, [2, 3, 4])
+    rows, mono = reporting.sweep_rows(sweep), sweep.monotonicity
+    strict_h, nondecreasing_z = reporting.all_hold(rows, "H-gap"), reporting.all_hold(rows, "Z-gap")
     code, _, err = run_cli(["bounds", "--m", "3", "--n", "2..4"], capsys)
     assert code == 0
     assert (
-        f"monotonicity m=3: strict_h={mono.strict_h} nondecreasing_z={mono.nondecreasing_z} "
+        f"monotonicity m=3: strict_h={strict_h} nondecreasing_z={nondecreasing_z} "
         f"certified={mono.certified}"
     ) in err.splitlines()
-    assert mono.strict_h and mono.nondecreasing_z and mono.certified
+    assert strict_h and nondecreasing_z and mono.certified
 
 
 @pytest.mark.parametrize(

@@ -46,7 +46,7 @@ def test_verify_theorems_reports_failed_positive_definiteness(tmp_path, capsys, 
 
     def failing_at_3(t, **kwargs):
         rep = orig(t, **kwargs)
-        return dataclasses.replace(rep, all_positive=rep.n != 3)
+        return dataclasses.replace(rep, min_integral=-1.0) if rep.n == 3 else rep
 
     monkeypatch.setattr(hilbert_tensors, "check_positive_definite", failing_at_3)
     monkeypatch.setattr(sys, "argv", ["verify_theorems.py", "--orders", "2", "--max-dim", "4",
@@ -164,6 +164,7 @@ def test_verify_theorems_exit_code_follows_from_its_file(tmp_path, capsys, monke
     ["--tol", "inf"],
     ["--max-iter", "0"],
     ["--format", "xml"],
+    ["--trials", "-1"],
 ])
 def test_verify_theorems_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv):
     out_dir = tmp_path / "out"
@@ -172,6 +173,28 @@ def test_verify_theorems_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv
     assert argv[0] in err
     assert "Traceback" not in err
     assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_verify_theorems_out_through_a_file_exits_1(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+    code, stdout, err = run_verify_theorems(monkeypatch, capsys, "--orders", "2", "--max-dim", "2",
+                                            "--out", str(tmp_path / out))
+    assert code == cli.EXIT_USAGE == 1
+    assert "--out names a file" in err
+    assert "Traceback" not in err
+    assert stdout == "" and (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_verify_theorems_labels_positive_definiteness_by_its_row(tmp_path, capsys, monkeypatch):
+    # a sampled minimum of exactly 0 is a row with slack 0, which holds, like every other row
+    orig = hilbert_tensors.HilbertTensor.quadratic_form_integral
+    monkeypatch.setattr(hilbert_tensors.HilbertTensor, "quadratic_form_integral",
+                        lambda self, x, exact=False: 0.0 if self.dim == 3 else orig(self, x, exact))
+    code, out, _ = run_verify_theorems(monkeypatch, capsys, "--orders", "2", "--max-dim", "4",
+                                       "--trials", "10", "--out", str(tmp_path))
+    assert code == exit_code_of(tmp_path / "verification.json") == 0
+    assert "positive definiteness sampled over n=2..4: ok" in out
 
 
 def test_report_digests_repeat_their_lines():
