@@ -121,7 +121,7 @@ infinite --trunc 10000000000000000000
 infinite --x 0 --trunc 10000000000000000000
 infinite --search --support 4611686018427387904 --trials 0
 infinite --x e4611686018427387904
-scripts/verify_theorems.py --orders 2,3,4 --max-dim 6 --trials 20 --out .
+scripts/verify_theorems.py --orders 2,3,4 --max-dim 6 --out .
 infinite --m 4 --p 2 --op T --x 1e-200
 infinite --m 4 --p 2 --op T --x 1e-120
 infinite --m 4 --p 2 --op T --x 1e150

@@ -3,8 +3,13 @@
 
 Per order m it writes the rows of ``hilbert-tensors bounds --n 1..MAX_DIM``
 (sine bounds on both spectral radii, dimension monotonicity, eigenpair
-embedding residuals), then positive definiteness sampling (even m); the
-finite Hilbert inequality constants follow at the end, one claim per n.
+embedding residuals), then positive definiteness (even m); the finite
+Hilbert inequality ratios follow at the end, one claim per n.  Nothing is
+sampled: a positive-definiteness row holds the closed-form lower end of
+``analysis.check_positive_definite`` (certified, no iterations), and an
+inequality row the exact upper end of one m = 2 H solve at n
+(``analysis.hilbert_inequality_ratio``), certified when that solve
+converged.
 Every printed claim is judged by its own rows with ``reporting.violated``,
 as ``bounds`` judges them: unconverged if a row is uncertified, else
 VIOLATION if a row is violated, else ok.  Every printed bound and flag is
@@ -23,7 +28,13 @@ import math
 import sys
 from pathlib import Path
 
-from hilbert_tensors import HilbertTensor, check_positive_definite, hilbert_inequality_check, spectral_bound_h
+from hilbert_tensors import (
+    HilbertTensor,
+    check_positive_definite,
+    h_spectral_radius,
+    hilbert_inequality_ratio,
+    spectral_bound_h,
+)
 from hilbert_tensors.analysis import dimension_sweep
 from hilbert_tensors.cli import Parser, exit_status
 from hilbert_tensors.reporting import all_hold, make_row, render, sweep_rows, violated
@@ -45,8 +56,6 @@ def main() -> int:
     parser = Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--orders", default="2,3,4")
     parser.add_argument("--max-dim", type=int, default=8)
-    parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--max-iter", type=int, default=100_000)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -64,8 +73,6 @@ def main() -> int:
         parser.error(f"--tol must be finite and > 0, got {args.tol}")
     if args.max_iter < 1:
         parser.error(f"--max-iter must be >= 1, got {args.max_iter}")
-    if args.trials < 0:
-        parser.error(f"--trials must be >= 0, got {args.trials}")
     out_dir = Path(args.out)
     if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
         parser.error(f"--out names a file, not a directory: {args.out!r}")
@@ -96,21 +103,21 @@ def main() -> int:
 
         if m % 2 == 0:
             for n in dims:
-                rep = check_positive_definite(HilbertTensor(m, n), trials=args.trials, seed=args.seed)
-                # a sampling check has nothing to converge: every row is certified
-                rows.append(make_row(m, n, "pd-min-integral", rep.min_integral, 0.0, rep.min_integral,
-                                     True, args.trials))
+                rep = check_positive_definite(HilbertTensor(m, n))
+                # a closed form has nothing to converge: certified, no iterations
+                rows.append(make_row(m, n, "pd-min-integral", rep.min_form_lower, 0.0, rep.min_form_lower,
+                                     True, None))
                 labels.append(label(rows[-1:]))
             failed_dims = [str(n) for n, verdict in zip(dims, labels[-len(dims):]) if verdict != "ok"]
             verdict = f"FAILED at n={','.join(failed_dims)}" if failed_dims else "ok"
-            print(f"  positive definiteness sampled over n=2..{args.max_dim}: {verdict}")
+            print(f"  positive definiteness certified over n=2..{args.max_dim}: {verdict}")
 
     for n in dims:
-        rep = hilbert_inequality_check(n, trials=args.trials, seed=args.seed)
-        rows.append(make_row(2, n, "hilbert-ineq-ratio", rep.worst_ratio, 1.0,
-                             1.0 - rep.worst_ratio, True, args.trials))
+        h = h_spectral_radius(HilbertTensor(2, n), tol=args.tol, max_iter=args.max_iter)
+        ratio = hilbert_inequality_ratio(h)
+        rows.append(make_row(2, n, "hilbert-ineq-ratio", ratio, 1.0, 1.0 - ratio, h.converged, h.iterations))
         labels.append(label(rows[-1:]))
-        print(f"  inequality n={n}: worst ratio {rep.worst_ratio:.6f} "
+        print(f"  inequality n={n}: max ratio <= {ratio:.6f} "
               f"(constant {spectral_bound_h(2, n):.6f})  {labels[-1]}")
 
     path = out_dir / f"verification.{args.format}"

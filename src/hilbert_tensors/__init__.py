@@ -2,20 +2,20 @@
 
 Construction and entry access, naive / fast / integral evaluation paths,
 extremal H- and Z-eigenvalue solvers with certificates, sine-bound and
-monotonicity verification sweeps, and certified truncations of the
+monotonicity verification sweeps, exact certificates of the finite Hilbert
+inequality and of positive definiteness, and certified truncations of the
 infinite-dimensional operators.
 """
 
 from .analysis import (
     BoundReport,
     EmbeddingReport,
-    InequalityReport,
     MonotonicityReport,
     PositiveDefiniteReport,
     bound_sweep,
     check_positive_definite,
     embedding_check,
-    hilbert_inequality_check,
+    hilbert_inequality_ratio,
     monotonicity_sweep,
 )
 from .core import (
@@ -55,7 +55,6 @@ __all__ = [
     "EmbeddingReport",
     "GeneratingVector",
     "HilbertTensor",
-    "InequalityReport",
     "MonotonicityReport",
     "NormSearchReport",
     "PI_OVER_SQRT6",
@@ -70,7 +69,7 @@ __all__ = [
     "f_infinity",
     "h_spectral_radius",
     "hankel_apply",
-    "hilbert_inequality_check",
+    "hilbert_inequality_ratio",
     "monotonicity_sweep",
     "norm_search",
     "operator_norm_constant",

@@ -2,9 +2,9 @@
 
 Covered claims, each measured into a report:
 
-* positive definiteness of even-order tensors (via the integral form),
+* positive definiteness of even-order tensors (a closed-form lower end),
 * the finite Hilbert inequality
-  sum |x_i||x_j|/(i+j-1) <= n sin(pi/n) ||x||_2^2,
+  sum |x_i||x_j|/(i+j-1) <= n sin(pi/n) ||x||_2^2 (an exact bracket end),
 * the eigenvalue bounds rho_H <= n^{m-1} sin(pi/n) and
   rho_Z <= n^{m/2} sin(pi/n)  (meaningful for n >= 2 only: at n = 1 the
   sine factor vanishes while the spectral radius is 1),
@@ -21,21 +21,22 @@ dimension is solved, and only the previous H eigenpair and the scalar
 bound reports are kept, so its memory grows with the largest dimension,
 not with their sum.
 
-A report keeps only what its solves or samples measured; no check judges a
-claim or raises on a failed one.  Each claim's bound, allowance, slack and
-verdict are set on its rows (``reporting``, ``scripts/verify_theorems.py``).
+A report keeps only what its solves or closed forms measured; no check
+judges a claim or raises on a failed one.  Each claim's bound, allowance,
+slack and verdict are set on its rows (``reporting``, ``scripts/verify_theorems.py``).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
-from .core import HilbertTensor, spectral_bound_h
+from .core import HilbertTensor
 from .eigensolvers import EigenResult, equation_residual, h_spectral_radius, z_spectral_radius
-from .rng import SplitMix64
 
 
 @dataclass
@@ -68,13 +69,7 @@ class MonotonicityReport:
 @dataclass
 class PositiveDefiniteReport:
     n: int
-    min_integral: float
-
-
-@dataclass
-class InequalityReport:
-    n: int
-    worst_ratio: float  # max LHS / (n sin(pi/n) ||x||_2^2)
+    min_form_lower: float  # a lower end of min H_n x^m over ||x||_2 = 1, rounded down
 
 
 @dataclass
@@ -85,54 +80,55 @@ class EmbeddingReport:
     converged: bool
 
 
-def check_positive_definite(
-    t: HilbertTensor, trials: int = 1000, seed: int = 0
-) -> PositiveDefiniteReport:
-    """Sample x in [-1, 1]^n and check the integral form of H_n x^m stays positive.
+def _rounded(q: Fraction, toward: float) -> float:
+    """q as a float rounded toward ``toward``, +inf or -inf, instead of to nearest."""
+    f = float(q)
+    off = Fraction(f) < q if toward > 0 else Fraction(f) > q
+    return math.nextafter(f, toward) if off else f
 
-    The alternating vector x_i = (-1)^i / i is always included, as the first
-    form evaluated.  A draw is zero only with probability 2^-53 per entry,
-    so none is redrawn.
+
+def _inverse_hilbert_norm(n: int) -> int:
+    """||H_n^{-1}||_inf, exact: the inverse Hilbert matrix has the integer entries
+    (-1)^{i+j} (i+j-1) C(n+i-1, n-j) C(n+j-1, n-i) C(i+j-2, i-1)^2 (Choi, Amer. Math. Monthly 1983)."""
+    c, ns = math.comb, range(1, n + 1)
+    return max(sum((i + j - 1) * c(n + i - 1, n - j) * c(n + j - 1, n - i) * c(i + j - 2, i - 1) ** 2 for j in ns)
+               for i in ns)
+
+
+def check_positive_definite(t: HilbertTensor) -> PositiveDefiniteReport:
+    """A certified lower end of min H_n x^m over the unit sphere, for even m.
+
+    With p(s) = sum_i x_i s^{i-1}, Jensen's inequality gives H_n x^m =
+    int_0^1 p^m >= (x^T H_n x)^{m/2} >= lambda_min(H_n)^{m/2} >= ||H_n^{-1}||_inf^{-m/2},
+    exact in integers and rounded down.  Below the float range (m = 2 from
+    n = 214, m = 4 from n = 108) it reads 0.0, which certifies only min >= 0.
     """
-    n = t.dim
     if t.order % 2 != 0:
         raise ValueError("positive definiteness is defined for even order only")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    rng = SplitMix64(seed)
-
-    alternating = np.array([(-1) ** i / i for i in range(1, n + 1)])
-    min_integral = t.quadratic_form_integral(alternating)
-    for _ in range(trials):
-        x = np.array(rng.uniforms(n, -1.0, 1.0))
-        min_integral = min(min_integral, t.quadratic_form_integral(x))
-
-    return PositiveDefiniteReport(n=n, min_integral=float(min_integral))
+    lower = Fraction(1, _inverse_hilbert_norm(t.dim) ** (t.order // 2))
+    return PositiveDefiniteReport(n=t.dim, min_form_lower=_rounded(lower, -math.inf))
 
 
-def hilbert_inequality_check(n: int, trials: int = 1000, seed: int = 0) -> InequalityReport:
-    """Measure sum_{ij} |x_i||x_j| / (i+j-1) against n sin(pi/n) ||x||_2^2.
+def hilbert_inequality_ratio(h: EigenResult) -> float:
+    """An upper end of max_x sum_ij |x_i||x_j| / (i+j-1) / (n sin(pi/n) ||x||_2^2), from an m = 2 H solve.
 
-    Returns the report at every n.  ``scripts/verify_theorems.py`` checks
-    every n by its row, which is violated once the worst ratio exceeds 1.
+    The maximum is lambda_max(H_n) / (n sin(pi/n)), and lambda_max(H_n) <=
+    max_i (H_n x)_i / x_i at any positive x (Collatz-Wielandt).  That end is
+    exact at the solve's final iterate, whose entries are binary floats; it
+    is divided by a lower end of n sin(pi/n) and rounded up.  So the ratio is
+    never below the true one; ``h.converged`` says whether it is also tight.
     """
+    x = h.vector.values
+    n = len(x)
     if n < 2:
-        raise ValueError("the inequality check needs n >= 2")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    t = HilbertTensor(2, n)
-    constant = spectral_bound_h(2, n)
-    rng = SplitMix64(seed)
-
-    worst_ratio = 0.0
-    for _ in range(trials):
-        x = np.array(rng.uniforms(n, -1.0, 1.0))
-        sq = float(x @ x)
-        u = np.abs(x)
-        lhs = float(u @ t.apply_fast(u).values)
-        worst_ratio = max(worst_ratio, lhs / (constant * sq))
-
-    return InequalityReport(n=n, worst_ratio=worst_ratio)
+        raise ValueError("the inequality needs n >= 2")
+    y = HilbertTensor(2, n).apply_naive(x, exact=True)
+    upper = max(yi / Fraction(xi) for yi, xi in zip(y, x))
+    # math.pi < pi, and the Taylor terms of sin shrink on (0, pi/2]: summed up to the
+    # twelfth, a subtracted one, they lie below sin(pi/n), by less than 1e-20
+    s = Fraction(math.pi) / n
+    sine = sum((-1) ** k * s ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(12))
+    return _rounded(upper / (n * sine), math.inf)
 
 
 def solve_dims(

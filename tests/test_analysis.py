@@ -1,20 +1,22 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from hilbert_tensors import (
     GeneratingVector,
     HilbertTensor,
-    SequenceVector,
+    SplitMix64,
     analysis,
     bound_sweep,
     check_positive_definite,
     embedding_check,
     h_spectral_radius,
-    hilbert_inequality_check,
+    hilbert_inequality_ratio,
     monotonicity_sweep,
     reporting,
     spectral_bound_h,
@@ -25,6 +27,31 @@ from hilbert_tensors.oracle import dense_matrix_eigenpair
 
 # -- positive definiteness ------------------------------------------------------
 
+# lambda_min of the Hilbert matrix H_n, from mpmath at 80 digits
+@functools.cache
+def hilbert_lambda_min(n):
+    with mpmath.workdps(80):
+        return min(mpmath.eigsy(mpmath.hilbert(n), eigvals_only=True))
+
+
+def seeded_vectors(rng, n, count):
+    for _ in range(count):
+        yield np.array(rng.uniforms(n, -1.0, 1.0))
+
+
+def exact_sq_norm(x):
+    return sum(Fraction(v) ** 2 for v in x)
+
+
+def assert_form_above(t, x, lower):
+    """H_n x^m >= lower * ||x||_2^m, in floats, and values under 1e-9 in exact arithmetic."""
+    m = t.order
+    value = t.quadratic_form_integral(x) / float(np.dot(x, x)) ** (m // 2)
+    if value <= 1e-9:
+        assert t.quadratic_form_integral(x, exact=True) >= Fraction(lower) * exact_sq_norm(x) ** (m // 2)
+    else:
+        assert value >= lower
+
 
 def test_pd_rejects_odd_order():
     with pytest.raises(ValueError, match="even"):
@@ -32,24 +59,21 @@ def test_pd_rejects_odd_order():
 
 
 def test_pd_small_sample():
-    rep = check_positive_definite(HilbertTensor(2, 2), trials=200, seed=1)
-    assert rep.min_integral > 0
+    # H_2^{-1} = [[4, -6], [-6, 12]]: the lower end is 1/18 at m = 2, rounded down, and no draw goes below it
+    rep = check_positive_definite(HilbertTensor(2, 2))
+    assert rep.n == 2
+    assert Fraction(rep.min_form_lower) <= Fraction(1, 18) and rep.min_form_lower == pytest.approx(1 / 18, rel=1e-15)
+    for x in seeded_vectors(SplitMix64(1), 2, 200):
+        assert_form_above(HilbertTensor(2, 2), x, rep.min_form_lower)
 
 
 def test_pd_alternating_vector_value():
-    # x = (-1, 1/2): integral of (-1 + t/2)^2 = 1 - 1/2 + 1/12 = 7/12; with no samples it is the minimum
-    rep = check_positive_definite(HilbertTensor(2, 2), trials=0, seed=0)
-    assert rep.min_integral == pytest.approx(7 / 12, rel=1e-12)
-
-
-@pytest.mark.parametrize("check", [
-    lambda trials: check_positive_definite(HilbertTensor(2, 3), trials=trials),
-    lambda trials: hilbert_inequality_check(3, trials=trials),
-], ids=["positive-definite", "inequality"])
-def test_sampling_checks_reject_negative_trials(check):
-    with pytest.raises(ValueError, match="trials must be >= 0"):
-        check(-1)
-    check(0)  # the alternating vector alone, or no sample
+    # the alternating vector x_i = (-1)^i / i stays above the lower end, exactly
+    for m in (2, 4):
+        for n in range(2, 9):
+            x = [Fraction((-1) ** i, i) for i in range(1, n + 1)]
+            lower = Fraction(check_positive_definite(HilbertTensor(m, n)).min_form_lower)
+            assert HilbertTensor(m, n).quadratic_form_integral(x, exact=True) >= lower * exact_sq_norm(x) ** (m // 2)
 
 
 def test_pd_leading_coordinate():
@@ -61,16 +85,68 @@ def test_pd_leading_coordinate():
 
 
 def test_pd_m4_n3_thousand_trials():
-    rep = check_positive_definite(HilbertTensor(4, 3), trials=1000, seed=2)
-    assert rep.min_integral > 0
+    # ||H_3^{-1}||_inf = 408, so the lower end is 1/408^2; a thousand draws stay above it
+    t = HilbertTensor(4, 3)
+    lower = check_positive_definite(t).min_form_lower
+    assert lower == pytest.approx(1 / 408**2, rel=1e-15) and lower > 0
+    for x in seeded_vectors(SplitMix64(2), 3, 1000):
+        assert_form_above(t, x, lower)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_pd_seeded_draws_never_go_below_the_lower_end(m):
+    rng = SplitMix64(40 + m)
+    for n in range(2, 9):
+        t = HilbertTensor(m, n)
+        lower = check_positive_definite(t).min_form_lower
+        for x in seeded_vectors(rng, n, 200):
+            assert_form_above(t, x, lower)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_pd_lower_end_is_within_a_factor_1_5_of_lambda_min(m):
+    # lambda_min^{m/2} / 1.5^{m/2} <= lower end <= lambda_min^{m/2}; Choi's bound is 1.18 to 1.41 times below
+    for n in range(2, 33):
+        exact = hilbert_lambda_min(n) ** (m // 2)
+        lower = mpmath.mpf(check_positive_definite(HilbertTensor(m, n)).min_form_lower)
+        assert exact / mpmath.mpf(1.5) ** (m // 2) <= lower <= exact, f"n={n}"
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_inverse_hilbert_norm_is_the_row_sum_of_the_inverse(n):
+    with mpmath.workdps(60):
+        inverse = mpmath.inverse(mpmath.hilbert(n))
+        entries = [[int(mpmath.nint(inverse[i, j])) for j in range(n)] for i in range(n)]
+    hilbert = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    assert all(sum(hilbert[i][k] * entries[k][j] for k in range(n)) == (i == j) for i in range(n) for j in range(n))
+    assert analysis._inverse_hilbert_norm(n) == max(sum(map(abs, row)) for row in entries)
+
+
+@pytest.mark.parametrize("m, n", [(2, 214), (4, 108)])
+def test_pd_lower_end_below_the_float_range_reads_zero(m, n):
+    # the recorded decision: 1/S^{m/2} rounds down to 0.0, never up to the smallest subnormal
+    assert check_positive_definite(HilbertTensor(m, n - 1)).min_form_lower > 0
+    assert check_positive_definite(HilbertTensor(m, n)).min_form_lower == 0.0
 
 
 # -- Hilbert inequality ----------------------------------------------------------
 
 
+def inequality_ratio(n):
+    return hilbert_inequality_ratio(h_spectral_radius(HilbertTensor(2, n)))
+
+
+def sampled_ratio(n, count, seed):
+    """The largest sum |x_i||x_j|/(i+j-1) / (n sin(pi/n) ||x||_2^2) over seeded draws in [-1, 1]^n."""
+    t = HilbertTensor(2, n)
+    ratios = [float(np.abs(x) @ t.apply_fast(np.abs(x)).values) / float(x @ x)
+              for x in seeded_vectors(SplitMix64(seed), n, count)]
+    return max(ratios) / spectral_bound_h(2, n)
+
+
 def test_inequality_rejects_small_n():
     with pytest.raises(ValueError):
-        hilbert_inequality_check(1)
+        hilbert_inequality_ratio(h_spectral_radius(HilbertTensor(2, 1)))
 
 
 def test_inequality_n2_frozen_vector():
@@ -83,26 +159,37 @@ def test_inequality_n2_frozen_vector():
 
 
 def test_inequality_small_n_records_only():
-    rep = hilbert_inequality_check(2, trials=500, seed=3)
-    assert rep.worst_ratio < 1.0
+    # at n = 2 the maximum is lambda_max(H_2) / 2 = (4 + sqrt(13)) / 12
+    ratio = inequality_ratio(2)
     assert spectral_bound_h(2, 2) == pytest.approx(2.0)
-    # the empirical constant max LHS / ||x||_2^2 is at most the top matrix eigenvalue
-    top, _ = dense_matrix_eigenpair(2)
-    assert rep.worst_ratio * spectral_bound_h(2, 2) <= top + 1e-10
+    assert (4 + math.sqrt(13)) / 12 <= ratio <= (4 + math.sqrt(13)) / 12 * (1 + 1e-9)
 
 
 def test_inequality_n8_sample():
-    rep = hilbert_inequality_check(8, trials=1000, seed=4)
-    assert 0 < rep.worst_ratio < 1.0
+    ratio = inequality_ratio(8)
+    assert 0 < sampled_ratio(8, 1000, 4) <= ratio < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_inequality_seeded_draws_never_beat_the_row(n):
+    assert sampled_ratio(n, 300, n) <= inequality_ratio(n)
+
+
+def test_inequality_ratio_brackets_the_eigvalsh_ratio():
+    # never below the exact maximum lambda_max(H_n) / (n sin(pi/n)), and within 1e-9 of it
+    for n in range(2, 65):
+        top = np.linalg.eigvalsh(HilbertTensor(2, n).materialize_dense())[-1] / spectral_bound_h(2, n)
+        ratio = inequality_ratio(n)
+        assert top <= ratio <= top * (1 + 1e-9), f"n={n}"
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_inequality_violation_is_reported_not_raised(monkeypatch, n):
-    # a tripled Hilbert matrix breaks the inequality at every n
-    orig = HilbertTensor.apply_fast
-    monkeypatch.setattr(HilbertTensor, "apply_fast", lambda self, x: SequenceVector(3.0 * orig(self, x).values))
-    rep = hilbert_inequality_check(n, trials=50, seed=4)
-    assert rep.worst_ratio > 1.0
+    # a tripled Hilbert matrix, where the certificate reads it, breaks the inequality at every n
+    orig = HilbertTensor.apply_naive
+    monkeypatch.setattr(HilbertTensor, "apply_naive",
+                        lambda self, x, exact=False: [3 * v for v in orig(self, x, exact)])
+    assert inequality_ratio(n) > 1.0
 
 
 # -- bound sweep ------------------------------------------------------------------
@@ -265,20 +352,3 @@ def test_dimension_sweep_builds_one_generating_vector_per_dimension(monkeypatch)
     assert len(sweep.embeddings) == 28
     assert len(builds) == 29
 
-
-def test_pd_negative_sampled_form_clears_all_positive(monkeypatch):
-    # the alternating vector (the first form evaluated) keeps its true value; every sample reads -1
-    t = HilbertTensor(2, 3)
-    true_form = HilbertTensor.quadratic_form_integral
-    calls = []
-
-    def negative_after_first(self, x, exact=False):
-        calls.append(x)
-        return true_form(self, x, exact) if len(calls) == 1 else -1.0
-
-    monkeypatch.setattr(HilbertTensor, "quadratic_form_integral", negative_after_first)
-    rep = check_positive_definite(t, trials=5, seed=2)
-    assert len(calls) == 1 + 5
-    assert true_form(t, calls[0]) > 0
-    assert rep.min_integral == -1.0
-    assert (rep.min_integral > 0) is False

@@ -20,7 +20,7 @@ def test_verify_theorems_smoke(tmp_path, capsys):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "verify_theorems.py"),
-         "--orders", "2,3", "--max-dim", "4", "--trials", "10", "--out", str(tmp_path)],
+         "--orders", "2,3", "--max-dim", "4", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         env=env,
@@ -28,13 +28,18 @@ def test_verify_theorems_smoke(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout
     lines = (tmp_path / "verification.json").read_text(encoding="utf-8").splitlines(keepends=True)
-    kinds = [(row["m"], row["kind"]) for row in map(json.loads, lines)]
+    rows = [json.loads(line) for line in lines]
+    kinds = [(row["m"], row["kind"]) for row in rows]
     sweep = ["H", "Z"] * 3 + ["H-gap"] * 3 + ["Z-gap"] * 3 + ["H-embed"] * 3
     assert kinds == (
         [(2, k) for k in sweep + ["pd-min-integral"] * 3]
         + [(3, k) for k in sweep]
         + [(2, "hilbert-ineq-ratio")] * 3
     )
+    # no row is certified on zero evaluations: each inequality row has its solve's iterations,
+    # and a positive-definiteness row, a closed form, has none
+    assert all(row["iterations"] >= 1 for row in rows if row["kind"] == "hilbert-ineq-ratio")
+    assert all(row["iterations"] is None for row in rows if row["kind"] == "pd-min-integral")
     # the sweep rows are exactly what the bounds command prints
     for m, start in ((2, 0), (3, 18)):
         assert cli.run(["bounds", "--m", str(m), "--n", "1..4", "--max-iter", "100000"]) == 0
@@ -46,17 +51,17 @@ def test_verify_theorems_reports_failed_positive_definiteness(tmp_path, capsys, 
 
     def failing_at_3(t, **kwargs):
         rep = orig(t, **kwargs)
-        return dataclasses.replace(rep, min_integral=-1.0) if rep.n == 3 else rep
+        return dataclasses.replace(rep, min_form_lower=-1.0) if rep.n == 3 else rep
 
     monkeypatch.setattr(hilbert_tensors, "check_positive_definite", failing_at_3)
     monkeypatch.setattr(sys, "argv", ["verify_theorems.py", "--orders", "2", "--max-dim", "4",
-                                      "--trials", "10", "--out", str(tmp_path)])
+                                      "--out", str(tmp_path)])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(ROOT / "scripts" / "verify_theorems.py"), run_name="__main__")
     captured = capsys.readouterr()
     assert exc.value.code == 2
-    assert "positive definiteness sampled over n=2..4: FAILED at n=3" in captured.out
-    assert "sampled over n=2..4: ok" not in captured.out
+    assert "positive definiteness certified over n=2..4: FAILED at n=3" in captured.out
+    assert "certified over n=2..4: ok" not in captured.out
     assert "1 check(s) FAILED" in captured.err
 
 
@@ -70,7 +75,7 @@ def run_verify_theorems(monkeypatch, capsys, *argv):
 
 def test_verify_theorems_unconverged_is_not_a_violation(tmp_path, capsys, monkeypatch):
     code, out, err = run_verify_theorems(monkeypatch, capsys, "--orders", "2", "--max-dim", "3",
-                                         "--trials", "2", "--max-iter", "1", "--out", str(tmp_path))
+                                         "--max-iter", "1", "--out", str(tmp_path))
     assert code == cli.EXIT_UNCONVERGED == 3
     assert "VIOLATION" not in out
     assert [line.split()[-1] for line in out.splitlines() if line.startswith("  n=")] == ["unconverged"] * 2
@@ -79,29 +84,32 @@ def test_verify_theorems_unconverged_is_not_a_violation(tmp_path, capsys, monkey
 
 def test_verify_theorems_labels_monotonicity_and_embedding_claims(tmp_path, capsys, monkeypatch):
     code, out, err = run_verify_theorems(monkeypatch, capsys, "--orders", "2", "--max-dim", "3",
-                                         "--trials", "2", "--max-iter", "1", "--out", str(tmp_path))
+                                         "--max-iter", "1", "--out", str(tmp_path))
     lines = out.splitlines()
     (mono,) = [line for line in lines if line.startswith("  monotone:")]
     assert mono.split()[-1] == "unconverged"
     # n = 1 is exact after one iteration; the n = 2 eigenpair is not
     assert [line.split()[-1] for line in lines if line.startswith("  embedding ")] == ["ok", "unconverged"]
-    verdicts = [line.split()[-1] for line in lines if line.startswith(("  n=", "  monotone:", "  embedding "))]
+    # the inequality rows' one-iteration solves are unconverged too
+    assert [line.split()[-1] for line in lines if line.startswith("  inequality ")] == ["unconverged"] * 2
+    verdicts = [line.split()[-1] for line in lines
+                if line.startswith(("  n=", "  monotone:", "  embedding ", "  inequality "))]
     assert f"{sum(v != 'ok' for v in verdicts)} check(s) FAILED" in err
     assert code == cli.EXIT_UNCONVERGED
 
 
 def test_verify_theorems_counts_violated_inequality(tmp_path, capsys, monkeypatch):
-    # a tripled order-2 tensor of dimension 4 breaks the Hilbert inequality at n = 4 only;
-    # --orders 3 keeps the sweep's own solves off it
-    orig = hilbert_tensors.HilbertTensor.apply_fast
+    # a tripled order-2 tensor of dimension 4, in the exact apply the inequality certificate reads,
+    # breaks the Hilbert inequality at n = 4 only
+    orig = hilbert_tensors.HilbertTensor.apply_naive
 
-    def tripled_at_4(self, x):
-        out = orig(self, x)
-        return hilbert_tensors.SequenceVector(3.0 * out.values) if (self.order, self.dim) == (2, 4) else out
+    def tripled_at_4(self, x, exact=False):
+        out = orig(self, x, exact)
+        return [3 * v for v in out] if (self.order, self.dim) == (2, 4) else out
 
-    monkeypatch.setattr(hilbert_tensors.HilbertTensor, "apply_fast", tripled_at_4)
+    monkeypatch.setattr(hilbert_tensors.HilbertTensor, "apply_naive", tripled_at_4)
     code, out, err = run_verify_theorems(monkeypatch, capsys, "--orders", "3", "--max-dim", "5",
-                                         "--trials", "10", "--out", str(tmp_path))
+                                         "--out", str(tmp_path))
     assert code == cli.EXIT_VIOLATION == 2
     assert "Traceback" not in err
     assert "1 check(s) FAILED" in err
@@ -142,9 +150,9 @@ def test_bounds_exits_2_on_a_certified_embed_residual_above_its_bound(capsys, mo
 
 
 @pytest.mark.parametrize("argv,forced,expected", [
-    (["--orders", "2,3", "--max-dim", "4", "--trials", "10"], False, 0),
-    (["--orders", "2", "--max-dim", "3", "--trials", "2", "--max-iter", "1"], False, 3),
-    (["--orders", "2", "--max-dim", "3", "--trials", "10"], True, 2),
+    (["--orders", "2,3", "--max-dim", "4"], False, 0),
+    (["--orders", "2", "--max-dim", "3", "--max-iter", "1"], False, 3),
+    (["--orders", "2", "--max-dim", "3"], True, 2),
 ], ids=["passing", "unconverged", "embed-violated"])
 def test_verify_theorems_exit_code_follows_from_its_file(tmp_path, capsys, monkeypatch, argv, forced, expected):
     if forced:
@@ -164,7 +172,8 @@ def test_verify_theorems_exit_code_follows_from_its_file(tmp_path, capsys, monke
     ["--tol", "inf"],
     ["--max-iter", "0"],
     ["--format", "xml"],
-    ["--trials", "-1"],
+    ["--trials", "0"],  # the sampling knobs are gone: no row can be certified on zero draws
+    ["--seed", "0"],
 ])
 def test_verify_theorems_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv):
     out_dir = tmp_path / "out"
@@ -187,14 +196,16 @@ def test_verify_theorems_out_through_a_file_exits_1(tmp_path, capsys, monkeypatc
 
 
 def test_verify_theorems_labels_positive_definiteness_by_its_row(tmp_path, capsys, monkeypatch):
-    # a sampled minimum of exactly 0 is a row with slack 0, which holds, like every other row
-    orig = hilbert_tensors.HilbertTensor.quadratic_form_integral
-    monkeypatch.setattr(hilbert_tensors.HilbertTensor, "quadratic_form_integral",
-                        lambda self, x, exact=False: 0.0 if self.dim == 3 else orig(self, x, exact))
+    # a lower end of exactly 0 (the float underflow of large n, forced at n = 3 through the inverse
+    # norm the certificate reads) is a row with slack 0, which holds, like every other row
+    orig = analysis._inverse_hilbert_norm
+    monkeypatch.setattr(analysis, "_inverse_hilbert_norm", lambda n: 10**400 if n == 3 else orig(n))
     code, out, _ = run_verify_theorems(monkeypatch, capsys, "--orders", "2", "--max-dim", "4",
-                                       "--trials", "10", "--out", str(tmp_path))
+                                       "--out", str(tmp_path))
     assert code == exit_code_of(tmp_path / "verification.json") == 0
-    assert "positive definiteness sampled over n=2..4: ok" in out
+    rows = [json.loads(line) for line in (tmp_path / "verification.json").read_text().splitlines()]
+    assert [r["value"] == 0.0 for r in rows if r["kind"] == "pd-min-integral"] == [False, True, False]
+    assert "positive definiteness certified over n=2..4: ok" in out
 
 
 def test_report_digests_repeat_their_lines():
@@ -241,7 +252,7 @@ def test_report_digests_hash_the_verification_file_once_per_argv_text():
     digests = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))
     texts = [shlex.join(argv) for argv in digests["ARGVS"]]
     assert len(set(texts)) == len(texts)  # BYTES_EXPECTED is keyed on argv text
-    verify = "scripts/verify_theorems.py --orders 2,3,4 --max-dim 6 --trials 20 --out ."
+    verify = "scripts/verify_theorems.py --orders 2,3,4 --max-dim 6 --out ."
     argv = digests["ARGVS"][texts.index(verify)]
     first = digests["digest_line"](argv)
     assert first == digests["digest_line"](argv)
