@@ -65,7 +65,9 @@ def workload_argvs() -> list[list[str]]:
 # then solves on the one-block FFT route, bounds ranges at m = 2, 3 and 4, two
 # bench runs, the usage errors the tests pin, the verification script, and
 # single-vector rows on the homogeneity rescaling (a head or ||x||_1^(2-m)
-# outside the float range) and on Euler-Maclaurin zeta at large p
+# outside the float range) and on Euler-Maclaurin zeta at large p, then two
+# batched norm searches: F at odd m with q != 2, a trial count not divisible
+# by 3 and a seed that wraps; and support 1, where every candidate is +-e1
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -127,6 +129,8 @@ infinite --m 4 --p 2 --op T --x 1e-120
 infinite --m 4 --p 2 --op T --x 1e150
 infinite --m 3 --p 2 --op T --x 1e-320
 infinite --m 2 --p 100 --x e1
+infinite --search --op both --m 3 --p 5 --support 5 --trials 31 --seed -1 --show-vector
+infinite --search --op T --m 2 --p 3 --support 1 --trials 7
 """.strip().splitlines()
 )
 

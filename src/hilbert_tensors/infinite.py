@@ -28,32 +28,23 @@ e_1 (up to rounding ties); its rows are evidence for a proven fact.  (At p = 2 t
 pi/sqrt(6).)
 
 So no candidate after e_1 beats it, and where ``out_len`` exceeds
-``_SCREEN_TRUNCATION`` (128) :func:`norm_searches` screens candidates before
-building their length-``out_len`` heads.  A candidate replaces an incumbent
-only if its value is strictly larger, so an operator skips:
-
-* a candidate byte-equal to its incumbent or to the incumbent's negative:
-  the evaluation is deterministic and float rounding is symmetric under
-  negation, so both give the incumbent's head up to sign and its value bit
-  for bit;
-* a candidate whose certified upper end on a length-128 head, widened by
-  ``_SCREEN_ALLOWANCE`` (1e-6 relative), is below the incumbent's value: a
-  truncated value never exceeds the true norm, and the true norm never
-  exceeds the certified upper end at any shorter truncation.
-
-Every candidate of one search has the same support, so the search plans the
-short head once, as one ``core.hankel_operator``, and takes every screened
-candidate's short head from it.  ``hankel_apply`` is that operator applied
-once, so the short norms are :func:`_certified_norms` at length 128, bit for
-bit.  The length only moves cost, not reports: with the default search,
-lengths 32 to 1000 all let e_1 alone through to a full head.
-
-The allowance stands for the rounding of the two heads and their sums.  No
-a-priori bound on that rounding exists yet, so it is a guard, not a proof.
+``_SCREEN_TRUNCATION`` (128) :func:`norm_searches` lets an operator skip a
+candidate that cannot replace its incumbent (a strictly larger value): one
+byte-equal to the incumbent or its negative (the evaluation is deterministic
+and rounding symmetric under negation, so both give its value bit for bit),
+and one whose certified upper end on a length-128 head, widened by
+``_SCREEN_ALLOWANCE`` (1e-6 relative), is below the incumbent's value (no
+truncated value exceeds the true norm, nor the true norm the upper end at a
+shorter truncation).  A batch of candidates gets its upper ends at once, from
+one FFT over all their short heads (:func:`_screen_uppers`), within 1e-14
+relative of :func:`_certified_norms` at length 128.  The allowance stands for
+that rounding and the full head's; with no a-priori bound on the latter, it
+is a guard, not a proof.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -64,11 +55,11 @@ import numpy as np
 from .core import (
     GeneratingVector,
     SequenceVector,
+    _fast_length,
     as_vector,
     even_root_domain,
     generating_length,
     hankel_apply,
-    hankel_operator,
 )
 from .rng import SplitMix64
 
@@ -91,12 +82,14 @@ _EM_COEFFS = tuple(
 # factors, its coefficient), fsum one more and the two final additions two
 _EM_ROUNDING = 64 * 2.0**-53
 
-# norm_searches screens candidates on a head this long when out_len exceeds it,
-# and widens the short upper end by the relative allowance (a guard, not a proof).
-# 64 to 256 gave the fastest default T+F searches, 32 and 1000 slower ones, and
-# each length let e_1 alone through to a full head (2-core x86-64, numpy 2.4)
+# norm_searches screens candidates on heads this long when out_len exceeds it, and widens
+# the short upper ends by the relative allowance (a guard, not a proof).  Batches hold about
+# _BATCH_ELEMENTS entries, 128 KB.  With batched screens, 32 ran the default T+F searches 15%
+# faster than 128 but let more candidates through at small q, and 256 ran them 20% slower;
+# each let e_1 alone through to a full head (2-core x86-64, numpy 2.4)
 _SCREEN_TRUNCATION = 128
 _SCREEN_ALLOWANCE = 1e-6
+_BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -218,41 +211,33 @@ def _outside_float_range(l1: float, order: int, p: float) -> bool:
 
 
 def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[CertifiedNorm, ...]:
-    """Each operator's norm as (sum |h_i|^q)^(1/p) over one head h = H_inf x^{m-1} of length ``out_len``.
+    """Each operator's certified norm from one head h = H_inf x^{m-1} of length ``out_len``.
 
-    Checks the operators and p, then the head's inputs, and takes the head
-    from :func:`apply_infinite`; :func:`_head_norms` does the rest.
+    Checks the operators and p, then the head's inputs, and takes h from
+    :func:`apply_infinite`.  The value is (sum |h_i|^q)^(1/p), q from
+    :func:`tail_exponent`: T scales h by ||x||_1^{2-m} first (q = p), which
+    keeps large x finite; F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.
+    The tail bound is ||x||_1 (sum_{i>out_len} i^{-q})^{1/p}.  Both are
+    homogeneous of degree one, so where the head or its p-th powers would
+    leave the float range (tiny, or for T huge, finite ||x||_1), the value is
+    ||x||_1 times the value at x / ||x||_1.  The zero vector calls no head.
+    Each operator's work array is freed before the next one is made, so the
+    head and one work array are all that is held (plus the clamped copy
+    ``even_root_domain`` makes where a head for F at odd m has float-noise
+    negatives).
     """
     qs = [tail_exponent(operator, order, p) for operator in operators]
     xv = as_vector(x)
     generating_length(xv.size, order, out_len)  # the head's input rule, zero vector included
-    return _head_norms(lambda v: apply_infinite(v, order, out_len).values, operators, qs, xv, order, p, out_len)
-
-
-def _head_norms(head, operators, qs, xv: np.ndarray, order: int, p: float, out_len: int) -> tuple[CertifiedNorm, ...]:
-    """Each operator's certified norm from ``head(xv)``, the length-``out_len`` head of H_inf xv^{m-1}.
-
-    ``qs`` are the operators' tail exponents.  The value is (sum |h_i|^q)^(1/p):
-    T scales h by ||x||_1^{2-m} first (q = p), which keeps large x finite;
-    F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.  The tail bound is
-    ||x||_1 (sum_{i>out_len} i^{-q})^{1/p}.  Both are homogeneous of degree
-    one, so where the head or its p-th powers would leave the float range
-    (tiny, or for T huge, finite ||x||_1), the value is ||x||_1 times the
-    value at x / ||x||_1.  The zero vector calls no head.  Each operator's
-    work array is freed before the next one is made, so the head and one
-    work array are all that is held (plus the clamped copy
-    ``even_root_domain`` makes where a head for F at odd m has float-noise
-    negatives).
-    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf/nan in the result
         l1 = float(np.abs(xv).sum())
         if l1 == 0.0:
             return tuple(CertifiedNorm(0.0, 0.0, p, out_len) for _ in operators)
         tails = [l1 * zeta_tail_bound(q, out_len) ** (1.0 / p) for q in qs]
         if math.isfinite(l1) and _outside_float_range(l1, order, p):
-            units = _head_norms(head, operators, qs, xv / l1, order, p, out_len)
+            units = _certified_norms(operators, xv / l1, order, p, out_len)
             return tuple(CertifiedNorm(unit.value * l1, tail, p, out_len) for unit, tail in zip(units, tails))
-        h = head(xv)
+        h = apply_infinite(xv, order, out_len).values
         values = []
         for operator, q in zip(operators, qs):
             even_root = operator == "F" and order % 2 == 1  # F takes an even root of every component
@@ -352,106 +337,109 @@ def norm_search(
     return report
 
 
-def norm_searches(
-    operators,
-    order: int,
-    p: float,
-    trials: int = 200,
-    support: int = 16,
-    out_len: int = 10_000,
-    seed: int = 0,
-) -> tuple[NormSearchReport, ...]:
+def _batch_heads(order: int, support: int, out_len: int):
+    """Plan the length-``out_len`` heads of H_inf x^{m-1} for arrays of rows x of length ``support``:
+    ``core.hankel_operator``'s one-block FFT route over every row at once."""
+    need = generating_length(support, order, out_len)
+    block = _fast_length(need)
+    spectrum = np.fft.rfft(1.0 / np.arange(1, need + 1), block)
+    return lambda xs: np.fft.irfft(spectrum * np.conjugate(np.fft.rfft(xs, block)) ** (order - 1), block)[..., :out_len]
+
+
+def _screen_uppers(head, xs: np.ndarray, qs, p: float, out_len: int) -> np.ndarray:
+    """``CertifiedNorm.upper`` of :func:`_certified_norms` for each xs[i, j] / ||xs[i, j]||_1, q = qs[i].
+
+    One pass over every row, with the length-``out_len`` heads from ``head``.
+    """
+    q = np.array(qs)[:, None]
+    tails = np.array([zeta_tail_bound(qi, out_len) for qi in qs])[:, None] ** (1.0 / p)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf/nan pass the screen
+        values = np.sum(np.abs(head(xs / np.abs(xs).sum(axis=-1, keepdims=True))) ** q[..., None], axis=-1) ** (1.0 / p)
+        upper = (values**p + tails**p) ** (1.0 / p)
+        big = np.maximum(values, tails)  # where the p-th powers underflow, the sum relative to the larger term
+        rescaled = big * ((values / big) ** p + (tails / big) ** p) ** (1.0 / p)
+    return np.where(upper < big, rescaled, upper)
+
+
+def norm_searches(operators, order: int, p: float, trials: int = 200, support: int = 16, out_len: int = 10_000,
+                  seed: int = 0) -> tuple[NormSearchReport, ...]:
     """:func:`norm_search` for each of ``operators`` over one candidate stream.
 
     Every operator draws the same candidates, except that a perturbation
     moves mass in its own incumbent.  Candidates are grouped by their bytes,
     and each distinct one gets one head for all the operators that drew it,
-    so each report equals that of a separate :func:`norm_search`.  Each
-    candidate is built where it is considered: memory grows with ``support``.
-
-    Where ``out_len`` exceeds ``_SCREEN_TRUNCATION`` (128), an operator
-    skips a candidate equal to its incumbent or the incumbent's negative, and
-    one whose length-128 upper end, widened by the guard ``_SCREEN_ALLOWANCE``,
-    is below the incumbent's value (module docstring).  Neither could replace
-    the incumbent, so the reports are those of the unscreened search, and a
-    losing candidate costs a head of length 128, not ``out_len``.  The short
-    head is planned once per search, as one ``core.hankel_operator`` for the
-    ``support``-long candidates.  ``evaluations`` still counts every
-    candidate considered.
+    so each report equals that of a separate :func:`norm_search`.  Draws and
+    candidates come in batches of about ``_BATCH_ELEMENTS`` entries, so
+    memory grows with ``support``, not ``trials``.  A batch is walked in
+    order, and screened first where ``out_len`` exceeds ``_SCREEN_TRUNCATION``
+    (module docstring).  A candidate that passes is rebuilt exactly and gets
+    its full head; if it replaces an incumbent, the rest of the batch, mass
+    moves included, is rebuilt from the new incumbents.
     """
     qs = [tail_exponent(operator, order, p) for operator in operators]
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if support < 1:
         raise ValueError("support must be >= 1")
-    rng = SplitMix64(seed)
     idx = np.arange(1, support + 1, dtype=float)
     screened = out_len > _SCREEN_TRUNCATION
-    if screened:  # every candidate has ``support`` entries: one plan serves the whole search
-        short_len = _SCREEN_TRUNCATION
-        gen = GeneratingVector.hilbert(generating_length(support, order, short_len))
-        short_head = hankel_operator(gen, order, support, short_len)
+    head = _batch_heads(order, support, _SCREEN_TRUNCATION) if screened else None
+    batch = max(1, _BATCH_ELEMENTS // (len(operators) * generating_length(support, order, _SCREEN_TRUNCATION)))
 
     # per operator: the incumbent's value, certificate and vector, and the bytes
     # of the incumbent and its negative, which give its value bit for bit
-    best_val = [-math.inf] * len(operators)
-    best_cert: list[CertifiedNorm | None] = [None] * len(operators)
-    best_x: list[np.ndarray | None] = [None] * len(operators)
-    best_keys: list[tuple[bytes, ...]] = [()] * len(operators)
+    best_val = np.full(len(operators), -math.inf)
+    best_cert = [None] * len(operators)
+    best_x = [None] * len(operators)
+    best_keys = [()] * len(operators)
 
-    def screen(key: bytes, x: np.ndarray, members: list[int]) -> list[int]:
-        """The members for which x, with bytes ``key``, may beat the incumbent at out_len."""
-        members = [i for i in members if key not in best_keys[i]]
-        if not members:
-            return members
-        ops, op_qs = [operators[i] for i in members], [qs[i] for i in members]
-        shorts = _head_norms(short_head, ops, op_qs, x, order, p, short_len)
-        # "not <" lets a nan upper end through to the full head
-        widened = [short.upper * (1.0 + _SCREEN_ALLOWANCE) for short in shorts]
-        return [i for i, upper in zip(members, widened) if not upper < best_val[i]]
+    def candidates():
+        """Each candidate before ``_unit_l1``, or (a, b, delta) for a mass move in each incumbent."""
+        yield from (np.eye(1, support, k)[0] for k in range(support))
+        yield from (1.0 / idx, 1.0 / idx**2, 0.5**idx, 0.2**idx)
+        rng = SplitMix64(seed)
+        width = 2 * support + 4  # the draws of trials 3c, 3c + 1 and 3c + 2; z, u and the rows: 3 width entries
+        cycles = max(1, min(_BATCH_ELEMENTS // (3 * width), -(-trials // 3)))
+        for _ in range(0, trials, 3 * cycles):
+            z = rng.next_u64s(cycles * width).reshape(cycles, width)
+            u = (z >> 11) * 2.0**-53  # SplitMix64.uniform(low, high) is low + (high - low) u
+            signs = -1.0 + 2.0 * u[:, :support]
+            weights = u[:, support : 2 * support] / idx ** (3.0 * u[:, 2 * support, None])
+            moves = [(int(a) % support, int(b) % support, 0.2 * d) for a, b, d in zip(z[:, -3], z[:, -2], u[:, -1])]
+            del z, u  # held while the candidates are walked: only what they are built from
+            for c in range(cycles):
+                yield from (signs[c], weights[c], moves[c])
 
-    def consider(xs: list[np.ndarray]) -> None:
-        """Evaluate xs[i] for operators[i], one head per distinct candidate that passes the screen."""
-        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for i, x in enumerate(xs):
-            groups.setdefault(x.tobytes(), (x, []))[1].append(i)
-        for key, (x, members) in groups.items():
-            if screened:
-                members = screen(key, x, members)
-            if not members:
-                continue
-            certs = _certified_norms(tuple(operators[i] for i in members), x, order, p, out_len)
-            for i, cert in zip(members, certs):
-                if cert.value > best_val[i]:
-                    best_val[i], best_cert[i], best_x[i] = cert.value, cert, x
-                    best_keys[i] = (key, (-x).tobytes())
-
-    for k in range(support):
-        e = np.zeros(support)
-        e[k] = 1.0
-        consider([e] * len(operators))
-    for profile in (1.0 / idx, 1.0 / idx**2, 0.5**idx, 0.2**idx):
-        consider([_unit_l1(profile)] * len(operators))
-
-    for trial in range(trials):
-        mode = trial % 3
-        if mode == 0:
-            raw = np.array(rng.uniforms(support, -1.0, 1.0))
-            consider([_unit_l1(raw)] * len(operators))
-        elif mode == 1:
-            weights = np.array(rng.uniforms(support)) / idx ** rng.uniform(0.0, 3.0)
-            consider([_unit_l1(weights)] * len(operators))
-        else:
-            a = rng.randint(support)
-            b = rng.randint(support)
-            delta = rng.uniform(0.0, 0.2)
-            moved = []
-            for incumbent in best_x:
-                x = incumbent.copy()
-                x[a] = x[a] * (1.0 - delta)
-                x[b] = x[b] + math.copysign(delta, x[b] if x[b] != 0 else 1.0)
-                moved.append(_unit_l1(x))
-            consider(moved)
+    stream = itertools.islice(candidates(), support + 4 + trials)
+    pending = []
+    # one candidate at a time until every operator has an incumbent to move mass in and screen against
+    while pending := pending + list(itertools.islice(stream, (1 if None in best_cert else batch) - len(pending))):
+        rows = np.empty((len(operators), len(pending), support))
+        for j, c in enumerate(pending):
+            rows[:, j] = best_x if isinstance(c, tuple) else c
+            if isinstance(c, tuple):  # move delta of entry a's mass to entry b, along b's sign (+ at 0)
+                a, b, delta = c
+                rows[:, j, a] *= 1.0 - delta
+                xb = rows[:, j, b]
+                rows[:, j, b] = xb + np.copysign(delta, np.where(xb != 0, xb, 1.0))
+        uppers = _screen_uppers(head, rows, qs, p, _SCREEN_TRUNCATION) if screened else np.full(rows.shape[:2], np.inf)
+        passed = ~(uppers * (1.0 + _SCREEN_ALLOWANCE) < best_val[:, None])  # "not <": a nan upper end passes
+        done = len(pending)
+        for j in np.flatnonzero(passed.any(axis=0)):
+            groups = {}  # one full head per distinct candidate, for the operators it passed for
+            for i in np.flatnonzero(passed[:, j]):
+                x = _unit_l1(rows[i, j])
+                if not (screened and x.tobytes() in best_keys[i]):
+                    groups.setdefault(x.tobytes(), (x, []))[1].append(i)
+            for x, group in groups.values():
+                for i, cert in zip(group, _certified_norms([operators[i] for i in group], x, order, p, out_len)):
+                    if cert.value > best_val[i]:
+                        best_val[i], best_cert[i], best_x[i], done = cert.value, cert, x, j + 1
+                        best_keys[i] = (x.tobytes(), (-x).tobytes())
+            if done == j + 1:  # an incumbent changed: the rest of the batch is rebuilt from it
+                break
+        del rows  # before the next batch's rows are made
+        pending = pending[done:]
 
     return tuple(
         NormSearchReport(cert.value, cert.tail_bound, [float(v) for v in x], support + 4 + trials)

@@ -14,6 +14,8 @@ Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -33,6 +35,14 @@ class SplitMix64:
         z = self.state
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of :meth:`next_u64` as one uint64 array; uint64 arrays wrap mod 2^64."""
+        z = self.state + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
         return z ^ (z >> 31)
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:

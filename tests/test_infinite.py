@@ -12,7 +12,6 @@ from hilbert_tensors import (
     SplitMix64,
     apply_infinite,
     cli,
-    core,
     f_infinity,
     h_spectral_radius,
     hankel_apply,
@@ -571,14 +570,14 @@ def test_screen_lets_through_a_winner_whose_short_value_loses(monkeypatch):
     out_len = 2 * short
 
     def far_head(x, out_len):
-        head = np.zeros(out_len)
-        head[0] = 0.01 * x[0]
-        head[short : short + 10] = 0.01 * x[1]
+        head = np.zeros(x.shape[:-1] + (out_len,))
+        head[..., 0] = 0.01 * x[..., 0]
+        head[..., short : short + 10] = 0.01 * x[..., 1, None]
         return head
 
-    # full heads come from apply_infinite, the screen's short heads from the operator it plans
+    # full heads come from apply_infinite, the screen's batched short heads from the head it plans
     monkeypatch.setattr(infinite, "apply_infinite", lambda x, order, out_len: SequenceVector(far_head(x, out_len)))
-    monkeypatch.setattr(infinite, "hankel_operator", lambda gen, order, n, out_len: lambda x: far_head(x, out_len))
+    monkeypatch.setattr(infinite, "_batch_heads", lambda order, n, out_len: lambda xs: far_head(xs, out_len))
     (incumbent,) = infinite._certified_norms(("T",), [1.0, 0.0], 2, 2.0, out_len)
     (e2_short,) = infinite._certified_norms(("T",), [0.0, 1.0], 2, 2.0, short)
     assert e2_short.value < incumbent.value < e2_short.upper
@@ -586,6 +585,35 @@ def test_screen_lets_through_a_winner_whose_short_value_loses(monkeypatch):
     assert screened.best_vector == [0.0, 1.0]
     monkeypatch.setattr(infinite, "_SCREEN_TRUNCATION", out_len)
     assert screened == norm_search(2, 2.0, trials=0, support=2, out_len=out_len)
+
+
+def test_incumbent_replaced_mid_batch_rebuilds_the_rest_of_the_batch(monkeypatch):
+    # no real search gets here, since e1 wins first: fake full-head values let the first random
+    # candidate (row 20 of one batch) replace e1, then trial 2's mass move in that new incumbent
+    support, p, seed = 16, 2.0, 3
+    rng = SplitMix64(seed)
+    drawn = infinite._unit_l1(np.array(rng.uniforms(support, -1.0, 1.0)))
+    rng.uniforms(support + 1)  # trial 1
+    a, b, delta = rng.randint(support), rng.randint(support), rng.uniform(0.0, 0.2)
+    moved = drawn.copy()
+    moved[a] = moved[a] * (1.0 - delta)
+    moved[b] = moved[b] + math.copysign(delta, moved[b] if moved[b] != 0 else 1.0)
+    moved = infinite._unit_l1(moved)
+    values = {drawn.tobytes(): 2e-3, moved.tobytes(): 3e-3}  # every other candidate 1e-3: e1 is first
+
+    def fake(operators, x, order, p, out_len):
+        return tuple(CertifiedNorm(values.get(x.tobytes(), 1e-3), 0.0, p, out_len) for _ in operators)
+
+    monkeypatch.setattr(infinite, "_certified_norms", fake)
+    batches = []
+    uppers = infinite._screen_uppers
+    monkeypatch.setattr(infinite, "_screen_uppers", lambda head, xs, *args: batches.append(len(xs[0])) or
+                        uppers(head, xs, *args))
+    screened = infinite.norm_searches(("T", "F"), 2, p, trials=30, support=support, out_len=5000, seed=seed)
+    assert [report.best_vector for report in screened] == [moved.tolist()] * 2
+    assert batches[:3] == [1, 49, 29]  # e1 alone; rows 1-49, the drawn wins at 20; rows 21-49, moved wins at 22
+    monkeypatch.setattr(infinite, "_SCREEN_TRUNCATION", 5000)
+    assert screened == infinite.norm_searches(("T", "F"), 2, p, trials=30, support=support, out_len=5000, seed=seed)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -645,31 +673,40 @@ def test_default_search_builds_one_full_head(monkeypatch, m, seed):
     assert full == 1  # e1's: the screen drops every later candidate
 
 
-@pytest.mark.parametrize("m, support", [(2, 1), (2, 5), (2, 16), (3, 1), (3, 5), (3, 16), (4, 1), (4, 5), (4, 16),
-                                        (4, 2000)])  # 2000: the short operator takes the FFT route
-def test_screen_plans_once_and_its_norms_are_the_certified_norms(monkeypatch, m, support):
+@pytest.mark.parametrize(
+    "m, support, p",
+    [pytest.param(m, support, None, id=f"{m}-{support}")
+     for m, support in [(2, 1), (2, 5), (2, 16), (3, 1), (3, 5), (3, 16), (4, 1), (4, 5), (4, 16),
+                        (4, 2000)]]  # 2000: a few long rows per batch
+    + [pytest.param(m, 16, 1000.0, id=f"{m}-16-p1000") for m in (2, 3)],  # p-th powers underflow
+)
+def test_screen_plans_once_and_its_norms_are_the_certified_norms(monkeypatch, m, support, p):
     short = infinite._SCREEN_TRUNCATION
-    p = 2.0 * (m - 1) + 0.5  # q != 2 for T and F; F at m = 3 takes the even-root path
+    p = p or 2.0 * (m - 1) + 0.5  # q != 2 for T and F; F at m = 3 takes the even-root path
     plans, screened = [], []
-    plan, norms = infinite.hankel_operator, infinite._head_norms
-    monkeypatch.setattr(infinite, "hankel_operator", lambda gen, *shape: plans.append(shape) or plan(gen, *shape))
+    plan, uppers = infinite._batch_heads, infinite._screen_uppers
+    monkeypatch.setattr(infinite, "_batch_heads", lambda *shape: plans.append(shape) or plan(*shape))
 
-    def recorded(head, operators, qs, xv, order, p, out_len):
-        certs = norms(head, operators, qs, xv, order, p, out_len)
-        if out_len == short:
-            screened.append((tuple(operators), xv.copy(), certs))
-        return certs
+    def recorded(head, xs, qs, p, out_len):
+        screened.append((xs.copy(), uppers(head, xs, qs, p, out_len)))
+        return screened[-1][1]
 
-    monkeypatch.setattr(infinite, "_head_norms", recorded)
+    monkeypatch.setattr(infinite, "_screen_uppers", recorded)
     infinite.norm_searches(("T", "F"), m, p, trials=30, support=support, out_len=5000, seed=4)
     assert plans == [(m, support, short)]
-    assert len(screened) >= support - 1
-    if support == 2000:  # hankel_operator takes the FFT route where need * len(y) passes this threshold
-        need = generating_length(support, m, short)
-        assert need * (need - short + 1) > core._FFT_PRODUCT_THRESHOLD
+    assert sum(xs.shape[1] for xs, _ in screened) >= support - 1
+    # each batch holds at most _BATCH_ELEMENTS entries of length-need rows, or one row
+    need = generating_length(support, m, short)
+    assert all(xs.shape[1] == 1 or xs.shape[0] * xs.shape[1] * need <= infinite._BATCH_ELEMENTS for xs, _ in screened)
     monkeypatch.undo()
-    for operators, x, certs in screened:
-        assert certs == infinite._certified_norms(operators, x, m, p, short)
+    underflowed = 0
+    for xs, batch in screened:
+        for operator, rows, row_uppers in zip(("T", "F"), xs, batch):
+            for x, upper in zip(rows, row_uppers):
+                (cert,) = infinite._certified_norms((operator,), infinite._unit_l1(x), m, p, short)
+                assert upper == pytest.approx(cert.upper, rel=1e-12, abs=0)
+                underflowed += cert.value == 0.0  # every |h_i|^q, and the tail's p-th power, underflowed
+    assert (underflowed > 0) == (p == 1000.0)
 
 
 def test_no_screen_at_the_screen_truncation(monkeypatch):
