@@ -67,7 +67,9 @@ def workload_argvs() -> list[list[str]]:
 # single-vector rows on the homogeneity rescaling (a head or ||x||_1^(2-m)
 # outside the float range) and on Euler-Maclaurin zeta at large p, then two
 # batched norm searches: F at odd m with q != 2, a trial count not divisible
-# by 3 and a seed that wraps; and support 1, where every candidate is +-e1
+# by 3 and a seed that wraps; and support 1, where every candidate is +-e1;
+# then rows whose p-th powers underflow on a normal head: a tiny x at m = 4,
+# e3 at p = 1000, and a p = 1000 search, whose screen sums underflow too
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -131,6 +133,9 @@ infinite --m 3 --p 2 --op T --x 1e-320
 infinite --m 2 --p 100 --x e1
 infinite --search --op both --m 3 --p 5 --support 5 --trials 31 --seed -1 --show-vector
 infinite --search --op T --m 2 --p 3 --support 1 --trials 7
+infinite --m 4 --p 8 --op both --x=2e-60,1e-61
+infinite --m 2 --p 1000 --op T --x e3
+infinite --search --op both --m 2 --p 1000 --support 5 --trials 20 --seed 5
 """.strip().splitlines()
 )
 

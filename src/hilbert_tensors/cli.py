@@ -248,10 +248,10 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
             l1 = float(np.abs(args.x).sum())
             cert = certs[i]
             kind, iterations = op, None
-            value, slack = cert.value, bound - cert.upper
+            value, slack = cert.value, bound - (upper := cert.upper)
             print(
                 f"{op}: value={cert.value:.12g} tail<={cert.tail_bound:.3e} "
-                f"certified upper={cert.upper:.12g} constant={bound:.12g}",
+                f"certified upper={upper:.12g} constant={bound:.12g}",
                 file=sys.stderr,
             )
         # An overflowed value or upper end (slack is taken there) encloses

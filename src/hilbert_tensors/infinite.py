@@ -35,9 +35,9 @@ and rounding symmetric under negation, so both give its value bit for bit),
 and one whose certified upper end on a length-128 head, widened by
 ``_SCREEN_ALLOWANCE`` (1e-6 relative), is below the incumbent's value (no
 truncated value exceeds the true norm, nor the true norm the upper end at a
-shorter truncation).  A batch of candidates gets its upper ends at once, from
-one FFT over all their short heads (:func:`_screen_uppers`), within 1e-14
-relative of :func:`_certified_norms` at length 128.  The allowance stands for
+shorter truncation).  A batch of candidates gets its upper ends at once, from one FFT over all
+their short heads and one pass of :func:`_enclosure`, the arithmetic of :func:`_certified_norms`
+(:func:`_screen_uppers`), within 1e-14 relative of its ends at length 128.  The allowance stands for
 that rounding and the full head's; with no a-priori bound on the latter, it
 is a guard, not a proof.
 """
@@ -109,21 +109,16 @@ class CertifiedNorm:
         """Certified upper end of the enclosure; inf where a p-th power overflows.
 
         Where p-th powers underflow and the sum would fall below either term,
-        it is taken relative to the larger term.
+        it is taken relative to the larger term (:func:`_enclosure`).
         """
-        try:
-            upper = (self.value**self.p + self.tail_bound**self.p) ** (1.0 / self.p)
-        except OverflowError:
-            return math.inf
-        big = max(self.value, self.tail_bound)
-        if not upper < big:
-            return upper
-        return big * ((self.value / big) ** self.p + (self.tail_bound / big) ** self.p) ** (1.0 / self.p)
+        return float(_enclosure(self.p, value=self.value, tail=self.tail_bound)[2])
 
 
 def zeta_tail_bound(q: float, n: int) -> float:
-    """Upper bound for sum_{i>n} i^{-q} via integral comparison (q > 1, n >= 1)."""
-    if q <= 1:
+    """Upper bound for sum_{i>n} i^{-q} via integral comparison (q > 1, n >= 1), elementwise in q.
+
+    It underflows from q ~ 66 at n = 10^5, where :func:`_enclosure` takes its p-th root from logarithms."""
+    if min(np.ravel(q)) <= 1:
         raise ValueError("tail bound needs exponent q > 1")
     if n < 1:
         raise ValueError(f"tail bound needs n >= 1, got {n}")
@@ -198,16 +193,48 @@ def tail_exponent(operator: str, order: int, p: float) -> float:
 
 
 def _outside_float_range(l1: float, order: int, p: float) -> bool:
-    """Whether at finite ||x||_1 = l1 > 0 the head, about l1^{m-1}, or its
-    p-th powers, about l1^p, leave the float range.
+    """Whether at finite ||x||_1 = l1 > 0 the head, about l1^{m-1}, leaves the float range.
 
-    Overflowing p-th powers are left to show as an infinite value, since the
-    tail's p-th power, and so the upper end, overflows with them; the head
-    alone overflows only for T at p < m - 1.
+    Overflowing p-th powers, about l1^p, are left to show as an infinite
+    value, since the tail's p-th power, and so the upper end, overflows with
+    them; the head alone overflows only for T at p < m - 1.  Underflowing
+    p-th powers of a normal head are :func:`_enclosure`'s.
     """
-    tiny, huge = math.log(sys.float_info.min), math.log(sys.float_info.max)
     head, powers = math.log(l1) * (order - 1), math.log(l1) * p
-    return head < tiny or powers < tiny or head >= huge > powers
+    return head < math.log(sys.float_info.min) or head >= math.log(sys.float_info.max) > powers
+
+
+def _enclosure(p: float, heads=None, q=None, scale=1.0, l1=1.0, out_len=1, value=None, tail=None, upper=True):
+    """Value, tail bound and upper end (None unless ``upper``) of the certified l^p enclosure of one or more heads.
+
+    value = (sum_i |scale h_i|^q)^(1/p) over the last axis of ``heads``, tail = l1 zeta_tail_bound(q, out_len)^(1/p),
+    upper = (value^p + tail^p)^(1/p), inf where a finite term's p-th power overflows; q broadcasts over the leading
+    axes, and a given ``value`` or ``tail`` is kept.  Below the normal range, sum_i |scale h_i|^q is taken relative to
+    max_i |h_i| (a zero head stays 0), the bound's p-th root is exp(log(bound) / p) rounded up by 2^-40 relative (its
+    rounding is < 1e-13 for out_len < 2^64), and an upper end below the larger term relative to that term.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):  # inf/nan in the results
+        if value is None:
+            work = np.abs(heads)  # |h|, scaled for T, to the q
+            if scale != 1.0:
+                work *= scale  # |h| s equals |h s| bit for bit
+            work **= q[..., None] if isinstance(q, np.ndarray) else q  # a float keeps numpy's faster loop
+            value = (sums := work.sum(axis=-1)) ** (1.0 / p)
+            if (low := sums < sys.float_info.min).any():  # one more pass, over |h| / max |h|
+                big = np.abs(heads, out=work).max(axis=-1, keepdims=True)
+                work /= big
+                work **= np.expand_dims(q, -1)
+                value = np.where(low, (scale * big[..., 0]) ** (q / p) * np.nansum(work, axis=-1) ** (1.0 / p), value)
+        if tail is None:
+            tail = l1 * (bound := zeta_tail_bound(q, out_len)) ** (1.0 / p)
+            if min(np.ravel(bound)) < sys.float_info.min:  # from logarithms, rounded up
+                rounded_up = l1 * np.exp(((1.0 - q) * math.log(out_len) - np.log(q - 1.0)) / p) * (1.0 + 2.0**-40)
+                tail = np.where(bound < sys.float_info.min, rounded_up, tail)
+        if not upper:  # CertifiedNorm.upper computes it from value and tail
+            return value, tail, None
+        big, vp, tp = np.fmax(value, tail), np.float64(value) ** p, np.float64(tail) ** p  # inf, not OverflowError
+        upper = np.where(((vp == np.inf) | (tp == np.inf)) & (big < np.inf), np.inf, (vp + tp) ** (1.0 / p))[()]
+        return value, tail, np.where(upper < big, big * ((value / big) ** p + (tail / big) ** p) ** (1.0 / p), upper)
 
 
 def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[CertifiedNorm, ...]:
@@ -218,9 +245,10 @@ def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[
     :func:`tail_exponent`: T scales h by ||x||_1^{2-m} first (q = p), which
     keeps large x finite; F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.
     The tail bound is ||x||_1 (sum_{i>out_len} i^{-q})^{1/p}.  Both are
-    homogeneous of degree one, so where the head or its p-th powers would
-    leave the float range (tiny, or for T huge, finite ||x||_1), the value is
-    ||x||_1 times the value at x / ||x||_1.  The zero vector calls no head.
+    homogeneous of degree one, so where the head would leave the float range
+    (tiny, or for T huge, finite ||x||_1), the value is ||x||_1 times the
+    value at x / ||x||_1; :func:`_enclosure` computes both, and keeps them
+    where only p-th powers underflow.  The zero vector calls no head.
     Each operator's work array is freed before the next one is made, so the
     head and one work array are all that is held (plus the clamped copy
     ``even_root_domain`` makes where a head for F at odd m has float-noise
@@ -233,21 +261,13 @@ def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[
         l1 = float(np.abs(xv).sum())
         if l1 == 0.0:
             return tuple(CertifiedNorm(0.0, 0.0, p, out_len) for _ in operators)
-        tails = [l1 * zeta_tail_bound(q, out_len) ** (1.0 / p) for q in qs]
-        if math.isfinite(l1) and _outside_float_range(l1, order, p):
-            units = _certified_norms(operators, xv / l1, order, p, out_len)
-            return tuple(CertifiedNorm(unit.value * l1, tail, p, out_len) for unit, tail in zip(units, tails))
-        h = apply_infinite(xv, order, out_len).values
-        values = []
-        for operator, q in zip(operators, qs):
-            even_root = operator == "F" and order % 2 == 1  # F takes an even root of every component
-            work = np.abs(even_root_domain(h) if even_root else h)  # |h|, scaled for T, to the q
-            if operator == "T":
-                work *= l1 ** (2 - order)  # |h| s equals |h s| bit for bit
-            work **= q
-            values.append(float(np.sum(work) ** (1.0 / p)))
-            del work
-    return tuple(CertifiedNorm(value, tail, p, out_len) for value, tail in zip(values, tails))
+        times = l1 if math.isfinite(l1) and _outside_float_range(l1, order, p) else 1.0  # the values at x / times
+        unit_l1 = l1 if times == 1.0 else float(np.abs(xv := xv / times).sum())
+        h, scales = apply_infinite(xv, order, out_len).values, {"T": unit_l1 ** (2 - order), "F": 1.0}
+        even_root = {"T": False, "F": order % 2 == 1}  # F takes an even root of every component
+        ends = [_enclosure(p, even_root_domain(h) if even_root[op] else h, q, scales[op], l1, out_len, upper=False)
+                for op, q in zip(operators, qs)]
+    return tuple(CertifiedNorm(float(value) * times, float(tail), p, out_len) for value, tail, _ in ends)
 
 
 def t_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> CertifiedNorm:
@@ -349,16 +369,10 @@ def _batch_heads(order: int, support: int, out_len: int):
 def _screen_uppers(head, xs: np.ndarray, qs, p: float, out_len: int) -> np.ndarray:
     """``CertifiedNorm.upper`` of :func:`_certified_norms` for each xs[i, j] / ||xs[i, j]||_1, q = qs[i].
 
-    One pass over every row, with the length-``out_len`` heads from ``head``.
+    One :func:`_enclosure` pass over every row, with the length-``out_len`` heads from ``head``.
     """
-    q = np.array(qs)[:, None]
-    tails = np.array([zeta_tail_bound(qi, out_len) for qi in qs])[:, None] ** (1.0 / p)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf/nan pass the screen
-        values = np.sum(np.abs(head(xs / np.abs(xs).sum(axis=-1, keepdims=True))) ** q[..., None], axis=-1) ** (1.0 / p)
-        upper = (values**p + tails**p) ** (1.0 / p)
-        big = np.maximum(values, tails)  # where the p-th powers underflow, the sum relative to the larger term
-        rescaled = big * ((values / big) ** p + (tails / big) ** p) ** (1.0 / p)
-    return np.where(upper < big, rescaled, upper)
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf/nan pass the screen
+        return _enclosure(p, head(xs / np.abs(xs).sum(-1, keepdims=True)), np.array(qs)[:, None], out_len=out_len)[2]
 
 
 def norm_searches(operators, order: int, p: float, trials: int = 200, support: int = 16, out_len: int = 10_000,

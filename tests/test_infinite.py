@@ -1,4 +1,6 @@
 import math
+import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -430,6 +432,64 @@ def test_upper_is_never_below_a_term_when_powers_underflow():
     assert CertifiedNorm(0.0, 0.0, 2.0, 10).upper == 0.0
 
 
+@pytest.mark.parametrize("m, p, k", [(2, 1000.0, 3), (3, 700.0, 2)])
+def test_norm_is_kept_where_every_power_of_a_normal_head_underflows(m, p, k):
+    # |h_i|^p underflows for every i, yet ||T e_k||_p >= h_1 = 1/3: the sum is taken relative to max |h_i|
+    x = np.eye(1, k, k - 1)[0]
+    (cert,) = infinite._certified_norms(("T",), x, m, p, 100_000)
+    assert cert.value == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0)
+    assert 0 < cert.tail_bound and cert.value <= cert.upper
+
+
+@pytest.mark.parametrize("q", [66.0, 100.0, 1000.0])
+@pytest.mark.parametrize("n", [128, 100_000])
+def test_tail_root_holds_where_the_integral_bound_underflows(q, n):
+    mpmath = pytest.importorskip("mpmath")
+    tail = t_infinity([1.0], 2, q, n).tail_bound  # p = q, ||x||_1 = 1
+    with mpmath.workdps(40):
+        integral = (mpmath.mpf(n) ** (1 - mpmath.mpf(q)) / (mpmath.mpf(q) - 1)) ** (1 / mpmath.mpf(q))
+        assert tail > 0 and tail >= mpmath.zeta(q, n + 1) ** (1 / mpmath.mpf(q))  # the true tail
+        assert abs(tail - integral) <= 1e-12 * integral
+        if n ** (1.0 - q) / (q - 1.0) < sys.float_info.min:  # the log form, rounded up
+            assert tail >= integral
+        else:  # a normal bound keeps its bits, rounded to nearest
+            assert tail == (n ** (1.0 - q) / (q - 1.0)) ** (1.0 / q)
+
+
+def _upper_before_enclosure(value, tail, p):
+    """CertifiedNorm.upper as one Python-float formula: the reference for its bits."""
+    try:
+        upper = (value**p + tail**p) ** (1.0 / p)
+    except OverflowError:
+        return math.inf
+    big = max(value, tail)
+    if not upper < big:
+        return upper
+    return big * ((value / big) ** p + (tail / big) ** p) ** (1.0 / p)
+
+
+def test_upper_keeps_the_scalar_formulas_bits():
+    terms = [0.0, 5e-324, 1e-200, 1.0, 1e200, math.inf, math.nan]
+    for value in terms:
+        for tail in terms:
+            for p in (1.5, 2.0, 6.0, 100.0, 1000.0):
+                upper, reference = CertifiedNorm(value, tail, p, 10).upper, _upper_before_enclosure(value, tail, p)
+                assert struct.pack("<d", upper) == struct.pack("<d", reference), (value, tail, p, upper, reference)
+
+
+@pytest.mark.parametrize(
+    "m, p, x", [(4, 8.0, [2e-60, 1e-61]), (3, 6.0, [1e-100, -2e-101]), (2, 30.0, [1e-20, -3e-21, 5e-22])]
+)
+def test_rows_whose_powers_underflow_on_a_normal_head_are_homogeneous(m, p, x):
+    # computed on the head itself, not on x / ||x||_1: homogeneous up to rounding
+    l1 = float(np.abs(x).sum())
+    operators = ("T", "F") if p > m - 1 else ("T",)
+    for cert, unit in zip(infinite._certified_norms(operators, x, m, p, 1000),
+                          infinite._certified_norms(operators, np.array(x) / l1, m, p, 1000)):
+        assert cert.value == pytest.approx(l1 * unit.value, rel=1e-12, abs=0)
+        assert cert.tail_bound == pytest.approx(l1 * unit.tail_bound, rel=1e-12, abs=0)
+
+
 def _traced_peak(call):
     call()  # warm: the generating vector and its block spectra are cached
     tracemalloc.start()
@@ -705,7 +765,10 @@ def test_screen_plans_once_and_its_norms_are_the_certified_norms(monkeypatch, m,
             for x, upper in zip(rows, row_uppers):
                 (cert,) = infinite._certified_norms((operator,), infinite._unit_l1(x), m, p, short)
                 assert upper == pytest.approx(cert.upper, rel=1e-12, abs=0)
-                underflowed += cert.value == 0.0  # every |h_i|^q, and the tail's p-th power, underflowed
+                assert upper > 0 and cert.value > 0 and cert.tail_bound > 0
+                h = infinite.apply_infinite(infinite._unit_l1(x), m, short).values
+                # the plain sum of |h_i|^q falls below the normal range: the enclosure takes it relative to max |h_i|
+                underflowed += np.sum(np.abs(h) ** tail_exponent(operator, m, p)) < sys.float_info.min
     assert (underflowed > 0) == (p == 1000.0)
 
 
