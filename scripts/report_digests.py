@@ -69,7 +69,9 @@ def workload_argvs() -> list[list[str]]:
 # batched norm searches: F at odd m with q != 2, a trial count not divisible
 # by 3 and a seed that wraps; and support 1, where every candidate is +-e1;
 # then rows whose p-th powers underflow on a normal head: a tiny x at m = 4,
-# e3 at p = 1000, and a p = 1000 search, whose screen sums underflow too
+# e3 at p = 1000, and a p = 1000 search, whose sums underflow too; then searches where the
+# first-coordinate screen's work changes most: small q for T and F at m = 4, T at
+# p = 1.2 on a 5-long head with a seed that wraps, and long rows at support 2000
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -136,6 +138,9 @@ infinite --search --op T --m 2 --p 3 --support 1 --trials 7
 infinite --m 4 --p 8 --op both --x=2e-60,1e-61
 infinite --m 2 --p 1000 --op T --x e3
 infinite --search --op both --m 2 --p 1000 --support 5 --trials 20 --seed 5
+infinite --search --op both --m 4 --p 3.3
+infinite --search --op T --m 2 --p 1.2 --trunc 5 --seed -1
+infinite --search --op both --m 4 --p 6 --support 2000 --trials 30
 """.strip().splitlines()
 )
 

@@ -22,8 +22,7 @@ write into one output array, so no other head-sized array is made.  The block
 spectra of v are memoised on its ``GeneratingVector``, and
 ``GeneratingVector.hilbert`` keeps the last vector it built, so repeated
 plans at one shape (a norm search's full heads) transform only x, as does
-each call of one operator (solver iterations).  ``infinite._batch_heads``
-repeats the one-block route for a norm search's batches of short heads.
+each call of one operator (solver iterations).
 
 Three routes compute the same contraction and quadratic form:
 

@@ -27,19 +27,24 @@ that e_1 also maximizes every truncated value, so :func:`norm_search` returns
 e_1 (up to rounding ties); its rows are evidence for a proven fact.  (At p = 2 the T constant is
 pi/sqrt(6).)
 
-So no candidate after e_1 beats it, and where ``out_len`` exceeds
-``_SCREEN_TRUNCATION`` (128) :func:`norm_searches` lets an operator skip a
-candidate that cannot replace its incumbent (a strictly larger value): one
-byte-equal to the incumbent or its negative (the evaluation is deterministic
-and rounding symmetric under negation, so both give its value bit for bit),
-and one whose certified upper end on a length-128 head, widened by
-``_SCREEN_ALLOWANCE`` (1e-6 relative), is below the incumbent's value (no
-truncated value exceeds the true norm, nor the true norm the upper end at a
-shorter truncation).  A batch of candidates gets its upper ends at once, from one FFT over all
-their short heads and one pass of :func:`_enclosure`, the arithmetic of :func:`_certified_norms`
-(:func:`_screen_uppers`), within 1e-14 relative of its ends at length 128.  The allowance stands for
-that rounding and the full head's; with no a-priori bound on the latter, it
-is a guard, not a proof.
+So no candidate after e_1 beats it, and :func:`norm_searches` lets an
+operator skip a candidate that cannot replace its incumbent (a strictly
+larger value): one byte-equal to the incumbent or its negative (the
+evaluation is deterministic and rounding symmetric under negation, so both
+give its value bit for bit), and one whose first-coordinate bound, widened by
+``_SCREEN_ALLOWANCE`` (1e-6 relative), is below the incumbent's value.  The
+bound is the argument above on the first N = ``out_len`` components: for
+||x||_1 = 1, |y_0| = |x_1|^{m-1} and the truncated column norms
+||c_s||_{q,N} fall in s, so
+
+    ||H_inf x^{m-1}||_{q,N} <= a_1 + (a_0 - a_1) |x_1|^{m-1},
+
+a_0 = s_0^(1/q) and a_1 = s_1^(1/q), where s_0 = zeta_upper_bound(q) -
+(N+1)^{1-q}/(q-1) >= sum_{i<=N} i^{-q} (the zeta tail beyond N is at least
+its integral from N+1) and s_1 = s_0 - 1 + (N+1)^{-q} >= sum_{2<=i<=N+1}
+i^{-q}.  The truncated value is that norm for T and its (m-1)-th root for F.
+The allowance stands for the rounding of the bound and of the full head;
+with no a-priori bound on the latter, it is a guard, not a proof.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ import numpy as np
 from .core import (
     GeneratingVector,
     SequenceVector,
-    _fast_length,
     as_vector,
     even_root_domain,
     generating_length,
@@ -82,12 +86,8 @@ _EM_COEFFS = tuple(
 # factors, its coefficient), fsum one more and the two final additions two
 _EM_ROUNDING = 64 * 2.0**-53
 
-# norm_searches screens candidates on heads this long when out_len exceeds it, and widens
-# the short upper ends by the relative allowance (a guard, not a proof).  Batches hold about
-# _BATCH_ELEMENTS entries, 128 KB.  With batched screens, 32 ran the default T+F searches 15%
-# faster than 128 but let more candidates through at small q, and 256 ran them 20% slower;
-# each let e_1 alone through to a full head (2-core x86-64, numpy 2.4)
-_SCREEN_TRUNCATION = 128
+# norm_searches widens each first-coordinate bound by the relative allowance (a guard, not a
+# proof), and draws its random candidates in cycles of about _BATCH_ELEMENTS entries, 128 KB
 _SCREEN_ALLOWANCE = 1e-6
 _BATCH_ELEMENTS = 1 << 14
 
@@ -115,10 +115,10 @@ class CertifiedNorm:
 
 
 def zeta_tail_bound(q: float, n: int) -> float:
-    """Upper bound for sum_{i>n} i^{-q} via integral comparison (q > 1, n >= 1), elementwise in q.
+    """Upper bound for sum_{i>n} i^{-q} via integral comparison (q > 1, n >= 1).
 
     It underflows from q ~ 66 at n = 10^5, where :func:`_enclosure` takes its p-th root from logarithms."""
-    if min(np.ravel(q)) <= 1:
+    if q <= 1:
         raise ValueError("tail bound needs exponent q > 1")
     if n < 1:
         raise ValueError(f"tail bound needs n >= 1, got {n}")
@@ -204,37 +204,36 @@ def _outside_float_range(l1: float, order: int, p: float) -> bool:
     return head < math.log(sys.float_info.min) or head >= math.log(sys.float_info.max) > powers
 
 
-def _enclosure(p: float, heads=None, q=None, scale=1.0, l1=1.0, out_len=1, value=None, tail=None, upper=True):
-    """Value, tail bound and upper end (None unless ``upper``) of the certified l^p enclosure of one or more heads.
+def _enclosure(p: float, head=None, q=None, scale=1.0, l1=1.0, out_len=1, value=None, tail=None, upper=True):
+    """Value, tail bound and upper end (None unless ``upper``) of the certified l^p enclosure of one head.
 
-    value = (sum_i |scale h_i|^q)^(1/p) over the last axis of ``heads``, tail = l1 zeta_tail_bound(q, out_len)^(1/p),
-    upper = (value^p + tail^p)^(1/p), inf where a finite term's p-th power overflows; q broadcasts over the leading
-    axes, and a given ``value`` or ``tail`` is kept.  Below the normal range, sum_i |scale h_i|^q is taken relative to
-    max_i |h_i| (a zero head stays 0), the bound's p-th root is exp(log(bound) / p) rounded up by 2^-40 relative (its
-    rounding is < 1e-13 for out_len < 2^64), and an upper end below the larger term relative to that term.
+    value = (sum_i |scale h_i|^q)^(1/p), tail = l1 zeta_tail_bound(q, out_len)^(1/p), upper = (value^p + tail^p)^(1/p),
+    inf where a finite term's p-th power overflows; a given ``value`` or ``tail`` is kept.  Below the normal range,
+    sum_i |scale h_i|^q is taken relative to max_i |h_i| (a zero head stays 0), the bound's p-th root is
+    exp(log(bound) / p) rounded up by 2^-40 relative (its rounding is < 1e-13 for out_len < 2^64), and an upper end
+    below the larger term relative to that term.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):  # inf/nan in the results
         if value is None:
-            work = np.abs(heads)  # |h|, scaled for T, to the q
+            work = np.abs(head)  # |h|, scaled for T, to the q
             if scale != 1.0:
                 work *= scale  # |h| s equals |h s| bit for bit
-            work **= q[..., None] if isinstance(q, np.ndarray) else q  # a float keeps numpy's faster loop
-            value = (sums := work.sum(axis=-1)) ** (1.0 / p)
-            if (low := sums < sys.float_info.min).any():  # one more pass, over |h| / max |h|
-                big = np.abs(heads, out=work).max(axis=-1, keepdims=True)
+            work **= q
+            value = (total := work.sum()) ** (1.0 / p)
+            if total < sys.float_info.min:  # one more pass, over |h| / max |h|
+                big = np.abs(head, out=work).max()
                 work /= big
-                work **= np.expand_dims(q, -1)
-                value = np.where(low, (scale * big[..., 0]) ** (q / p) * np.nansum(work, axis=-1) ** (1.0 / p), value)
+                work **= q
+                value = (scale * big) ** (q / p) * np.nansum(work) ** (1.0 / p)
         if tail is None:
             tail = l1 * (bound := zeta_tail_bound(q, out_len)) ** (1.0 / p)
-            if min(np.ravel(bound)) < sys.float_info.min:  # from logarithms, rounded up
-                rounded_up = l1 * np.exp(((1.0 - q) * math.log(out_len) - np.log(q - 1.0)) / p) * (1.0 + 2.0**-40)
-                tail = np.where(bound < sys.float_info.min, rounded_up, tail)
+            if bound < sys.float_info.min:  # from logarithms, rounded up
+                tail = l1 * np.exp(((1.0 - q) * math.log(out_len) - np.log(q - 1.0)) / p) * (1.0 + 2.0**-40)
         if not upper:  # CertifiedNorm.upper computes it from value and tail
             return value, tail, None
         big, vp, tp = np.fmax(value, tail), np.float64(value) ** p, np.float64(tail) ** p  # inf, not OverflowError
-        upper = np.where(((vp == np.inf) | (tp == np.inf)) & (big < np.inf), np.inf, (vp + tp) ** (1.0 / p))[()]
-        return value, tail, np.where(upper < big, big * ((value / big) ** p + (tail / big) ** p) ** (1.0 / p), upper)
+        upper = np.inf if (vp == np.inf or tp == np.inf) and big < np.inf else (vp + tp) ** (1.0 / p)
+        return value, tail, big * ((value / big) ** p + (tail / big) ** p) ** (1.0 / p) if upper < big else upper
 
 
 def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[CertifiedNorm, ...]:
@@ -357,22 +356,28 @@ def norm_search(
     return report
 
 
-def _batch_heads(order: int, support: int, out_len: int):
-    """Plan the length-``out_len`` heads of H_inf x^{m-1} for arrays of rows x of length ``support``:
-    ``core.hankel_operator``'s one-block FFT route over every row at once."""
-    need = generating_length(support, order, out_len)
-    block = _fast_length(need)
-    spectrum = np.fft.rfft(1.0 / np.arange(1, need + 1), block)
-    return lambda xs: np.fft.irfft(spectrum * np.conjugate(np.fft.rfft(xs, block)) ** (order - 1), block)[..., :out_len]
+def _first_coordinate_bound(operator: str, order: int, q: float, out_len: int) -> tuple[float, float, float]:
+    """(a_1, a_0 - a_1, r): a unit-l^1 x has value at most (a_1 + (a_0 - a_1) |x_1|^{m-1})^r at ``out_len``.
 
-
-def _screen_uppers(head, xs: np.ndarray, qs, p: float, out_len: int) -> np.ndarray:
-    """``CertifiedNorm.upper`` of :func:`_certified_norms` for each xs[i, j] / ||xs[i, j]||_1, q = qs[i].
-
-    One :func:`_enclosure` pass over every row, with the length-``out_len`` heads from ``head``.
+    r is 1 for T and 1/(m-1) for F; a_0, a_1 as in the module docstring.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):  # inf/nan pass the screen
-        return _enclosure(p, head(xs / np.abs(xs).sum(-1, keepdims=True)), np.array(qs)[:, None], out_len=out_len)[2]
+    n = float(out_len + 1)
+    s0 = zeta_upper_bound(q) - n ** (1.0 - q) / (q - 1.0)
+    a0, a1 = s0 ** (1.0 / q), (s0 - 1.0 + n**-q) ** (1.0 / q)
+    return a1, a0 - a1, 1.0 if operator == "T" else 1.0 / (order - 1)
+
+
+def _cannot_win(x: np.ndarray, order: int, bound, best_value: float, keys) -> bool:
+    """Whether unit-l^1 candidate x cannot replace an incumbent of value ``best_value`` (module docstring).
+
+    True where x's :func:`_first_coordinate_bound` ``bound``, widened by ``_SCREEN_ALLOWANCE``, is below
+    that value, or x is byte-equal to one of ``keys`` (the incumbent and its negative).  A stand-in that
+    returns False gives the unscreened search, whose reports are the same.
+    """
+    a1, slope, r = bound
+    return (a1 + slope * abs(float(x[0])) ** (order - 1)) ** r * (1.0 + _SCREEN_ALLOWANCE) < best_value or (
+        x.tobytes() in keys
+    )
 
 
 def norm_searches(operators, order: int, p: float, trials: int = 200, support: int = 16, out_len: int = 10_000,
@@ -380,29 +385,26 @@ def norm_searches(operators, order: int, p: float, trials: int = 200, support: i
     """:func:`norm_search` for each of ``operators`` over one candidate stream.
 
     Every operator draws the same candidates, except that a perturbation
-    moves mass in its own incumbent.  Candidates are grouped by their bytes,
-    and each distinct one gets one head for all the operators that drew it,
-    so each report equals that of a separate :func:`norm_search`.  Draws and
-    candidates come in batches of about ``_BATCH_ELEMENTS`` entries, so
-    memory grows with ``support``, not ``trials``.  A batch is walked in
-    order, and screened first where ``out_len`` exceeds ``_SCREEN_TRUNCATION``
-    (module docstring).  A candidate that passes is rebuilt exactly and gets
-    its full head; if it replaces an incumbent, the rest of the batch, mass
-    moves included, is rebuilt from the new incumbents.
+    moves mass in its own incumbent.  The candidates are walked one at a
+    time: each operator skips one that cannot replace its incumbent
+    (:func:`_cannot_win`), the others are grouped by their bytes, and each
+    distinct one gets one head for all the operators it passed for, so each
+    report equals that of a separate :func:`norm_search`.  The random draws
+    come in cycles of about ``_BATCH_ELEMENTS`` entries, so memory grows with
+    ``support``, not ``trials``.
     """
     qs = [tail_exponent(operator, order, p) for operator in operators]
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if support < 1:
         raise ValueError("support must be >= 1")
+    generating_length(support, order, out_len)  # the heads' input rule, before the bounds read out_len
     idx = np.arange(1, support + 1, dtype=float)
-    screened = out_len > _SCREEN_TRUNCATION
-    head = _batch_heads(order, support, _SCREEN_TRUNCATION) if screened else None
-    batch = max(1, _BATCH_ELEMENTS // (len(operators) * generating_length(support, order, _SCREEN_TRUNCATION)))
+    bounds = [_first_coordinate_bound(operator, order, q, out_len) for operator, q in zip(operators, qs)]
 
     # per operator: the incumbent's value, certificate and vector, and the bytes
     # of the incumbent and its negative, which give its value bit for bit
-    best_val = np.full(len(operators), -math.inf)
+    best_val = [-math.inf] * len(operators)
     best_cert = [None] * len(operators)
     best_x = [None] * len(operators)
     best_keys = [()] * len(operators)
@@ -424,36 +426,23 @@ def norm_searches(operators, order: int, p: float, trials: int = 200, support: i
             for c in range(cycles):
                 yield from (signs[c], weights[c], moves[c])
 
-    stream = itertools.islice(candidates(), support + 4 + trials)
-    pending = []
-    # one candidate at a time until every operator has an incumbent to move mass in and screen against
-    while pending := pending + list(itertools.islice(stream, (1 if None in best_cert else batch) - len(pending))):
-        rows = np.empty((len(operators), len(pending), support))
-        for j, c in enumerate(pending):
-            rows[:, j] = best_x if isinstance(c, tuple) else c
+    for c in itertools.islice(candidates(), support + 4 + trials):
+        x = None if isinstance(c, tuple) else _unit_l1(c)
+        groups = {}  # one full head per distinct candidate, for the operators it passed for
+        for i, bound in enumerate(bounds):
             if isinstance(c, tuple):  # move delta of entry a's mass to entry b, along b's sign (+ at 0)
                 a, b, delta = c
-                rows[:, j, a] *= 1.0 - delta
-                xb = rows[:, j, b]
-                rows[:, j, b] = xb + np.copysign(delta, np.where(xb != 0, xb, 1.0))
-        uppers = _screen_uppers(head, rows, qs, p, _SCREEN_TRUNCATION) if screened else np.full(rows.shape[:2], np.inf)
-        passed = ~(uppers * (1.0 + _SCREEN_ALLOWANCE) < best_val[:, None])  # "not <": a nan upper end passes
-        done = len(pending)
-        for j in np.flatnonzero(passed.any(axis=0)):
-            groups = {}  # one full head per distinct candidate, for the operators it passed for
-            for i in np.flatnonzero(passed[:, j]):
-                x = _unit_l1(rows[i, j])
-                if not (screened and x.tobytes() in best_keys[i]):
-                    groups.setdefault(x.tobytes(), (x, []))[1].append(i)
-            for x, group in groups.values():
-                for i, cert in zip(group, _certified_norms([operators[i] for i in group], x, order, p, out_len)):
-                    if cert.value > best_val[i]:
-                        best_val[i], best_cert[i], best_x[i], done = cert.value, cert, x, j + 1
-                        best_keys[i] = (x.tobytes(), (-x).tobytes())
-            if done == j + 1:  # an incumbent changed: the rest of the batch is rebuilt from it
-                break
-        del rows  # before the next batch's rows are made
-        pending = pending[done:]
+                row = best_x[i].copy()
+                row[a] *= 1.0 - delta
+                row[b] += math.copysign(delta, row[b] if row[b] != 0 else 1.0)
+                x = _unit_l1(row)
+            if not _cannot_win(x, order, bound, best_val[i], best_keys[i]):
+                groups.setdefault(x.tobytes(), (x, []))[1].append(i)
+        for x, group in groups.values():
+            for i, cert in zip(group, _certified_norms([operators[i] for i in group], x, order, p, out_len)):
+                if cert.value > best_val[i]:
+                    best_val[i], best_cert[i], best_x[i] = cert.value, cert, x
+                    best_keys[i] = (x.tobytes(), (-x).tobytes())
 
     return tuple(
         NormSearchReport(cert.value, cert.tail_bound, [float(v) for v in x], support + 4 + trials)

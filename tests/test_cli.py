@@ -536,11 +536,11 @@ def test_infinite_search_both_makes_one_head_per_candidate(capsys, monkeypatch):
         return apply(x, order, out_len)
 
     monkeypatch.setattr(infinite, "apply_infinite", counted)
+    monkeypatch.setattr(infinite, "_cannot_win", lambda *args: False)  # unscreened
     counts = {}
     for op in ("T", "F", "both"):
         heads.clear()
-        code, _, err = run_cli(["infinite", "--search", "--op", op, "--m", "3", "--p", "4", "--trials", "20",
-                                "--trunc", str(infinite._SCREEN_TRUNCATION)], capsys)  # unscreened
+        code, _, err = run_cli(["infinite", "--search", "--op", op, "--m", "3", "--p", "4", "--trials", "20"], capsys)
         assert code == 0, err
         counts[op] = len(heads)
     evaluations = int(err.split("evaluations=")[1].split()[0])

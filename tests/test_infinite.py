@@ -562,6 +562,7 @@ def test_joint_search_perturbs_each_incumbent(monkeypatch):
         return SequenceVector(head)
 
     monkeypatch.setattr(infinite, "apply_infinite", spread_head)
+    monkeypatch.setattr(infinite, "_cannot_win", lambda *args: False)  # the screen's bound holds for Hilbert heads only
     joint = infinite.norm_searches(("T", "F"), 4, 6.0, trials=30, support=4, out_len=100, seed=3)
     joint_heads = len(heads)
     separate = tuple(
@@ -600,6 +601,7 @@ def test_norm_search_memory_grows_with_support_not_its_square(monkeypatch):
         (lambda: infinite.zeta_tail_bound(2.0, 0), "n >= 1, got 0"),
         (lambda: infinite.zeta_upper_bound(1.0), "q > 1"),
         (lambda: infinite.norm_searches(("T",), 2, 2.0, support=0), "support"),
+        (lambda: infinite.norm_searches(("T",), 2, 2.0, out_len=-1), "out_len must be >= 1"),
     ],
     ids=[
         "zeta_tail_bound",
@@ -608,6 +610,7 @@ def test_norm_search_memory_grows_with_support_not_its_square(monkeypatch):
         "zeta_tail_bound-zero-n",
         "zeta_upper_bound",
         "norm_searches",
+        "norm_searches-negative-out_len",
     ],
 )
 def test_infinite_refusals(call, match):
@@ -620,36 +623,12 @@ def test_zeta_upper_bound_survives_underflowing_terms():
     assert 1.0 <= infinite.zeta_upper_bound(1e4) <= 1.0 + 1e-14
 
 
-# -- screening candidates on a short head ------------------------------------------------
-
-
-def test_screen_lets_through_a_winner_whose_short_value_loses(monkeypatch):
-    # e2's head has its mass beyond the screen's truncation: its short value (0) is below
-    # e1's, its short upper end (the tail bound) above it, and its full value wins
-    short = infinite._SCREEN_TRUNCATION
-    out_len = 2 * short
-
-    def far_head(x, out_len):
-        head = np.zeros(x.shape[:-1] + (out_len,))
-        head[..., 0] = 0.01 * x[..., 0]
-        head[..., short : short + 10] = 0.01 * x[..., 1, None]
-        return head
-
-    # full heads come from apply_infinite, the screen's batched short heads from the head it plans
-    monkeypatch.setattr(infinite, "apply_infinite", lambda x, order, out_len: SequenceVector(far_head(x, out_len)))
-    monkeypatch.setattr(infinite, "_batch_heads", lambda order, n, out_len: lambda xs: far_head(xs, out_len))
-    (incumbent,) = infinite._certified_norms(("T",), [1.0, 0.0], 2, 2.0, out_len)
-    (e2_short,) = infinite._certified_norms(("T",), [0.0, 1.0], 2, 2.0, short)
-    assert e2_short.value < incumbent.value < e2_short.upper
-    screened = norm_search(2, 2.0, trials=0, support=2, out_len=out_len)
-    assert screened.best_vector == [0.0, 1.0]
-    monkeypatch.setattr(infinite, "_SCREEN_TRUNCATION", out_len)
-    assert screened == norm_search(2, 2.0, trials=0, support=2, out_len=out_len)
+# -- screening candidates by their first coordinate -----------------------------------------
 
 
 def test_incumbent_replaced_mid_batch_rebuilds_the_rest_of_the_batch(monkeypatch):
     # no real search gets here, since e1 wins first: fake full-head values let the first random
-    # candidate (row 20 of one batch) replace e1, then trial 2's mass move in that new incumbent
+    # candidate (candidate 20) replace e1, then trial 2's mass move in that new incumbent
     support, p, seed = 16, 2.0, 3
     rng = SplitMix64(seed)
     drawn = infinite._unit_l1(np.array(rng.uniforms(support, -1.0, 1.0)))
@@ -665,14 +644,9 @@ def test_incumbent_replaced_mid_batch_rebuilds_the_rest_of_the_batch(monkeypatch
         return tuple(CertifiedNorm(values.get(x.tobytes(), 1e-3), 0.0, p, out_len) for _ in operators)
 
     monkeypatch.setattr(infinite, "_certified_norms", fake)
-    batches = []
-    uppers = infinite._screen_uppers
-    monkeypatch.setattr(infinite, "_screen_uppers", lambda head, xs, *args: batches.append(len(xs[0])) or
-                        uppers(head, xs, *args))
     screened = infinite.norm_searches(("T", "F"), 2, p, trials=30, support=support, out_len=5000, seed=seed)
     assert [report.best_vector for report in screened] == [moved.tolist()] * 2
-    assert batches[:3] == [1, 49, 29]  # e1 alone; rows 1-49, the drawn wins at 20; rows 21-49, moved wins at 22
-    monkeypatch.setattr(infinite, "_SCREEN_TRUNCATION", 5000)
+    monkeypatch.setattr(infinite, "_cannot_win", lambda *args: False)
     assert screened == infinite.norm_searches(("T", "F"), 2, p, trials=30, support=support, out_len=5000, seed=seed)
 
 
@@ -695,7 +669,7 @@ def test_negated_candidate_has_the_same_norms_bit_for_bit(m, out_len):
 def test_screened_search_is_the_unscreened_search(monkeypatch, operators, m, support, seed):
     p = 2.0 * (m - 1)
     screened = infinite.norm_searches(operators, m, p, support=support, out_len=5000, seed=seed)
-    monkeypatch.setattr(infinite, "_SCREEN_TRUNCATION", 5000)
+    monkeypatch.setattr(infinite, "_cannot_win", lambda *args: False)
     assert screened == infinite.norm_searches(operators, m, p, support=support, out_len=5000, seed=seed)
 
 
@@ -726,54 +700,35 @@ def test_default_search_builds_at_most_two_full_heads(monkeypatch, m, seed):
     assert full == 1  # e1 once: every later candidate is e1 or -e1
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("seed", [0, 13])
-def test_default_search_builds_one_full_head(monkeypatch, m, seed):
-    full, _ = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed, out_len=infinite.DEFAULT_TRUNCATION)
+@pytest.mark.parametrize(
+    "m, seed, p, out_len",
+    [pytest.param(m, seed, 2.0 * (m - 1), infinite.DEFAULT_TRUNCATION, id=f"{seed}-{m}")
+     for m in (2, 3, 4) for seed in (0, 13)]
+    + [pytest.param(m, seed, m - 1 + 0.2, out_len, id=f"{seed}-{m}-small-q-{out_len}")  # q 1.07-3.2
+       for m in (2, 3, 4) for seed in (0, 13) for out_len in (1000, 100_000)],
+)
+def test_default_search_builds_one_full_head(monkeypatch, m, seed, p, out_len):
+    full, _ = _full_heads(monkeypatch, order=m, p=p, seed=seed, out_len=out_len)
     assert full == 1  # e1's: the screen drops every later candidate
 
 
-@pytest.mark.parametrize(
-    "m, support, p",
-    [pytest.param(m, support, None, id=f"{m}-{support}")
-     for m, support in [(2, 1), (2, 5), (2, 16), (3, 1), (3, 5), (3, 16), (4, 1), (4, 5), (4, 16),
-                        (4, 2000)]]  # 2000: a few long rows per batch
-    + [pytest.param(m, 16, 1000.0, id=f"{m}-16-p1000") for m in (2, 3)],  # p-th powers underflow
-)
-def test_screen_plans_once_and_its_norms_are_the_certified_norms(monkeypatch, m, support, p):
-    short = infinite._SCREEN_TRUNCATION
-    p = p or 2.0 * (m - 1) + 0.5  # q != 2 for T and F; F at m = 3 takes the even-root path
-    plans, screened = [], []
-    plan, uppers = infinite._batch_heads, infinite._screen_uppers
-    monkeypatch.setattr(infinite, "_batch_heads", lambda *shape: plans.append(shape) or plan(*shape))
-
-    def recorded(head, xs, qs, p, out_len):
-        screened.append((xs.copy(), uppers(head, xs, qs, p, out_len)))
-        return screened[-1][1]
-
-    monkeypatch.setattr(infinite, "_screen_uppers", recorded)
-    infinite.norm_searches(("T", "F"), m, p, trials=30, support=support, out_len=5000, seed=4)
-    assert plans == [(m, support, short)]
-    assert sum(xs.shape[1] for xs, _ in screened) >= support - 1
-    # each batch holds at most _BATCH_ELEMENTS entries of length-need rows, or one row
-    need = generating_length(support, m, short)
-    assert all(xs.shape[1] == 1 or xs.shape[0] * xs.shape[1] * need <= infinite._BATCH_ELEMENTS for xs, _ in screened)
-    monkeypatch.undo()
-    underflowed = 0
-    for xs, batch in screened:
-        for operator, rows, row_uppers in zip(("T", "F"), xs, batch):
-            for x, upper in zip(rows, row_uppers):
-                (cert,) = infinite._certified_norms((operator,), infinite._unit_l1(x), m, p, short)
-                assert upper == pytest.approx(cert.upper, rel=1e-12, abs=0)
-                assert upper > 0 and cert.value > 0 and cert.tail_bound > 0
-                h = infinite.apply_infinite(infinite._unit_l1(x), m, short).values
-                # the plain sum of |h_i|^q falls below the normal range: the enclosure takes it relative to max |h_i|
-                underflowed += np.sum(np.abs(h) ** tail_exponent(operator, m, p)) < sys.float_info.min
-    assert (underflowed > 0) == (p == 1000.0)
+def _truncated_bound(operator, m, p, x, out_len):
+    a1, slope, r = infinite._first_coordinate_bound(operator, m, tail_exponent(operator, m, p), out_len)
+    return (a1 + slope * abs(x[0]) ** (m - 1)) ** r
 
 
-def test_no_screen_at_the_screen_truncation(monkeypatch):
-    # every candidate considered gets its full head, and no short one
-    out_len = infinite._SCREEN_TRUNCATION
-    full, evaluations = _full_heads(monkeypatch, order=3, p=4.0, trials=30, support=1, out_len=out_len)
-    assert full == evaluations
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("out_len", [1, 5, 128, 1000, 100_000])
+def test_first_coordinate_bound_holds_and_is_attained_at_e1(m, out_len):
+    rng = np.random.default_rng(out_len + m)
+    xs = [np.eye(1, 16, k)[0] for k in (0, 1)]
+    xs += [infinite._unit_l1(rng.uniform(-1.0, 1.0, 16) / np.arange(1, 17) ** rng.uniform(0.0, 3.0)) for _ in range(3)]
+    for p in (1.01, 1.2, 1.5, 2.0, 3.3, 4.5, 6.0, 30.0, 100.0, 1000.0):
+        operators = ("T", "F") if p > m - 1 else ("T",)
+        for k, x in enumerate(xs):
+            for operator, cert in zip(operators, infinite._certified_norms(operators, x, m, p, out_len)):
+                bound = _truncated_bound(operator, m, p, x, out_len)
+                assert cert.value <= bound * (1.0 + 1e-12), (operator, p, k)
+                if k == 0:  # e1 attains it, up to the bound's zeta tail term
+                    q = tail_exponent(operator, m, p)
+                    assert bound / cert.value - 1.0 <= max((out_len + 1.0) ** -q, 1e-13), (operator, p)
