@@ -9,8 +9,10 @@ first on ``PYTHONPATH``), and prints one line per argv:
 
     <argv, shell-quoted> TAB <exit code> TAB <SHA-256>
 
-An argv is run as ``python -m hilbert_tensors <argv>``, or, where its first
-word names a ``.py`` file, as that script of the checkout.  The digest
+An argv is run as ``python -W error::RuntimeWarning -m hilbert_tensors
+<argv>``, or, where its first word names a ``.py`` file, as that script of
+the checkout under the same flag, so an argv that a change makes warn
+shows as a changed exit code and stderr.  The digest
 covers stdout, stderr and every file the run writes into its working
 directory (``verification.json`` for ``verify_theorems.py --out .``); for
 ``bench`` it leaves out stderr, which holds wall-clock timings.  Equal lines
@@ -71,7 +73,8 @@ def workload_argvs() -> list[list[str]]:
 # then rows whose p-th powers underflow on a normal head: a tiny x at m = 4,
 # e3 at p = 1000, and a p = 1000 search, whose sums underflow too; then searches where the
 # first-coordinate screen's work changes most: small q for T and F at m = 4, T at
-# p = 1.2 on a 5-long head with a seed that wraps, and long rows at support 2000
+# p = 1.2 on a 5-long head with a seed that wraps, and long rows at support 2000;
+# then e1 rows whose upper end rests on the tail's rounding: p = 1 + 1e-12, and p = 2 at N = 1000
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -141,6 +144,8 @@ infinite --search --op both --m 2 --p 1000 --support 5 --trials 20 --seed 5
 infinite --search --op both --m 4 --p 3.3
 infinite --search --op T --m 2 --p 1.2 --trunc 5 --seed -1
 infinite --search --op both --m 4 --p 6 --support 2000 --trials 30
+infinite --m 2 --p 1.000000000001 --op T --x e1
+infinite --m 2 --p 2 --op T --x e1 --trunc 1000
 """.strip().splitlines()
 )
 
@@ -152,7 +157,8 @@ def digest_line(argv: list[str], root: Path = ROOT) -> str:
     command = [str(root / argv[0]), *argv[1:]] if argv[0].endswith(".py") else ["-m", "hilbert_tensors", *argv]
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory(prefix="report-digests-") as cwd:
-        proc = subprocess.run([sys.executable, *command], capture_output=True, env=env, cwd=cwd)
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *command],
+                              capture_output=True, env=env, cwd=cwd)
         digest.update(b"%d\n" % len(proc.stdout) + proc.stdout)
         if argv[0] != "bench":  # bench's stderr holds wall-clock timings
             digest.update(proc.stderr)

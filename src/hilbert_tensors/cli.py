@@ -378,16 +378,16 @@ def run(argv=None) -> int:
         # overflow already shows as null values, certified: false and exit 3
         with np.errstate(over="ignore", invalid="ignore"):
             status = _COMMANDS[args.command](args, rows)
-    except Exception as exc:  # anything else is a fault of the program, not of its arguments
+        text = reporting.render(rows, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except Exception as exc:  # anything else, a failed report write included, is a fault, not a usage error
         traceback.print_exc()
         print(f"hilbert-tensors: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    text = reporting.render(rows, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

@@ -9,7 +9,9 @@ lives in the discarded output tail, which is bounded analytically:
 
 componentwise, so the p-norm tail beyond index N is at most
 ||x||_1 (sum_{i>N} i^{-q})^{1/p} with q from :func:`tail_exponent`, and the
-zeta tail is capped by the integral comparison sum_{i>N} i^{-q} <= N^{1-q}/(q-1).
+zeta tail is capped by the integral comparison sum_{i>N} i^{-q} <= N^{1-q}/(q-1),
+whose p-th root :func:`_enclosure` takes from logarithms, rounded up.  The
+upper end of the enclosure is :attr:`CertifiedNorm.upper`.
 
 The operators:
 
@@ -106,18 +108,23 @@ class CertifiedNorm:
 
     @property
     def upper(self) -> float:
-        """Certified upper end of the enclosure; inf where a p-th power overflows.
+        """Certified upper end of the enclosure, (value^p + tail_bound^p)^(1/p).
 
-        Where p-th powers underflow and the sum would fall below either term,
-        it is taken relative to the larger term (:func:`_enclosure`).
+        inf where a finite term's p-th power overflows; where p-th powers
+        underflow and the sum would fall below the larger term, it is taken
+        relative to that term.
         """
-        return float(_enclosure(self.p, value=self.value, tail=self.tail_bound)[2])
+        value, tail, p = self.value, self.tail_bound, self.p
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):  # inf/nan in the result
+            big, vp, tp = np.fmax(value, tail), np.float64(value) ** p, np.float64(tail) ** p  # inf, not OverflowError
+            upper = np.inf if (vp == np.inf or tp == np.inf) and big < np.inf else (vp + tp) ** (1.0 / p)
+            return float(big * ((value / big) ** p + (tail / big) ** p) ** (1.0 / p) if upper < big else upper)
 
 
 def zeta_tail_bound(q: float, n: int) -> float:
     """Upper bound for sum_{i>n} i^{-q} via integral comparison (q > 1, n >= 1).
 
-    It underflows from q ~ 66 at n = 10^5, where :func:`_enclosure` takes its p-th root from logarithms."""
+    It underflows from q ~ 66 at n = 10^5; :func:`_enclosure` takes its p-th root from logarithms, rounded up."""
     if q <= 1:
         raise ValueError("tail bound needs exponent q > 1")
     if n < 1:
@@ -204,36 +211,27 @@ def _outside_float_range(l1: float, order: int, p: float) -> bool:
     return head < math.log(sys.float_info.min) or head >= math.log(sys.float_info.max) > powers
 
 
-def _enclosure(p: float, head=None, q=None, scale=1.0, l1=1.0, out_len=1, value=None, tail=None, upper=True):
-    """Value, tail bound and upper end (None unless ``upper``) of the certified l^p enclosure of one head.
+def _enclosure(p: float, head, q: float, scale: float, l1: float, out_len: int):
+    """Value and tail bound of the certified l^p enclosure of one head.
 
-    value = (sum_i |scale h_i|^q)^(1/p), tail = l1 zeta_tail_bound(q, out_len)^(1/p), upper = (value^p + tail^p)^(1/p),
-    inf where a finite term's p-th power overflows; a given ``value`` or ``tail`` is kept.  Below the normal range,
-    sum_i |scale h_i|^q is taken relative to max_i |h_i| (a zero head stays 0), the bound's p-th root is
-    exp(log(bound) / p) rounded up by 2^-40 relative (its rounding is < 1e-13 for out_len < 2^64), and an upper end
-    below the larger term relative to that term.
+    value = (sum_i |scale h_i|^q)^(1/p), inf where it overflows; below the normal range the sum is taken
+    relative to max_i |h_i| (a zero head stays 0).  tail = l1 zeta_tail_bound(q, out_len)^(1/p), its p-th root
+    taken as exp(log(bound) / p) rounded up by 2^-40 relative (the logarithms' rounding is < 1e-13 for
+    out_len < 2^64), so it holds where the bound underflows too.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):  # inf/nan in the results
-        if value is None:
-            work = np.abs(head)  # |h|, scaled for T, to the q
-            if scale != 1.0:
-                work *= scale  # |h| s equals |h s| bit for bit
+        work = np.abs(head)  # |h|, scaled for T, to the q
+        if scale != 1.0:
+            work *= scale  # |h| s equals |h s| bit for bit
+        work **= q
+        value = (total := work.sum()) ** (1.0 / p)
+        if total < sys.float_info.min:  # one more pass, over |h| / max |h|
+            big = np.abs(head, out=work).max()
+            work /= big
             work **= q
-            value = (total := work.sum()) ** (1.0 / p)
-            if total < sys.float_info.min:  # one more pass, over |h| / max |h|
-                big = np.abs(head, out=work).max()
-                work /= big
-                work **= q
-                value = (scale * big) ** (q / p) * np.nansum(work) ** (1.0 / p)
-        if tail is None:
-            tail = l1 * (bound := zeta_tail_bound(q, out_len)) ** (1.0 / p)
-            if bound < sys.float_info.min:  # from logarithms, rounded up
-                tail = l1 * np.exp(((1.0 - q) * math.log(out_len) - np.log(q - 1.0)) / p) * (1.0 + 2.0**-40)
-        if not upper:  # CertifiedNorm.upper computes it from value and tail
-            return value, tail, None
-        big, vp, tp = np.fmax(value, tail), np.float64(value) ** p, np.float64(tail) ** p  # inf, not OverflowError
-        upper = np.inf if (vp == np.inf or tp == np.inf) and big < np.inf else (vp + tp) ** (1.0 / p)
-        return value, tail, big * ((value / big) ** p + (tail / big) ** p) ** (1.0 / p) if upper < big else upper
+            value = (scale * big) ** (q / p) * np.nansum(work) ** (1.0 / p)
+        tail = l1 * np.exp(((1.0 - q) * math.log(out_len) - np.log(q - 1.0)) / p) * (1.0 + 2.0**-40)
+    return value, tail
 
 
 def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[CertifiedNorm, ...]:
@@ -264,9 +262,9 @@ def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[
         unit_l1 = l1 if times == 1.0 else float(np.abs(xv := xv / times).sum())
         h, scales = apply_infinite(xv, order, out_len).values, {"T": unit_l1 ** (2 - order), "F": 1.0}
         even_root = {"T": False, "F": order % 2 == 1}  # F takes an even root of every component
-        ends = [_enclosure(p, even_root_domain(h) if even_root[op] else h, q, scales[op], l1, out_len, upper=False)
+        ends = [_enclosure(p, even_root_domain(h) if even_root[op] else h, q, scales[op], l1, out_len)
                 for op, q in zip(operators, qs)]
-    return tuple(CertifiedNorm(float(value) * times, float(tail), p, out_len) for value, tail, _ in ends)
+    return tuple(CertifiedNorm(float(value) * times, float(tail), p, out_len) for value, tail in ends)
 
 
 def t_infinity(x, order: int, p: float, out_len: int = DEFAULT_TRUNCATION) -> CertifiedNorm:
@@ -361,8 +359,8 @@ def _first_coordinate_bound(operator: str, order: int, q: float, out_len: int) -
 
     r is 1 for T and 1/(m-1) for F; a_0, a_1 as in the module docstring.
     """
-    n = float(out_len + 1)
-    s0 = zeta_upper_bound(q) - n ** (1.0 - q) / (q - 1.0)
+    n = out_len + 1
+    s0 = zeta_upper_bound(q) - zeta_tail_bound(q, n)
     a0, a1 = s0 ** (1.0 / q), (s0 - 1.0 + n**-q) ** (1.0 / q)
     return a1, a0 - a1, 1.0 if operator == "T" else 1.0 / (order - 1)
 

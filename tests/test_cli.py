@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -412,6 +413,15 @@ def test_internal_fault_exit_4(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err
     assert err.splitlines()[-1] == "hilbert-tensors: internal error: ValueError: simulated fault"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_failed_report_write_exits_4(capsys):
+    # the rows are computed, then writing them fails: a fault of the run, not of its arguments
+    code, out, err = run_cli(["spectrum", "--m", "2", "--n", "3", "--out", "/dev/full"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.splitlines()[-1].startswith("hilbert-tensors: internal error: OSError: ")
 
 
 def test_overflow_rows_stay_json(capsys):
