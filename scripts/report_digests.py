@@ -68,12 +68,12 @@ def workload_argvs() -> list[list[str]]:
 # bench runs, the usage errors the tests pin, the verification script, and
 # single-vector rows on the homogeneity rescaling (a head or ||x||_1^(2-m)
 # outside the float range) and on Euler-Maclaurin zeta at large p, then two
-# batched norm searches: F at odd m with q != 2, a trial count not divisible
-# by 3 and a seed that wraps; and support 1, where every candidate is +-e1;
+# norm searches, which report e1's norms: F at odd m with q != 2, a trial count
+# not divisible by 3 and a seed that wraps; and support 1, where e1 is [1.0];
 # then rows whose p-th powers underflow on a normal head: a tiny x at m = 4,
-# e3 at p = 1000, and a p = 1000 search, whose sums underflow too; then searches where the
-# first-coordinate screen's work changes most: small q for T and F at m = 4, T at
-# p = 1.2 on a 5-long head with a seed that wraps, and long rows at support 2000;
+# e3 at p = 1000, and a p = 1000 search, whose sums underflow too; then searches
+# at small q for T and F at m = 4, T at p = 1.2 on a 5-long head with a seed that
+# wraps, and e1 at support 2000, whose generating vector is 5997 entries longer;
 # then e1 rows whose upper end rests on the tail's rounding: p = 1 + 1e-12, and p = 2 at N = 1000
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)

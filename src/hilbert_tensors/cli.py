@@ -10,16 +10,19 @@ bench      fast vs naive apply timings with correctness deltas
 Machine-readable rows (JSON lines or CSV, see :mod:`reporting`) go to
 ``--out`` or stdout; human-readable summaries and wall-clock timings go to
 stderr so that report files are byte-identical across runs for a fixed
-configuration and seed.
+configuration.
 
 :func:`run` parses with one parser per process, built by :func:`build_parser`
 at the first call.
 
 A command takes only the flags it reads, except --seed, which every command
-takes and only ``infinite --search`` reads; :func:`validate` checks them before
-any work: --m >= 2, --out is no directory and its directory exists; --n (all
-but ``infinite``) parses with every dimension >= 1, a single one for
-``spectrum`` and strictly ascending ones for ``bounds``, and no dimension whose
+takes and none reads, kept so that existing argvs still parse.  Under
+``infinite --search``, --trials sets only the ``iterations`` column and
+--support only the length of e_1, and both the ``evaluations=`` count.
+:func:`validate` checks the flags before any work: --m >= 2, --out is no
+directory and its directory exists; --n (all but ``infinite``) parses with
+every dimension >= 1, a single one for ``spectrum`` and strictly ascending
+ones for ``bounds``, and no dimension whose
 generating vector, as float64, is longer than numpy can allocate; --tol finite
 and > 0 and --max-iter >= 1 (``spectrum``, ``bounds``); for ``infinite`` --op
 is T, F or both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k>
@@ -224,7 +227,7 @@ def cmd_bounds(args: argparse.Namespace, rows: list) -> int:
 def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
     violated = False
     ops = _OPS[args.op]
-    if args.search:  # one candidate stream, and one head per candidate, for every operator
+    if args.search:  # e_1's norms, the maximizers (infinite module docstring): one head for every operator
         reports = infinite.norm_searches(
             ops, args.m, args.p, trials=args.trials, support=args.support, out_len=args.trunc, seed=args.seed
         )
@@ -234,7 +237,7 @@ def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
         bound = infinite.operator_norm_constant(op, args.m, args.p)
         if args.search:
             rep = reports[i]
-            l1 = 1.0  # search candidates lie on the unit l^1 sphere
+            l1 = 1.0  # e_1 lies on the unit l^1 sphere
             kind, iterations = f"{op}-search", args.trials
             value, slack = rep.best_value, bound - rep.best_value
             print(

@@ -25,33 +25,13 @@ with Hankel columns c_s = (1/(i+s))_{i>=1}, ||c_s||_q <= zeta(q)^(1/q).
 Minkowski gives ||T x||_p <= ||x||_1 zeta(p)^(1/p), and, since
 ||F x||_p = ||H_inf x^{m-1}||_q^{1/(m-1)}, ||F x||_p <= ||x||_1 zeta(q)^(1/p).
 Equality holds at e_1.  The same argument on the first N components shows
-that e_1 also maximizes every truncated value, so :func:`norm_search` returns
-e_1 (up to rounding ties); its rows are evidence for a proven fact.  (At p = 2 the T constant is
+that e_1 also maximizes every truncated value, so :func:`norm_search` reports
+e_1's certified norms and walks no candidates.  (At p = 2 the T constant is
 pi/sqrt(6).)
-
-So no candidate after e_1 beats it, and :func:`norm_searches` lets an
-operator skip a candidate that cannot replace its incumbent (a strictly
-larger value): one byte-equal to the incumbent or its negative (the
-evaluation is deterministic and rounding symmetric under negation, so both
-give its value bit for bit), and one whose first-coordinate bound, widened by
-``_SCREEN_ALLOWANCE`` (1e-6 relative), is below the incumbent's value.  The
-bound is the argument above on the first N = ``out_len`` components: for
-||x||_1 = 1, |y_0| = |x_1|^{m-1} and the truncated column norms
-||c_s||_{q,N} fall in s, so
-
-    ||H_inf x^{m-1}||_{q,N} <= a_1 + (a_0 - a_1) |x_1|^{m-1},
-
-a_0 = s_0^(1/q) and a_1 = s_1^(1/q), where s_0 = zeta_upper_bound(q) -
-(N+1)^{1-q}/(q-1) >= sum_{i<=N} i^{-q} (the zeta tail beyond N is at least
-its integral from N+1) and s_1 = s_0 - 1 + (N+1)^{-q} >= sum_{2<=i<=N+1}
-i^{-q}.  The truncated value is that norm for T and its (m-1)-th root for F.
-The allowance stands for the rounding of the bound and of the full head;
-with no a-priori bound on the latter, it is a guard, not a proof.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -67,7 +47,6 @@ from .core import (
     generating_length,
     hankel_apply,
 )
-from .rng import SplitMix64
 
 PI_OVER_SQRT6 = math.pi / math.sqrt(6.0)
 
@@ -87,11 +66,6 @@ _EM_COEFFS = tuple(
 # 4M + 3 roundings of u = 2^-53 (pow counted as two, the rising-factorial
 # factors, its coefficient), fsum one more and the two final additions two
 _EM_ROUNDING = 64 * 2.0**-53
-
-# norm_searches widens each first-coordinate bound by the relative allowance (a guard, not a
-# proof), and draws its random candidates in cycles of about _BATCH_ELEMENTS entries, 128 KB
-_SCREEN_ALLOWANCE = 1e-6
-_BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -311,24 +285,17 @@ def operator_norm_constant(operator: str, order: int, p: float) -> float:
 
 @dataclass
 class NormSearchReport:
-    """Best certified lower bound found for an operator norm on the l^1 sphere.
+    """e_1's certified norm, which the module docstring proves is the best on the unit l^1 sphere.
 
-    ``evaluations`` is the number of candidates considered, screened ones
-    included: ``support + 4 + trials`` (the coordinate vectors, four
-    decaying profiles, then one candidate per trial).
+    ``evaluations`` is ``support + 4 + trials``: the candidates a search over
+    ``support`` coordinates would consider (the coordinate vectors, four
+    decaying profiles, then one per trial), each of which e_1 matches or beats.
     """
 
     best_value: float
     best_tail_bound: float
     best_vector: list[float] = field(repr=False)
     evaluations: int
-
-
-def _unit_l1(x: np.ndarray) -> np.ndarray:
-    s = np.abs(x).sum()
-    if s == 0.0:
-        raise ValueError("zero candidate")
-    return x / s
 
 
 def norm_search(
@@ -340,109 +307,33 @@ def norm_search(
     seed: int = 0,
     operator: str = "T",
 ) -> NormSearchReport:
-    """Maximize the certified norm lower bound over unit-l^1 vectors.
+    """The certified norm lower bound at e_1, the maximizer over unit-l^1 vectors.
 
-    Structured candidates (coordinate vectors, decaying profiles) are
-    followed by seeded random draws and local mass-move perturbations of the
-    incumbent.  Deterministic for fixed seed; ties keep the earlier find.
-    No gradient claims: the result is evidence for the norm, which the module
-    docstring proves is attained at e_1.  The one-operator case of
-    :func:`norm_searches`, which ``infinite --search --op both`` runs for T
-    and F over one candidate stream and one head per distinct candidate.
+    The one-operator case of :func:`norm_searches`, which ``infinite --search
+    --op both`` runs for T and F.
     """
     (report,) = norm_searches((operator,), order, p, trials, support, out_len, seed)
     return report
 
 
-def _first_coordinate_bound(operator: str, order: int, q: float, out_len: int) -> tuple[float, float, float]:
-    """(a_1, a_0 - a_1, r): a unit-l^1 x has value at most (a_1 + (a_0 - a_1) |x_1|^{m-1})^r at ``out_len``.
-
-    r is 1 for T and 1/(m-1) for F; a_0, a_1 as in the module docstring.
-    """
-    n = out_len + 1
-    s0 = zeta_upper_bound(q) - zeta_tail_bound(q, n)
-    a0, a1 = s0 ** (1.0 / q), (s0 - 1.0 + n**-q) ** (1.0 / q)
-    return a1, a0 - a1, 1.0 if operator == "T" else 1.0 / (order - 1)
-
-
-def _cannot_win(x: np.ndarray, order: int, bound, best_value: float, keys) -> bool:
-    """Whether unit-l^1 candidate x cannot replace an incumbent of value ``best_value`` (module docstring).
-
-    True where x's :func:`_first_coordinate_bound` ``bound``, widened by ``_SCREEN_ALLOWANCE``, is below
-    that value, or x is byte-equal to one of ``keys`` (the incumbent and its negative).  A stand-in that
-    returns False gives the unscreened search, whose reports are the same.
-    """
-    a1, slope, r = bound
-    return (a1 + slope * abs(float(x[0])) ** (order - 1)) ** r * (1.0 + _SCREEN_ALLOWANCE) < best_value or (
-        x.tobytes() in keys
-    )
-
-
 def norm_searches(operators, order: int, p: float, trials: int = 200, support: int = 16, out_len: int = 10_000,
                   seed: int = 0) -> tuple[NormSearchReport, ...]:
-    """:func:`norm_search` for each of ``operators`` over one candidate stream.
+    """:func:`norm_search` for each of ``operators``, from one head of e_1.
 
-    Every operator draws the same candidates, except that a perturbation
-    moves mass in its own incumbent.  The candidates are walked one at a
-    time: each operator skips one that cannot replace its incumbent
-    (:func:`_cannot_win`), the others are grouped by their bytes, and each
-    distinct one gets one head for all the operators it passed for, so each
-    report equals that of a separate :func:`norm_search`.  The random draws
-    come in cycles of about ``_BATCH_ELEMENTS`` entries, so memory grows with
-    ``support``, not ``trials``.
+    Checks the operators and p, then ``trials`` and ``support``, then the head
+    rule for ``support`` entries before e_1 of that length is built.
+    ``support`` sets e_1's length and, with ``trials``, ``evaluations``;
+    ``seed`` is read by nothing.
     """
-    qs = [tail_exponent(operator, order, p) for operator in operators]
+    for operator in operators:
+        tail_exponent(operator, order, p)
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if support < 1:
         raise ValueError("support must be >= 1")
-    generating_length(support, order, out_len)  # the heads' input rule, before the bounds read out_len
-    idx = np.arange(1, support + 1, dtype=float)
-    bounds = [_first_coordinate_bound(operator, order, q, out_len) for operator, q in zip(operators, qs)]
-
-    # per operator: the incumbent's value, certificate and vector, and the bytes
-    # of the incumbent and its negative, which give its value bit for bit
-    best_val = [-math.inf] * len(operators)
-    best_cert = [None] * len(operators)
-    best_x = [None] * len(operators)
-    best_keys = [()] * len(operators)
-
-    def candidates():
-        """Each candidate before ``_unit_l1``, or (a, b, delta) for a mass move in each incumbent."""
-        yield from (np.eye(1, support, k)[0] for k in range(support))
-        yield from (1.0 / idx, 1.0 / idx**2, 0.5**idx, 0.2**idx)
-        rng = SplitMix64(seed)
-        width = 2 * support + 4  # the draws of trials 3c, 3c + 1 and 3c + 2; z, u and the rows: 3 width entries
-        cycles = max(1, min(_BATCH_ELEMENTS // (3 * width), -(-trials // 3)))
-        for _ in range(0, trials, 3 * cycles):
-            z = rng.next_u64s(cycles * width).reshape(cycles, width)
-            u = (z >> 11) * 2.0**-53  # SplitMix64.uniform(low, high) is low + (high - low) u
-            signs = -1.0 + 2.0 * u[:, :support]
-            weights = u[:, support : 2 * support] / idx ** (3.0 * u[:, 2 * support, None])
-            moves = [(int(a) % support, int(b) % support, 0.2 * d) for a, b, d in zip(z[:, -3], z[:, -2], u[:, -1])]
-            del z, u  # held while the candidates are walked: only what they are built from
-            for c in range(cycles):
-                yield from (signs[c], weights[c], moves[c])
-
-    for c in itertools.islice(candidates(), support + 4 + trials):
-        x = None if isinstance(c, tuple) else _unit_l1(c)
-        groups = {}  # one full head per distinct candidate, for the operators it passed for
-        for i, bound in enumerate(bounds):
-            if isinstance(c, tuple):  # move delta of entry a's mass to entry b, along b's sign (+ at 0)
-                a, b, delta = c
-                row = best_x[i].copy()
-                row[a] *= 1.0 - delta
-                row[b] += math.copysign(delta, row[b] if row[b] != 0 else 1.0)
-                x = _unit_l1(row)
-            if not _cannot_win(x, order, bound, best_val[i], best_keys[i]):
-                groups.setdefault(x.tobytes(), (x, []))[1].append(i)
-        for x, group in groups.values():
-            for i, cert in zip(group, _certified_norms([operators[i] for i in group], x, order, p, out_len)):
-                if cert.value > best_val[i]:
-                    best_val[i], best_cert[i], best_x[i] = cert.value, cert, x
-                    best_keys[i] = (x.tobytes(), (-x).tobytes())
-
+    generating_length(support, order, out_len)  # refuses a huge support before np.eye allocates it
+    e1 = np.eye(1, support)[0]
     return tuple(
-        NormSearchReport(cert.value, cert.tail_bound, [float(v) for v in x], support + 4 + trials)
-        for cert, x in zip(best_cert, best_x)
+        NormSearchReport(cert.value, cert.tail_bound, e1.tolist(), support + 4 + trials)
+        for cert in _certified_norms(operators, e1, order, p, out_len)
     )

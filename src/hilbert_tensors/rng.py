@@ -1,7 +1,8 @@
-"""Seeded 64-bit pseudo-random generator used for every randomized trial.
+"""Seeded 64-bit pseudo-random generator for reproducible draws.
 
-The recurrence is pinned down exactly so that identical (command, seed)
-pairs reproduce byte-identical reports, in this implementation or any other:
+No report reads it; the tests draw their seeded vectors from it.  The
+recurrence is pinned down exactly so that a seed gives the same draws in this
+implementation or any other:
 
     state  <- (state + 0x9E3779B97F4A7C15)            mod 2^64
     z      <- state
@@ -13,8 +14,6 @@ Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -35,14 +34,6 @@ class SplitMix64:
         z = self.state
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_u64s(self, count: int) -> np.ndarray:
-        """The next ``count`` outputs of :meth:`next_u64` as one uint64 array; uint64 arrays wrap mod 2^64."""
-        z = self.state + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
-        self.state = (self.state + count * _GAMMA) & _MASK64
-        z = (z ^ (z >> 30)) * _MIX1
-        z = (z ^ (z >> 27)) * _MIX2
         return z ^ (z >> 31)
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:

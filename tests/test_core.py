@@ -1,6 +1,5 @@
 import bisect
 import itertools
-import warnings
 import weakref
 from fractions import Fraction
 
@@ -345,19 +344,6 @@ def test_convolution_power_fft_path_matches_direct():
     fast = convolution_power(x, 3)
     np.testing.assert_allclose(fast, direct, atol=1e-9 * (1 + np.abs(direct).max()))
 
-
-@pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 - 1])
-@pytest.mark.parametrize("count", [0, 1, 16, 2000])
-def test_vectorised_draws_are_the_scalar_recurrence(seed, count):
-    # uint64 arrays wrap silently; a uint64 scalar product that overflows would warn
-    vectorised, scalar = SplitMix64(seed), SplitMix64(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        draws = vectorised.next_u64s(count)
-    assert draws.dtype == np.uint64 and draws.shape == (count,)
-    assert draws.tolist() == [scalar.next_u64() for _ in range(count)]
-    assert vectorised.state == scalar.state
-    assert vectorised.next_u64() == scalar.next_u64()
 
 # -- the FFT route of hankel_apply, past the sizes the naive sum reaches ------------------
 

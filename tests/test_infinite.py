@@ -21,7 +21,6 @@ from hilbert_tensors import (
     operator_norm_constant,
     t_infinity,
 )
-from hilbert_tensors.core import SequenceVector, generating_length
 from hilbert_tensors.infinite import CertifiedNorm, tail_exponent, zeta_upper_bound
 
 
@@ -532,7 +531,7 @@ def test_joint_evaluation_holds_two_head_sized_arrays_at_most():
     assert _traced_peak(joint) <= 2.5 * head_bytes
 
 
-# -- one candidate stream for T and F ---------------------------------------------------
+# -- one head of e_1 for T and F -------------------------------------------------------
 
 
 @pytest.mark.parametrize("m, ps", [(2, (2.0, 3.5)), (3, (2.5, 4.0)), (4, (3.5, 6.0))])
@@ -556,36 +555,9 @@ def test_joint_norms_are_the_single_operator_norms(x):
         )
 
 
-def test_joint_search_perturbs_each_incumbent(monkeypatch):
-    # with this head T (q = 6) keeps e1 while F (q = 2) moves to e2, so every
-    # perturbation is a different candidate for each and gets its own head
-    heads = []
-
-    def spread_head(x, order, out_len):
-        heads.append(x)
-        x = np.asarray(x, dtype=float)
-        head = np.zeros(out_len)
-        head[0] = x[0]
-        head[1 : 1 + 10 * (x.size - 1)] = np.repeat(0.6 * x[1:], 10)
-        return SequenceVector(head)
-
-    monkeypatch.setattr(infinite, "apply_infinite", spread_head)
-    monkeypatch.setattr(infinite, "_cannot_win", lambda *args: False)  # the screen's bound holds for Hilbert heads only
-    joint = infinite.norm_searches(("T", "F"), 4, 6.0, trials=30, support=4, out_len=100, seed=3)
-    joint_heads = len(heads)
-    separate = tuple(
-        norm_search(4, 6.0, trials=30, support=4, out_len=100, seed=3, operator=op) for op in ("T", "F")
-    )
-    assert joint == separate
-    assert joint[0].best_vector == [1.0, 0.0, 0.0, 0.0]
-    assert joint[1].best_vector == [0.0, 1.0, 0.0, 0.0]
-    assert joint_heads == joint[0].evaluations + 30 // 3  # shared candidates once, perturbations twice
-    assert len(heads) - joint_heads == 2 * joint[0].evaluations
-
-
 def test_norm_search_memory_grows_with_support_not_its_square(monkeypatch):
     # with the heads stubbed out, what is left is the search's own arrays:
-    # a list of all support + 4 structured candidates would hold support**2 doubles (32 MB here)
+    # e_1 of length support, not a support x support identity (32 MB here)
     def first_coordinate(operators, x, order, p, out_len):
         return tuple(infinite.CertifiedNorm(float(abs(x[0])), 0.0, p, out_len) for _ in operators)
 
@@ -631,54 +603,75 @@ def test_zeta_upper_bound_survives_underflowing_terms():
     assert 1.0 <= infinite.zeta_upper_bound(1e4) <= 1.0 + 1e-14
 
 
-# -- screening candidates by their first coordinate -----------------------------------------
+# -- the theorem's evidence: no candidate a search would consider beats e_1 ---------------------
 
 
-def test_incumbent_replaced_mid_batch_rebuilds_the_rest_of_the_batch(monkeypatch):
-    # no real search gets here, since e1 wins first: fake full-head values let the first random
-    # candidate (candidate 20) replace e1, then trial 2's mass move in that new incumbent
-    support, p, seed = 16, 2.0, 3
+def _candidates(support, seed, trials):
+    """The ``support + 4 + trials`` unit-l^1 candidates that ``evaluations`` counts, from scalar draws.
+
+    The coordinate vectors, the decaying profiles 1/i, 1/i^2, 0.5^i and 0.2^i, then in turn per trial:
+    random signs, random weights over i^(3u), and a mass move of delta <= 0.2 from e_1 (entry a scaled
+    by 1 - delta, delta added to entry b along its sign).
+    """
+    idx = np.arange(1, support + 1, dtype=float)
+    yield from np.eye(support)
+    yield from (unit_l1(v) for v in (1.0 / idx, 1.0 / idx**2, 0.5**idx, 0.2**idx))
     rng = SplitMix64(seed)
-    drawn = infinite._unit_l1(np.array(rng.uniforms(support, -1.0, 1.0)))
-    rng.uniforms(support + 1)  # trial 1
-    a, b, delta = rng.randint(support), rng.randint(support), rng.uniform(0.0, 0.2)
-    moved = drawn.copy()
-    moved[a] = moved[a] * (1.0 - delta)
-    moved[b] = moved[b] + math.copysign(delta, moved[b] if moved[b] != 0 else 1.0)
-    moved = infinite._unit_l1(moved)
-    values = {drawn.tobytes(): 2e-3, moved.tobytes(): 3e-3}  # every other candidate 1e-3: e1 is first
-
-    def fake(operators, x, order, p, out_len):
-        return tuple(CertifiedNorm(values.get(x.tobytes(), 1e-3), 0.0, p, out_len) for _ in operators)
-
-    monkeypatch.setattr(infinite, "_certified_norms", fake)
-    screened = infinite.norm_searches(("T", "F"), 2, p, trials=30, support=support, out_len=5000, seed=seed)
-    assert [report.best_vector for report in screened] == [moved.tolist()] * 2
-    monkeypatch.setattr(infinite, "_cannot_win", lambda *args: False)
-    assert screened == infinite.norm_searches(("T", "F"), 2, p, trials=30, support=support, out_len=5000, seed=seed)
+    for trial in range(trials):
+        if trial % 3 == 0:  # one draw of 2 support + 4 numbers serves three trials
+            signs = np.array(rng.uniforms(support, -1.0, 1.0))
+            weights = np.array(rng.uniforms(support)) / idx ** (3.0 * rng.uniform())
+            a, b, delta = rng.randint(support), rng.randint(support), rng.uniform(0.0, 0.2)
+            moved = np.eye(1, support)[0]
+            moved[a] *= 1.0 - delta
+            moved[b] += math.copysign(delta, moved[b] if moved[b] != 0 else 1.0)
+        yield unit_l1((signs, weights, moved)[trial % 3])
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("out_len", [1000, 100_000])
-def test_negated_candidate_has_the_same_norms_bit_for_bit(m, out_len):
-    # the premise of skipping a candidate equal to the incumbent's negative:
-    # rounding is symmetric under negation, on the direct and the FFT route
-    x = np.cos(np.arange(1, 17))
-    p = 2.0 * (m - 1)
-    assert infinite._certified_norms(("T", "F"), -x, m, p, out_len) == infinite._certified_norms(
-        ("T", "F"), x, m, p, out_len
+def _assert_no_candidate_beats_e1(operators, m, p, out_len, support, seed, trials):
+    """Every candidate's certified value is at most e_1's, with no allowance, and the search reports e_1's norms."""
+    e1 = infinite._certified_norms(operators, np.eye(1, support)[0], m, p, out_len)
+    for k, x in enumerate(_candidates(support, seed, trials)):
+        for best, cert in zip(e1, infinite._certified_norms(operators, x, m, p, out_len)):
+            assert cert.value <= best.value, (k, x.tolist(), cert.value, best.value)
+    e1_vector = [1.0] + [0.0] * (support - 1)
+    assert infinite.norm_searches(operators, m, p, trials, support, out_len, seed) == tuple(
+        infinite.NormSearchReport(cert.value, cert.tail_bound, e1_vector, support + 4 + trials) for cert in e1
     )
+
+
+@pytest.mark.parametrize(
+    "operators, m, p, out_len, seed",
+    [
+        pytest.param(operators, m, p, 1000, 0, id=f"{'-'.join(operators)}-{m}-{p:g}")
+        for operators in (("T",), ("F",), ("T", "F"))
+        for m in (2, 3, 4)
+        for p in (m - 1 + 0.2, 2.0 * (m - 1), 1000.0)  # small q, q = 2 for F, p-th powers that underflow
+    ]
+    + [pytest.param(("T", "F"), 4, 6.0, 100_000, -1, id="T-F-4-6-multi-block")],  # a seed that wraps mod 2^64
+)
+def test_no_candidate_beats_e1(operators, m, p, out_len, seed):
+    _assert_no_candidate_beats_e1(operators, m, p, out_len, support=16, seed=seed, trials=60)
 
 
 @pytest.mark.parametrize("operators", [("T",), ("F",), ("T", "F")], ids=["T", "F", "both"])
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("support", [1, 5, 16])
 @pytest.mark.parametrize("seed", [0, 13])
-def test_screened_search_is_the_unscreened_search(monkeypatch, operators, m, support, seed):
+def test_screened_search_is_the_unscreened_search(operators, m, support, seed):
+    # the theorem screens out every candidate but e_1; walking them all unscreened finds none better
+    _assert_no_candidate_beats_e1(operators, m, 2.0 * (m - 1), 5000, support, seed, trials=60)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("out_len", [1000, 100_000])
+def test_negated_candidate_has_the_same_norms_bit_for_bit(m, out_len):
+    # rounding is symmetric under negation, on the direct and the FFT route
+    x = np.cos(np.arange(1, 17))
     p = 2.0 * (m - 1)
-    screened = infinite.norm_searches(operators, m, p, support=support, out_len=5000, seed=seed)
-    monkeypatch.setattr(infinite, "_cannot_win", lambda *args: False)
-    assert screened == infinite.norm_searches(operators, m, p, support=support, out_len=5000, seed=seed)
+    assert infinite._certified_norms(("T", "F"), -x, m, p, out_len) == infinite._certified_norms(
+        ("T", "F"), x, m, p, out_len
+    )
 
 
 def _full_heads(monkeypatch, **search):
@@ -705,7 +698,7 @@ def test_default_search_builds_at_most_two_full_heads(monkeypatch, m, seed):
     assert evaluations == 16 + 4 + 200 and full <= 2
     full, _ = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed, support=1,
                           out_len=infinite.DEFAULT_TRUNCATION)
-    assert full == 1  # e1 once: every later candidate is e1 or -e1
+    assert full == 1  # e1's, at support 1 too
 
 
 @pytest.mark.parametrize(
@@ -717,26 +710,4 @@ def test_default_search_builds_at_most_two_full_heads(monkeypatch, m, seed):
 )
 def test_default_search_builds_one_full_head(monkeypatch, m, seed, p, out_len):
     full, _ = _full_heads(monkeypatch, order=m, p=p, seed=seed, out_len=out_len)
-    assert full == 1  # e1's: the screen drops every later candidate
-
-
-def _truncated_bound(operator, m, p, x, out_len):
-    a1, slope, r = infinite._first_coordinate_bound(operator, m, tail_exponent(operator, m, p), out_len)
-    return (a1 + slope * abs(x[0]) ** (m - 1)) ** r
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("out_len", [1, 5, 128, 1000, 100_000])
-def test_first_coordinate_bound_holds_and_is_attained_at_e1(m, out_len):
-    rng = np.random.default_rng(out_len + m)
-    xs = [np.eye(1, 16, k)[0] for k in (0, 1)]
-    xs += [infinite._unit_l1(rng.uniform(-1.0, 1.0, 16) / np.arange(1, 17) ** rng.uniform(0.0, 3.0)) for _ in range(3)]
-    for p in (1.01, 1.2, 1.5, 2.0, 3.3, 4.5, 6.0, 30.0, 100.0, 1000.0):
-        operators = ("T", "F") if p > m - 1 else ("T",)
-        for k, x in enumerate(xs):
-            for operator, cert in zip(operators, infinite._certified_norms(operators, x, m, p, out_len)):
-                bound = _truncated_bound(operator, m, p, x, out_len)
-                assert cert.value <= bound * (1.0 + 1e-12), (operator, p, k)
-                if k == 0:  # e1 attains it, up to the bound's zeta tail term
-                    q = tail_exponent(operator, m, p)
-                    assert bound / cert.value - 1.0 <= max((out_len + 1.0) ** -q, 1e-13), (operator, p)
+    assert full == 1  # e1's, for T and F at once
