@@ -74,7 +74,8 @@ def workload_argvs() -> list[list[str]]:
 # e3 at p = 1000, and a p = 1000 search, whose sums underflow too; then searches
 # at small q for T and F at m = 4, T at p = 1.2 on a 5-long head with a seed that
 # wraps, and e1 at support 2000, whose generating vector is 5997 entries longer;
-# then e1 rows whose upper end rests on the tail's rounding: p = 1 + 1e-12, and p = 2 at N = 1000
+# then e1 rows whose upper end rests on the tail's rounding: p = 1 + 1e-12, and p = 2 at N = 1000;
+# then a long m = 2 sweep: each H solve starts from the previous dimension's H vector, each Z solve from its own
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -146,6 +147,7 @@ infinite --search --op T --m 2 --p 1.2 --trunc 5 --seed -1
 infinite --search --op both --m 4 --p 6 --support 2000 --trials 30
 infinite --m 2 --p 1.000000000001 --op T --x e1
 infinite --m 2 --p 2 --op T --x e1 --trunc 1000
+bounds --m 2 --n 2..400
 """.strip().splitlines()
 )
 

@@ -17,9 +17,10 @@ Covered claims, each measured into a report:
 ``dimension_sweep`` makes every report of the ``bounds`` command in one
 ascending pass that streams: each dimension's bound report, and the embed
 report of the previous dimension into it, are built as soon as that
-dimension is solved, and only the previous H eigenpair and the scalar
-bound reports are kept, so its memory grows with the largest dimension,
-not with their sum.
+dimension is solved, and only the previous H and Z eigenpairs and the
+scalar bound reports are kept, so its memory grows with the largest
+dimension, not with their sum.  Each solve starts from the previous
+dimension's eigenvector (``solve_dims``).
 
 A report keeps only what its solves or closed forms measured; no check
 judges a claim or raises on a failed one.  Each claim's bound, allowance,
@@ -131,6 +132,20 @@ def hilbert_inequality_ratio(h: EigenResult) -> float:
     return _rounded(upper / (n * sine), math.inf)
 
 
+def _warm_start(prev: EigenResult | None, n: int) -> np.ndarray | None:
+    """``prev``'s vector cut or extended to length n with copies of its last entry.
+
+    None, the solvers' all-ones start, where there is no previous solve or
+    its vector is not finite and entrywise positive, which the solvers refuse.
+    """
+    if prev is None:
+        return None
+    x = prev.vector.values[:n]
+    if not (np.isfinite(x).all() and (x > 0).all()):
+        return None
+    return np.concatenate([x, np.full(n - len(x), x[-1])])
+
+
 def solve_dims(
     m: int,
     dims,
@@ -142,12 +157,24 @@ def solve_dims(
     One solve of each kind per entry, made when the pair is asked for, so a
     sweep holds only the pairs it keeps.  The pairs come without their
     iteration history: no report reads it.
+
+    Warm starts: H_n is the leading block of H_{n+1}, so each H solve starts
+    from the previous entry's H vector, and each Z solve from the previous
+    Z vector, extended with copies of its last entry (``_warm_start``).  At
+    m = 2 the largest H- and Z-eigenvalue are both lambda_max(H_n) and the
+    two steps agree up to rounding, so Z starts from this entry's final H
+    vector and normally stops after one iteration, on its own residual.  The
+    first entry, and any whose previous vector is not finite and positive,
+    start from all ones.  So an entry's iterations and last digits depend on
+    the dims before it: n = 9 in ``5..9`` and alone can differ.
     """
+    h = z = None
     for n in dims:
         t = HilbertTensor(m, n)
-        h = h_spectral_radius(t, tol=tol, max_iter=max_iter)
-        z = z_spectral_radius(t, tol=tol, max_iter=max_iter)
-        yield replace(h, trace=[]), replace(z, trace=[])
+        h = replace(h_spectral_radius(t, tol=tol, max_iter=max_iter, x0=_warm_start(h, n)), trace=[])
+        z = replace(z_spectral_radius(t, tol=tol, max_iter=max_iter, x0=_warm_start(h if m == 2 else z, n)),
+                    trace=[])
+        yield h, z
 
 
 def bound_report(h: EigenResult, z: EigenResult) -> BoundReport:
@@ -257,9 +284,13 @@ def dimension_sweep(
 
     Each dimension's bound report, and the embed report of the previous
     dimension into it, are made right after its solve, while its generating
-    vector is the cached one.  Only the previous H eigenpair and the bound
-    reports are kept.  With a single dimension only its bound report is made
-    (none at n = 1), so nothing is solved that no report reads.
+    vector is the cached one.  Only the previous H and Z eigenpairs and the
+    bound reports are kept.  With a single dimension only its bound report
+    is made (none at n = 1), so nothing is solved that no report reads.  The
+    solves are ``solve_dims``'s, warm-started: H and Z from the previous
+    dimension's vectors, extended with copies of their last entry, and Z at
+    m = 2 from this dimension's H vector; the first dimension starts from
+    all ones.
     """
     dims = list(dims)
     _check_dims(dims)

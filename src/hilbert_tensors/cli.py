@@ -182,6 +182,11 @@ def validate(args: argparse.Namespace) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace, rows: list) -> int:
+    """The H and Z rows of one dimension, from ``analysis.solve_dims``.
+
+    As the first entry of its dims, H starts from all ones, and so does Z at
+    m >= 3; at m = 2 Z starts from H's final vector.
+    """
     n = args.n[0]
     ((h, z),) = analysis.solve_dims(args.m, args.n, tol=args.tol, max_iter=args.max_iter)
     for res in (h, z):

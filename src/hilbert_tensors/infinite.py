@@ -95,17 +95,6 @@ class CertifiedNorm:
             return float(big * ((value / big) ** p + (tail / big) ** p) ** (1.0 / p) if upper < big else upper)
 
 
-def zeta_tail_bound(q: float, n: int) -> float:
-    """Upper bound for sum_{i>n} i^{-q} via integral comparison (q > 1, n >= 1).
-
-    It underflows from q ~ 66 at n = 10^5; :func:`_enclosure` takes its p-th root from logarithms, rounded up."""
-    if q <= 1:
-        raise ValueError("tail bound needs exponent q > 1")
-    if n < 1:
-        raise ValueError(f"tail bound needs n >= 1, got {n}")
-    return n ** (1.0 - q) / (q - 1.0)
-
-
 def zeta_upper_bound(q: float) -> float:
     """Upper bound for zeta(q) = sum_{i>=1} i^{-q} (q > 1), within 1e-14 relative.
 
@@ -189,7 +178,8 @@ def _enclosure(p: float, head, q: float, scale: float, l1: float, out_len: int):
     """Value and tail bound of the certified l^p enclosure of one head.
 
     value = (sum_i |scale h_i|^q)^(1/p), inf where it overflows; below the normal range the sum is taken
-    relative to max_i |h_i| (a zero head stays 0).  tail = l1 zeta_tail_bound(q, out_len)^(1/p), its p-th root
+    relative to max_i |h_i| (a zero head stays 0).  tail = l1 (N^(1-q) / (q-1))^(1/p), N = out_len, the root of
+    the integral bound on sum_{i>N} i^-q.  That bound underflows from q ~ 66 at N = 10^5, so its p-th root is
     taken as exp(log(bound) / p) rounded up by 2^-40 relative (the logarithms' rounding is < 1e-13 for
     out_len < 2^64), so it holds where the bound underflows too.
     """

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ import pytest
 from hilbert_tensors import (
     GeneratingVector,
     HilbertTensor,
+    SequenceVector,
     SplitMix64,
     analysis,
     bound_sweep,
@@ -20,6 +22,7 @@ from hilbert_tensors import (
     monotonicity_sweep,
     reporting,
     spectral_bound_h,
+    z_spectral_radius,
 )
 from hilbert_tensors.eigensolvers import equation_residual
 from hilbert_tensors.oracle import dense_matrix_eigenpair
@@ -321,7 +324,17 @@ def test_dimension_sweep_reports_equal_the_single_sweeps(m):
     sweep = analysis.dimension_sweep(m, range(1, 9))
     assert sweep.bounds == bound_sweep(m, range(2, 9))
     assert sweep.monotonicity == monotonicity_sweep(m, range(1, 9))
-    assert sweep.embeddings == [embedding_check(m, n, n + 1) for n in range(1, 8)]
+    hs = [h for h, _ in analysis.solve_dims(m, range(1, 9))]
+    assert sweep.embeddings == [analysis.embedding_report(m, n + 1, h) for n, h in zip(range(1, 8), hs)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_dimension_sweep_embeds_agree_with_cold_embedding_checks(m):
+    # the sweep embeds warm-started eigenpairs, embedding_check a cold-started one
+    sweep = analysis.dimension_sweep(m, range(1, 9))
+    for emb, cold in zip(sweep.embeddings, [embedding_check(m, n, n + 1) for n in range(1, 8)], strict=True):
+        assert emb.converged == cold.converged
+        assert emb.restricted_residual <= 1e-10 and cold.restricted_residual <= 1e-10
 
 
 def test_dimension_sweep_holds_one_eigenvector_at_a_time():
@@ -352,3 +365,84 @@ def test_dimension_sweep_builds_one_generating_vector_per_dimension(monkeypatch)
     assert len(sweep.embeddings) == 28
     assert len(builds) == 29
 
+
+# -- warm starts ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, top", [(2, 200), (3, 100), (4, 60)])
+def test_warm_solves_agree_with_cold_ones(m, top):
+    for n, (h, z) in zip(range(2, top + 1), analysis.solve_dims(m, range(2, top + 1)), strict=True):
+        t = HilbertTensor(m, n)
+        for warm, cold in ((h, h_spectral_radius(t)), (z, z_spectral_radius(t))):
+            assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=0)
+            assert warm.converged == cold.converged
+
+
+@pytest.mark.parametrize("dims", [range(2, 401), [5, 17, 60]])
+def test_m2_z_solve_takes_one_iteration_from_the_h_vector(dims):
+    # at m = 2 the H step is the Z step: an H iterate of bracket width w has Z residual <= w
+    for h, z in analysis.solve_dims(2, dims, tol=1e-10):
+        assert h.converged
+        assert z.iterations == 1 and z.converged and z.residual <= 1e-10
+
+
+def _recorded(solve, starts, spoil=None):
+    """``solve`` recording each start vector, its result's last vector entry set to ``spoil`` if given."""
+
+    def wrapper(t, tol, max_iter, x0):
+        starts.append(x0)
+        res = solve(t, tol=tol, max_iter=max_iter, x0=x0)
+        if spoil is None:
+            return res
+        values = res.vector.values.copy()
+        values[-1] = spoil
+        return replace(res, vector=SequenceVector(values))
+
+    return wrapper
+
+
+def _extended(vector, n):
+    return np.r_[vector.values, [vector.values[-1]] * (n - len(vector))]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_warm_start_extends_the_previous_vector(monkeypatch, m):
+    h_starts, z_starts = [], []
+    monkeypatch.setattr(analysis, "h_spectral_radius", _recorded(h_spectral_radius, h_starts))
+    monkeypatch.setattr(analysis, "z_spectral_radius", _recorded(z_spectral_radius, z_starts))
+    dims = [5, 17, 60]
+    pairs = list(analysis.solve_dims(m, dims))
+    assert h_starts[0] is None
+    for n, (h, _), start in zip(dims[1:], pairs, h_starts[1:]):
+        assert np.array_equal(start, _extended(h.vector, n))
+    if m == 2:  # Z starts from this entry's own H vector
+        assert all(np.array_equal(start, h.vector.values) for (h, _), start in zip(pairs, z_starts, strict=True))
+    else:
+        assert z_starts[0] is None
+        for n, (_, z), start in zip(dims[1:], pairs, z_starts[1:]):
+            assert np.array_equal(start, _extended(z.vector, n))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("spoil", [math.nan, 0.0])
+def test_unusable_previous_vector_gives_a_cold_start(monkeypatch, m, spoil):
+    # the solvers refuse a start with a non-finite or non-positive entry
+    h_starts, z_starts = [], []
+    monkeypatch.setattr(analysis, "h_spectral_radius", _recorded(h_spectral_radius, h_starts, spoil))
+    monkeypatch.setattr(analysis, "z_spectral_radius", _recorded(z_spectral_radius, z_starts, spoil))
+    assert len(list(analysis.solve_dims(m, [2, 3, 4]))) == 3
+    assert h_starts == z_starts == [None] * 3
+
+
+def test_sweep_workload_ranges_take_fewer_iterations():
+    # the bounds ranges of the benchmark's sweep workload at seed 5; 2,634 iterations from cold starts
+    total = 0
+    for m, dims in ((2, range(2, 42)), (3, range(3, 31)), (4, range(2, 13))):
+        total += sum(rep.iterations_h + rep.iterations_z for rep in analysis.dimension_sweep(m, dims).bounds)
+    assert total <= 1850
+
+
+def test_long_m4_sweep_certifies_no_fewer_rows():
+    # bounds --m 4 --n 2..400: 816 uncertified rows from cold starts, where 7 solves reach max_iter
+    rows = reporting.sweep_rows(analysis.dimension_sweep(4, range(2, 401)))
+    assert sum(not row["certified"] for row in rows) <= 816
