@@ -682,6 +682,17 @@ def _full_heads(monkeypatch, **search):
     return lengths.count(out_len), reports[0].evaluations
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 13])
+def test_default_search_builds_at_most_two_full_heads(monkeypatch, m, seed):
+    full, evaluations = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed,
+                                    out_len=infinite.DEFAULT_TRUNCATION)
+    assert evaluations == 16 + 4 + 200 and full <= 2
+    full, _ = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed, support=1,
+                          out_len=infinite.DEFAULT_TRUNCATION)
+    assert full == 1  # e1 once: every later candidate is e1 or -e1
+
+
 @pytest.mark.parametrize(
     "m, seed, p, out_len",
     [pytest.param(m, seed, 2.0 * (m - 1), infinite.DEFAULT_TRUNCATION, id=f"{seed}-{m}")
