@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import runpy
 import shlex
 import subprocess
@@ -257,3 +258,14 @@ def test_report_digests_hash_the_verification_file_once_per_argv_text():
     first = digests["digest_line"](argv)
     assert first == digests["digest_line"](argv)
     assert first.split("\t")[:2] == [verify, "0"]
+
+
+def test_ci_runs_the_cli_only_on_digest_argvs():
+    # a CLI check in the workflow would restate one that --base or tier-1 already makes, and weaker
+    code = "\n".join(line.partition("#")[0] for line in
+                     (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8").splitlines())
+    assert "-m hilbert_tensors" not in code
+    commands = [shlex.split(re.split(r"[<>|;&]", rest)[0]) for rest in re.findall(r"\bhilbert-tensors (.*)", code)]
+    assert commands
+    argvs = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))["ARGVS"]
+    assert [shlex.join(argv) for argv in commands if argv not in argvs] == []
