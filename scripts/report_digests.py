@@ -69,13 +69,16 @@ def workload_argvs() -> list[list[str]]:
 # single-vector rows on the homogeneity rescaling (a head or ||x||_1^(2-m)
 # outside the float range) and on Euler-Maclaurin zeta at large p, then two
 # norm searches, which report e1's norms: F at odd m with q != 2, a trial count
-# not divisible by 3 and a seed that wraps; and support 1, where e1 is [1.0];
-# then rows whose p-th powers underflow on a normal head: a tiny x at m = 4,
-# e3 at p = 1000, and a p = 1000 search, whose sums underflow too; then searches
-# at small q for T and F at m = 4, T at p = 1.2 on a 5-long head with a seed that
-# wraps, and e1 at support 2000, whose generating vector is 5997 entries longer;
+# not divisible by 3 and a seed that wraps; and support 1, where the listed e1 is [1.0];
+# then rows whose p-th powers underflow on a normal head: a tiny x at m = 4 and
+# e3 at p = 1000; then a p = 1000 search, whose head sums to about 1 and whose
+# value equals the constant (slack 0), with a tail whose integral bound underflows;
+# then searches at small q for T and F at m = 4, T at p = 1.2 on a 5-long head
+# with a seed that wraps, and e1 listed 2000 long, whose head is that of [1.0] too;
 # then e1 rows whose upper end rests on the tail's rounding: p = 1 + 1e-12, and p = 2 at N = 1000;
 # then a long m = 2 sweep: each H solve starts from the previous dimension's H vector, each Z solve from its own
+# dimension's H vector; then m = 4 solves that converge only at the rounding floor: n = 600 on the one-block
+# FFT route, and the range 2..400
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -148,6 +151,8 @@ infinite --search --op both --m 4 --p 6 --support 2000 --trials 30
 infinite --m 2 --p 1.000000000001 --op T --x e1
 infinite --m 2 --p 2 --op T --x e1 --trunc 1000
 bounds --m 2 --n 2..400
+spectrum --m 4 --n 600
+bounds --m 4 --n 2..400
 """.strip().splitlines()
 )
 

@@ -57,7 +57,7 @@ def main() -> int:
     parser.add_argument("--orders", default="2,3,4")
     parser.add_argument("--max-dim", type=int, default=8)
     parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--max-iter", type=int, default=100_000)
+    parser.add_argument("--max-iter", type=int, default=10_000)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default="results")
     args = parser.parse_args()

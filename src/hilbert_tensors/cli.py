@@ -18,7 +18,8 @@ at the first call.
 A command takes only the flags it reads, except --seed, which every command
 takes and none reads, kept so that existing argvs still parse.  Under
 ``infinite --search``, --trials sets only the ``iterations`` column and
---support only the length of e_1, and both the ``evaluations=`` count.
+--support only the length of the listed e_1 (the head is that of [1.0]),
+and both the ``evaluations=`` count.
 :func:`validate` checks the flags before any work: --m >= 2, --out is no
 directory and its directory exists; --n (all but ``infinite``) parses with
 every dimension >= 1, a single one for ``spectrum`` and strictly ascending
@@ -27,9 +28,9 @@ generating vector, as float64, is longer than numpy can allocate; --tol finite
 and > 0 and --max-iter >= 1 (``spectrum``, ``bounds``); for ``infinite`` --op
 is T, F or both, --p finite with p > 1 (T) and p > m-1 (F), --x is e<k>
 (k >= 1) or finite comma-separated floats, --trunc >= 1, --trials >= 0,
---support >= 1, and the head's generating vector (support --support under
---search, else the length of --x, k for e<k>) within the same limit, checked
-before an e<k> is built; for ``bench``
+--support >= 1, and the generating vector of a head of the length of --x
+(k for e<k>; --support under --search, which bounds the listed e_1) within
+the same limit, checked before an e<k> is built; for ``bench``
 --repeats >= 1.  The dense element budget of ``bench``'s naive arm is 10^7
 (``core.MAX_DENSE_ELEMENTS``).
 
@@ -219,11 +220,11 @@ def cmd_bounds(args: argparse.Namespace, rows: list) -> int:
             f"value={row['value']:.17g} bound={row['bound']:.17g}",
             file=sys.stderr,
         )
-    mono = sweep.monotonicity
-    if mono is not None:
+    if sweep.monotonicity is not None:
+        gaps_certified = all(row["certified"] for row in rows if row["kind"] in ("H-gap", "Z-gap"))
         print(
             f"monotonicity m={args.m}: strict_h={reporting.all_hold(rows, 'H-gap')} "
-            f"nondecreasing_z={reporting.all_hold(rows, 'Z-gap')} certified={mono.certified}",
+            f"nondecreasing_z={reporting.all_hold(rows, 'Z-gap')} certified={gaps_certified}",
             file=sys.stderr,
         )
     return exit_status(bool(violations), all(row["certified"] for row in rows))

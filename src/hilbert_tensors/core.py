@@ -65,7 +65,7 @@ class BudgetError(RuntimeError):
 
 
 class SequenceVector:
-    """Finite real vector with p-norms.
+    """Finite real vector.
 
     Stands for an element of R^n, or for a finitely supported element of l^1.
     Values are immutable after construction.
@@ -94,13 +94,6 @@ class SequenceVector:
 
     def __repr__(self) -> str:
         return f"SequenceVector({self.values.tolist()!r})"
-
-    def norm(self, p: float) -> float:
-        if p < 1:
-            raise ValueError(f"p-norms are defined here for p >= 1, got {p}")
-        if self.values.size == 0:
-            return 0.0
-        return float(np.linalg.norm(self.values, ord=float(p)))
 
 
 def as_vector(x) -> np.ndarray:

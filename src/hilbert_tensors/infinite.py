@@ -277,6 +277,7 @@ def operator_norm_constant(operator: str, order: int, p: float) -> float:
 class NormSearchReport:
     """e_1's certified norm, which the module docstring proves is the best on the unit l^1 sphere.
 
+    ``best_vector`` is e_1 listed ``support`` long.
     ``evaluations`` is ``support + 4 + trials``: the candidates a search over
     ``support`` coordinates would consider (the coordinate vectors, four
     decaying profiles, then one per trial), each of which e_1 matches or beats.
@@ -311,9 +312,10 @@ def norm_searches(operators, order: int, p: float, trials: int = 200, support: i
     """:func:`norm_search` for each of ``operators``, from one head of e_1.
 
     Checks the operators and p, then ``trials`` and ``support``, then the head
-    rule for ``support`` entries before e_1 of that length is built.
-    ``support`` sets e_1's length and, with ``trials``, ``evaluations``;
-    ``seed`` is read by nothing.
+    rule for ``support`` entries before e_1 of that length is listed.  The
+    head is that of [1.0], whose trailing zeros change no value, so
+    ``support`` sets only the listed e_1's length and, with ``trials``,
+    ``evaluations``; ``seed`` is read by nothing.
     """
     for operator in operators:
         tail_exponent(operator, order, p)
@@ -321,9 +323,8 @@ def norm_searches(operators, order: int, p: float, trials: int = 200, support: i
         raise ValueError("trials must be >= 0")
     if support < 1:
         raise ValueError("support must be >= 1")
-    generating_length(support, order, out_len)  # refuses a huge support before np.eye allocates it
-    e1 = np.eye(1, support)[0]
+    generating_length(support, order, out_len)  # refuses a huge support before the list is built
     return tuple(
-        NormSearchReport(cert.value, cert.tail_bound, e1.tolist(), support + 4 + trials)
-        for cert in _certified_norms(operators, e1, order, p, out_len)
+        NormSearchReport(cert.value, cert.tail_bound, [1.0] + [0.0] * (support - 1), support + 4 + trials)
+        for cert in _certified_norms(operators, [1.0], order, p, out_len)
     )

@@ -355,6 +355,15 @@ def test_z_converges_at_gate_sizes(capsys, args):
     assert z_rows and all(row["certified"] and row["iterations"] <= 50 for row in z_rows)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_spectrum_converges_at_scale_within_the_default_max_iter(capsys, m, n):
+    # H values grow like n^(m-2), so an absolute tol alone lies under their rounding; the floor stops there
+    code, out, _ = run_cli(["spectrum", "--m", str(m), "--n", str(n)], capsys)
+    assert code == 0
+    assert [row["certified"] for row in parse_rows(out)] == [True, True]
+
+
 @pytest.mark.parametrize(
     "args, names",
     [

@@ -133,13 +133,9 @@ def test_generating_vector_must_be_one_dimensional():
 
 def test_sequence_vector_norms_and_cache():
     x = SequenceVector([3.0, -4.0])
-    assert x.norm(2) == pytest.approx(5.0)
-    assert x.norm(1) == pytest.approx(7.0)
     assert SequenceVector.__slots__ == ("values",)  # no per-exponent cache on each result
     assert len(x) == 2
     assert x[1] == -4.0
-    with pytest.raises(ValueError):
-        x.norm(0.5)
 
 
 def test_sequence_vector_array_copies_on_request():
@@ -149,27 +145,6 @@ def test_sequence_vector_array_copies_on_request():
     copied[0] = 1.0  # a new array is writable, and the vector keeps its values
     assert x.values.tolist() == [3.0, -4.0]
     assert np.shares_memory(np.asarray(x), x.values)
-
-
-def test_zero_vector_norms():
-    theta = SequenceVector([0.0, 0.0, 0.0])
-    for p in (1, 2, 3.5):
-        assert theta.norm(p) == 0.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=10),
-    st.floats(1.0, 6.0),
-    st.floats(0.0, 5.0),
-)
-def test_norm_ordering(values, r, extra):
-    # ||x||_p <= ||x||_r <= n^(1/r - 1/p) ||x||_p for p > r >= 1
-    p = r + extra + 1e-6
-    x = SequenceVector(values)
-    n = len(values)
-    assert x.norm(p) <= x.norm(r) + 1e-9 * (1 + x.norm(r))
-    assert x.norm(r) <= n ** (1 / r - 1 / p) * x.norm(p) * (1 + 1e-12) + 1e-9
 
 
 # -- dense materialization -------------------------------------------------------
@@ -694,10 +669,6 @@ def test_spectral_bounds_refuse_order_below_two(bound, order):
     # the message HilbertTensor and generating_length give for the same order
     with pytest.raises(ValueError, match=f"order must be >= 2, got {order}"):
         bound(order, 5)
-
-
-def test_empty_sequence_vector_has_norm_zero():
-    assert SequenceVector([]).norm(2) == 0.0
 
 
 # -- plan, then apply: hankel_operator ------------------------------------------------

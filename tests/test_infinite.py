@@ -705,3 +705,26 @@ def test_default_search_builds_one_full_head(monkeypatch, m, seed, p, out_len):
     assert full == 1 and evaluations == 16 + 4 + 200  # e1's, for T and F at once
     full, _ = _full_heads(monkeypatch, order=m, p=p, seed=seed, support=1, out_len=out_len)
     assert full == 1  # at support 1 too
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("support", [1, 16, 2000])
+@pytest.mark.parametrize("out_len", [1000, 100_000])
+def test_search_certifies_one_head_of_a_length_one_e1(monkeypatch, m, support, out_len):
+    # --support sets only the listed e_1 and evaluations: the head is [1.0]'s, whatever the support
+    heads = []
+    apply = infinite.apply_infinite
+
+    def recorded(x, order, length):
+        heads.append((len(x), order, length))
+        return apply(x, order, length)
+
+    monkeypatch.setattr(infinite, "apply_infinite", recorded)
+    p = 2.0 * (m - 1)
+    reports = infinite.norm_searches(("T", "F"), m, p, trials=30, support=support, out_len=out_len)
+    assert heads == [(1, m, out_len)]
+    e1_vector = [1.0] + [0.0] * (support - 1)
+    assert reports == tuple(
+        infinite.NormSearchReport(cert.value, cert.tail_bound, e1_vector, support + 4 + 30)
+        for cert in infinite._certified_norms(("T", "F"), [1.0], m, p, out_len)
+    )
