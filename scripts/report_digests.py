@@ -78,7 +78,7 @@ def workload_argvs() -> list[list[str]]:
 # then e1 rows whose upper end rests on the tail's rounding: p = 1 + 1e-12, and p = 2 at N = 1000;
 # then a long m = 2 sweep: each H solve starts from the previous dimension's H vector, each Z solve from its own
 # dimension's H vector; then m = 4 solves that converge only at the rounding floor: n = 600 on the one-block
-# FFT route, and the range 2..400
+# FFT route, the range 2..400, and n = 10^3, 10^4 and 10^5
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -153,6 +153,7 @@ infinite --m 2 --p 2 --op T --x e1 --trunc 1000
 bounds --m 2 --n 2..400
 spectrum --m 4 --n 600
 bounds --m 4 --n 2..400
+bounds --m 4 --n 1000,10000,100000
 """.strip().splitlines()
 )
 

@@ -133,9 +133,13 @@ def apply_infinite(x, order: int, out_len: int) -> SequenceVector:
     The zero vector maps to exact zeros.  An empty x, ``out_len < 1`` or order < 2
     raises ValueError before the cached generating vector can be replaced.
     """
-    xv = as_vector(x)
+    return SequenceVector._owning(_head(as_vector(x), order, out_len))
+
+
+def _head(xv: np.ndarray, order: int, out_len: int) -> np.ndarray:
+    """The first ``out_len`` components of H_inf x^{m-1} as a fresh writeable array that the caller owns."""
     gen = GeneratingVector.hilbert(generating_length(xv.size, order, out_len))
-    return SequenceVector(hankel_apply(gen, xv, order, out_len))
+    return hankel_apply(gen, xv, order, out_len)
 
 
 def tail_exponent(operator: str, order: int, p: float) -> float:
@@ -174,7 +178,7 @@ def _outside_float_range(l1: float, order: int, p: float) -> bool:
     return head < math.log(sys.float_info.min) or head >= math.log(sys.float_info.max) > powers
 
 
-def _enclosure(p: float, head, q: float, scale: float, l1: float, out_len: int):
+def _enclosure(p: float, head, q: float, scale: float, l1: float, out_len: int, rebuild=None):
     """Value and tail bound of the certified l^p enclosure of one head.
 
     value = (sum_i |scale h_i|^q)^(1/p), inf where it overflows; below the normal range the sum is taken
@@ -182,15 +186,19 @@ def _enclosure(p: float, head, q: float, scale: float, l1: float, out_len: int):
     the integral bound on sum_{i>N} i^-q.  That bound underflows from q ~ 66 at N = 10^5, so its p-th root is
     taken as exp(log(bound) / p) rounded up by 2^-40 relative (the logarithms' rounding is < 1e-13 for
     out_len < 2^64), so it holds where the bound underflows too.
+
+    Without ``rebuild`` the head is left as it is, and one work array is made.  With it, a callable that
+    returns the head anew as a fresh array, the work is done in place on ``head``, and the rare relative pass
+    takes |h| from ``rebuild()``.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):  # inf/nan in the results
-        work = np.abs(head)  # |h|, scaled for T, to the q
+        work = np.abs(head, out=None if rebuild is None else head)  # |h|, scaled for T, to the q
         if scale != 1.0:
             work *= scale  # |h| s equals |h s| bit for bit
         work **= q
         value = (total := work.sum()) ** (1.0 / p)
         if total < sys.float_info.min:  # one more pass, over |h| / max |h|
-            big = np.abs(head, out=work).max()
+            big = np.abs(head if rebuild is None else rebuild(), out=work).max()
             work /= big
             work **= q
             value = (scale * big) ** (q / p) * np.nansum(work) ** (1.0 / p)
@@ -202,7 +210,7 @@ def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[
     """Each operator's certified norm from one head h = H_inf x^{m-1} of length ``out_len``.
 
     Checks the operators and p, then the head's inputs, and takes h from
-    :func:`apply_infinite`.  The value is (sum |h_i|^q)^(1/p), q from
+    :func:`_head`, the seam :func:`apply_infinite` wraps.  The value is (sum |h_i|^q)^(1/p), q from
     :func:`tail_exponent`: T scales h by ||x||_1^{2-m} first (q = p), which
     keeps large x finite; F takes no root, since |h_i^{1/(m-1)}|^p = |h_i|^q.
     The tail bound is ||x||_1 (sum_{i>out_len} i^{-q})^{1/p}.  Both are
@@ -210,8 +218,9 @@ def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[
     (tiny, or for T huge, finite ||x||_1), the value is ||x||_1 times the
     value at x / ||x||_1; :func:`_enclosure` computes both, and keeps them
     where only p-th powers underflow.  The zero vector calls no head.
-    Each operator's work array is freed before the next one is made, so the
-    head and one work array are all that is held (plus the clamped copy
+    Every operator but the last works in its own array, freed before the next
+    one is made, and the last works in place on the head, so one operator
+    holds one head-sized array and two hold two (plus the clamped copy
     ``even_root_domain`` makes where a head for F at odd m has float-noise
     negatives).
     """
@@ -224,10 +233,16 @@ def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[
             return tuple(CertifiedNorm(0.0, 0.0, p, out_len) for _ in operators)
         times = l1 if math.isfinite(l1) and _outside_float_range(l1, order, p) else 1.0  # the values at x / times
         unit_l1 = l1 if times == 1.0 else float(np.abs(xv := xv / times).sum())
-        h, scales = apply_infinite(xv, order, out_len).values, {"T": unit_l1 ** (2 - order), "F": 1.0}
-        even_root = {"T": False, "F": order % 2 == 1}  # F takes an even root of every component
-        ends = [_enclosure(p, even_root_domain(h) if even_root[op] else h, q, scales[op], l1, out_len)
-                for op, q in zip(operators, qs)]
+        scales = {"T": unit_l1 ** (2 - order), "F": 1.0}
+
+        def domain(op, h):  # at odd m, F takes an even root of every component
+            return even_root_domain(h) if op == "F" and order % 2 == 1 else h
+
+        # the last operator works in place on the head, and computes it again for a relative pass
+        h, last = _head(xv, order, out_len), len(operators) - 1
+        ends = [_enclosure(p, domain(op, h), q, scales[op], l1, out_len,
+                           None if i < last else lambda: domain(op, _head(xv, order, out_len)))
+                for i, (op, q) in enumerate(zip(operators, qs))]
     return tuple(CertifiedNorm(float(value) * times, float(tail), p, out_len) for value, tail in ends)
 
 

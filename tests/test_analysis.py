@@ -353,14 +353,14 @@ def test_dimension_sweep_holds_one_eigenvector_at_a_time():
 def test_dimension_sweep_builds_one_generating_vector_per_dimension(monkeypatch):
     # each embed apply into k runs while the generating vector of k's solves is the cached one
     builds = []
-    post_init = GeneratingVector.__post_init__
+    own = GeneratingVector._own
 
-    def counted(self):
+    def counted(self, buffer):
         builds.append(self)
-        post_init(self)
+        own(self, buffer)
 
     monkeypatch.setattr(GeneratingVector, "_last_hilbert", None)
-    monkeypatch.setattr(GeneratingVector, "__post_init__", counted)
+    monkeypatch.setattr(GeneratingVector, "_own", counted)
     sweep = analysis.dimension_sweep(3, range(2, 31))
     assert len(sweep.embeddings) == 28
     assert len(builds) == 29

@@ -549,13 +549,13 @@ def test_infinite_search_both_is_t_then_f(capsys, m, p):
 def test_infinite_search_both_makes_one_head_per_candidate(capsys, monkeypatch):
     # the one candidate evaluated is e1: --op T, F and both each build one head, whatever --trials
     heads = []
-    apply = infinite.apply_infinite
+    apply = infinite._head
 
     def counted(x, order, out_len):
         heads.append(order)
         return apply(x, order, out_len)
 
-    monkeypatch.setattr(infinite, "apply_infinite", counted)
+    monkeypatch.setattr(infinite, "_head", counted)
     counts = {}
     for op in ("T", "F", "both"):
         heads.clear()
@@ -577,8 +577,8 @@ def test_infinite_search_both_makes_one_head_per_candidate(capsys, monkeypatch):
 )
 def test_infinite_both_x_is_t_then_f_from_one_head(capsys, monkeypatch, m, p, x, halve_f):
     heads = []
-    apply, constant = infinite.apply_infinite, infinite.operator_norm_constant
-    monkeypatch.setattr(infinite, "apply_infinite", lambda *args: heads.append(args) or apply(*args))
+    apply, constant = infinite._head, infinite.operator_norm_constant
+    monkeypatch.setattr(infinite, "_head", lambda *args: heads.append(args) or apply(*args))
     if halve_f:
         monkeypatch.setattr(infinite, "operator_norm_constant",
                             lambda op, m, p: constant(op, m, p) / (2 if op == "F" else 1))

@@ -488,11 +488,37 @@ def test_hilbert_keeps_one_read_only_vector():
     assert old() is None
 
 
+def test_hilbert_serves_lengths_from_half_to_all_of_one_buffer():
+    length = 100_000
+    full, prefix = GeneratingVector.hilbert(length), GeneratingVector.hilbert(length - 20)
+    assert np.shares_memory(full.values, prefix.values)
+    assert prefix.values.tobytes() == (1.0 / np.arange(1, length - 19)).tobytes()
+    for gen in (full, prefix):
+        assert not gen.values.flags.writeable
+        with pytest.raises(ValueError):
+            gen.values[0] = 2.0
+    # below half of the buffer, and past its end, a new buffer of the length asked for
+    half = GeneratingVector.hilbert(length - 20).values.base.size // 2
+    assert not np.shares_memory(GeneratingVector.hilbert(half - 1).values, full.values)
+    longer = GeneratingVector.hilbert(length + 1)
+    assert longer.values.base.size == length + 1
+    assert longer.values.tobytes() == (1.0 / np.arange(1, length + 2)).tobytes()
+
+
+@pytest.mark.parametrize("out_len", [1000, 3], ids=["apply_fast", "apply_infinite"])
+def test_a_head_on_the_one_block_route_holds_no_fft_block(out_len):
+    # the route returns a view into its irfft output, which is 4 n long at m = 4; the result keeps only its n
+    x = np.cos(np.arange(1, 1001))
+    out = HilbertTensor(4, 1000).apply_fast(x) if out_len == 1000 else apply_infinite(x, 4, out_len)
+    assert out.values.base is None and out.values.size == out_len
+    assert not out.values.flags.writeable
+
+
 # -- the even-root domain ------------------------------------------------------------
 
 
 def _f_infinity_value(y, monkeypatch):
-    monkeypatch.setattr(infinite, "apply_infinite", lambda x, order, out_len: SequenceVector(y))
+    monkeypatch.setattr(infinite, "_head", lambda x, order, out_len: np.array(y))
     return f_infinity([1.0], 3, 4.0, out_len=len(y)).value
 
 

@@ -209,7 +209,7 @@ def test_zero_vector_norm_computes_no_head(call, monkeypatch):
     def no_head(*args):
         raise AssertionError("the zero vector needs no head")
 
-    monkeypatch.setattr(infinite, "apply_infinite", no_head)
+    monkeypatch.setattr(infinite, "_head", no_head)
     assert call([0.0, 0.0], 3, 4.0, out_len=10**9) == CertifiedNorm(0.0, 0.0, 4.0, 10**9)
 
 
@@ -497,8 +497,8 @@ def test_rows_whose_powers_underflow_on_a_normal_head_are_homogeneous(m, p, x):
         assert cert.tail_bound == pytest.approx(l1 * unit.tail_bound, rel=1e-12, abs=0)
 
 
-def _traced_peak(call):
-    call()  # warm: the generating vector and its block spectra are cached
+def _traced_peak(call, warm=None):
+    (warm or call)()  # warm: the generating vector and its block spectra are cached
     tracemalloc.start()
     try:
         call()
@@ -517,7 +517,7 @@ def _traced_peak(call):
     ids=["apply_infinite", "t_infinity", "f_infinity"],
 )
 def test_multi_block_head_holds_two_head_sized_arrays_at_most(call):
-    # the output array plus one more (SequenceVector's copy, or the |h|^q work array)
+    # the output array plus the FFT route's per-group temporaries; |h|^q is taken in place on the output
     x = np.cos(np.arange(1, 17))
     head_bytes = apply_infinite(x, 4, 100_000).values.nbytes
     assert _traced_peak(lambda: call(x)) <= 2.5 * head_bytes
@@ -529,6 +529,46 @@ def test_joint_evaluation_holds_two_head_sized_arrays_at_most():
     head_bytes = apply_infinite(x, 4, 100_000).values.nbytes
     joint = lambda: infinite._certified_norms(("T", "F"), x, 4, 6.0, 10**5)
     assert _traced_peak(joint) <= 2.5 * head_bytes
+
+
+# one 10^5-long head: 8e5 bytes
+HEAD_BYTES = 8 * 10**5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply_infinite([1.0], 3, 10**5),
+        lambda: t_infinity([1.0], 3, 2.0, 10**5),
+        lambda: f_infinity([1.0], 3, 4.0, 10**5),
+    ],
+    ids=["apply_infinite", "t_infinity", "f_infinity"],
+)
+def test_one_operator_holds_one_head_sized_array(call):
+    # no copy of the generating vector for np.correlate, none of the head, and |h|^q taken in place on it
+    assert _traced_peak(call) <= 1.1 * HEAD_BYTES
+
+
+@pytest.mark.parametrize("warm_x", [[1.0], [1.0, 0.5]], ids=["same-length", "after-a-longer-head"])
+def test_joint_certification_holds_two_head_sized_arrays(warm_x):
+    # the head and T's work array; after a head 2 longer, 1/(s+1) is a prefix of the same buffer
+    joint = lambda: infinite._certified_norms(("T", "F"), [1.0], 3, 4.0, 10**5)
+    warm = lambda: infinite._certified_norms(("T", "F"), warm_x, 3, 4.0, 10**5)
+    assert _traced_peak(joint, warm) <= 2.1 * HEAD_BYTES
+
+
+@pytest.mark.parametrize(
+    "order, p, x",
+    [(4, 8.0, [2e-60, 1e-61]), (2, 1000.0, [0.0, 0.0, 1.0])],
+    ids=["tiny-pair", "e3-p1000"],
+)
+def test_in_place_relative_pass_rebuilds_the_head_and_keeps_the_bits(monkeypatch, order, p, x):
+    # the sums underflow: the first T works on a copy of the head, the second in place, then on a rebuilt head
+    heads = []
+    head = infinite._head
+    monkeypatch.setattr(infinite, "_head", lambda *args: heads.append(args) or head(*args))
+    first, second = infinite._certified_norms(("T", "T"), x, order, p, 10**5)
+    assert len(heads) == 2 and first == second and first.value > 0
 
 
 # -- one head of e_1 for T and F -------------------------------------------------------
@@ -670,13 +710,13 @@ def _full_heads(monkeypatch, **search):
     """Heads of length out_len that one T+F norm_searches call builds."""
     out_len = search["out_len"]
     lengths = []
-    apply = infinite.apply_infinite
+    apply = infinite._head
 
     def counted(x, order, length):
         lengths.append(length)
         return apply(x, order, length)
 
-    monkeypatch.setattr(infinite, "apply_infinite", counted)
+    monkeypatch.setattr(infinite, "_head", counted)
     reports = infinite.norm_searches(("T", "F"), **search)
     assert all(report.best_vector[0] == 1.0 for report in reports)
     return lengths.count(out_len), reports[0].evaluations
@@ -713,13 +753,13 @@ def test_default_search_builds_one_full_head(monkeypatch, m, seed, p, out_len):
 def test_search_certifies_one_head_of_a_length_one_e1(monkeypatch, m, support, out_len):
     # --support sets only the listed e_1 and evaluations: the head is [1.0]'s, whatever the support
     heads = []
-    apply = infinite.apply_infinite
+    apply = infinite._head
 
     def recorded(x, order, length):
         heads.append((len(x), order, length))
         return apply(x, order, length)
 
-    monkeypatch.setattr(infinite, "apply_infinite", recorded)
+    monkeypatch.setattr(infinite, "_head", recorded)
     p = 2.0 * (m - 1)
     reports = infinite.norm_searches(("T", "F"), m, p, trials=30, support=support, out_len=out_len)
     assert heads == [(1, m, out_len)]

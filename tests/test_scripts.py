@@ -43,7 +43,7 @@ def test_verify_theorems_smoke(tmp_path, capsys):
     assert all(row["iterations"] is None for row in rows if row["kind"] == "pd-min-integral")
     # the sweep rows are exactly what the bounds command prints
     for m, start in ((2, 0), (3, 18)):
-        assert cli.run(["bounds", "--m", str(m), "--n", "1..4", "--max-iter", "100000"]) == 0
+        assert cli.run(["bounds", "--m", str(m), "--n", "1..4"]) == 0
         assert "".join(lines[start:start + 15]) == capsys.readouterr().out
 
 
