@@ -78,7 +78,8 @@ def workload_argvs() -> list[list[str]]:
 # then e1 rows whose upper end rests on the tail's rounding: p = 1 + 1e-12, and p = 2 at N = 1000;
 # then a long m = 2 sweep: each H solve starts from the previous dimension's H vector, each Z solve from its own
 # dimension's H vector; then m = 4 solves that converge only at the rounding floor: n = 600 on the one-block
-# FFT route, the range 2..400, and n = 10^3, 10^4 and 10^5
+# FFT route, the range 2..400, and n = 10^3, 10^4 and 10^5; then a search given --x, which it checks and does
+# not read: it certifies e1 through the same call as --x e1
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -154,6 +155,7 @@ bounds --m 2 --n 2..400
 spectrum --m 4 --n 600
 bounds --m 4 --n 2..400
 bounds --m 4 --n 1000,10000,100000
+infinite --search --op both --m 3 --p 4 --x=1,-0.5,0.25 --support 3 --show-vector
 """.strip().splitlines()
 )
 

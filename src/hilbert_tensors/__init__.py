@@ -36,14 +36,12 @@ from .eigensolvers import (
 from .infinite import (
     PI_OVER_SQRT6,
     CertifiedNorm,
-    NormSearchReport,
     apply_infinite,
     f_infinity,
     norm_search,
     operator_norm_constant,
     t_infinity,
 )
-from .rng import SplitMix64
 
 __version__ = "0.1.0"
 
@@ -56,11 +54,9 @@ __all__ = [
     "GeneratingVector",
     "HilbertTensor",
     "MonotonicityReport",
-    "NormSearchReport",
     "PI_OVER_SQRT6",
     "PositiveDefiniteReport",
     "SequenceVector",
-    "SplitMix64",
     "apply_infinite",
     "bound_sweep",
     "check_positive_definite",

@@ -16,10 +16,11 @@ configuration.
 at the first call.
 
 A command takes only the flags it reads, except --seed, which every command
-takes and none reads, kept so that existing argvs still parse.  Under
-``infinite --search``, --trials sets only the ``iterations`` column and
---support only the length of the listed e_1 (the head is that of [1.0]),
-and both the ``evaluations=`` count.
+takes and none reads, kept so that existing argvs still parse.
+``infinite --search`` certifies e_1 = [1.0], the maximizer, through the same
+call as ``--x`` (the infinite module docstring); it checks ``--x`` and reads
+nothing of it, --trials sets only the ``iterations`` column and --support
+only the length of the listed e_1, and both the ``evaluations=`` count.
 :func:`validate` checks the flags before any work: --m >= 2, --out is no
 directory and its directory exists; --n (all but ``infinite``) parses with
 every dimension >= 1, a single one for ``spectrum`` and strictly ascending
@@ -133,7 +134,7 @@ def validate(args: argparse.Namespace) -> None:
     Raises ValueError, its own or a library rule's, naming the first flag
     out of range; :func:`run` maps only these to exit 1.  On success the
     ``--n`` spec is replaced by its dimension tuple and, for ``infinite``,
-    the ``--x`` spec by its vector.
+    the ``--x`` spec by its vector, or by e_1 = [1.0] under ``--search``.
     """
     if args.m < 2:
         raise ValueError(f"order must be >= 2, got {args.m}")
@@ -174,7 +175,9 @@ def validate(args: argparse.Namespace) -> None:
             raise ValueError(f"--x entries must be finite, got {args.x!r}")
         support = args.support if args.search else x if unbuilt else x.size
         _check_head(f"--m {args.m} --trunc {args.trunc} with support {support}", support, args.m, args.trunc)
-        if unbuilt and not args.search:  # built once its head passed; the search never reads --x
+        if args.search:  # e_1, the maximizer (infinite module docstring), whose head is that of [1.0]
+            x = np.array([1.0])
+        elif unbuilt:  # built once its head passed
             x = np.zeros(support)
             x[-1] = 1.0
         args.x = x
@@ -232,34 +235,24 @@ def cmd_bounds(args: argparse.Namespace, rows: list) -> int:
 
 def cmd_infinite(args: argparse.Namespace, rows: list) -> int:
     violated = False
-    ops = _OPS[args.op]
-    if args.search:  # e_1's norms, the maximizers (infinite module docstring): one head for every operator
-        reports = infinite.norm_searches(
-            ops, args.m, args.p, trials=args.trials, support=args.support, out_len=args.trunc, seed=args.seed
-        )
-    else:  # one head for every operator
-        certs = infinite._certified_norms(ops, args.x, args.m, args.p, args.trunc)
-    for i, op in enumerate(ops):
-        bound = infinite.operator_norm_constant(op, args.m, args.p)
-        if args.search:
-            rep = reports[i]
-            l1 = 1.0  # e_1 lies on the unit l^1 sphere
-            kind, iterations = f"{op}-search", args.trials
-            value, slack = rep.best_value, bound - rep.best_value
+    ops, l1 = _OPS[args.op], float(np.abs(args.x).sum())
+    certs = infinite._certified_norms(ops, args.x, args.m, args.p, args.trunc)  # one head for every operator
+    for op, cert in zip(ops, certs):
+        bound, value = infinite.operator_norm_constant(op, args.m, args.p), cert.value
+        if args.search:  # e_1's norms, the maxima: the slack is taken at the value
+            kind, iterations, slack = f"{op}-search", args.trials, bound - value
+            # evaluations= counts what a search would weigh (coordinate vectors, four profiles, one per trial)
             print(
-                f"{op}-search: best={rep.best_value:.12g} tail={rep.best_tail_bound:.3e} "
-                f"gap to constant={slack:.3e} evaluations={rep.evaluations}",
+                f"{op}-search: best={value:.12g} tail={cert.tail_bound:.3e} "
+                f"gap to constant={slack:.3e} evaluations={args.support + 4 + args.trials}",
                 file=sys.stderr,
             )
             if args.show_vector:
-                print(f"{op}-search vector: {rep.best_vector}", file=sys.stderr)
+                print(f"{op}-search vector: {[1.0] + [0.0] * (args.support - 1)}", file=sys.stderr)
         else:
-            l1 = float(np.abs(args.x).sum())
-            cert = certs[i]
-            kind, iterations = op, None
-            value, slack = cert.value, bound - (upper := cert.upper)
+            kind, iterations, slack = op, None, bound - (upper := cert.upper)
             print(
-                f"{op}: value={cert.value:.12g} tail<={cert.tail_bound:.3e} "
+                f"{op}: value={value:.12g} tail<={cert.tail_bound:.3e} "
                 f"certified upper={upper:.12g} constant={bound:.12g}",
                 file=sys.stderr,
             )

@@ -25,16 +25,17 @@ with Hankel columns c_s = (1/(i+s))_{i>=1}, ||c_s||_q <= zeta(q)^(1/q).
 Minkowski gives ||T x||_p <= ||x||_1 zeta(p)^(1/p), and, since
 ||F x||_p = ||H_inf x^{m-1}||_q^{1/(m-1)}, ||F x||_p <= ||x||_1 zeta(q)^(1/p).
 Equality holds at e_1.  The same argument on the first N components shows
-that e_1 also maximizes every truncated value, so :func:`norm_search` reports
-e_1's certified norms and walks no candidates.  (At p = 2 the T constant is
-pi/sqrt(6).)
+that e_1 also maximizes every truncated value, so ``infinite --search``
+walks no candidates: it certifies [1.0] through the same
+:func:`_certified_norms` call as a single vector.  (At p = 2 the T constant
+is pi/sqrt(6).)
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -288,58 +289,12 @@ def operator_norm_constant(operator: str, order: int, p: float) -> float:
     return zeta_upper_bound(q) ** (1.0 / p)
 
 
-@dataclass
-class NormSearchReport:
-    """e_1's certified norm, which the module docstring proves is the best on the unit l^1 sphere.
+def norm_search(order: int, p: float, out_len: int = DEFAULT_TRUNCATION, operator: str = "T") -> CertifiedNorm:
+    """``operator``'s certified l^1 -> l^p norm, taken at its maximizer e_1 = [1.0] (module docstring).
 
-    ``best_vector`` is e_1 listed ``support`` long.
-    ``evaluations`` is ``support + 4 + trials``: the candidates a search over
-    ``support`` coordinates would consider (the coordinate vectors, four
-    decaying profiles, then one per trial), each of which e_1 matches or beats.
+    ``infinite --search`` makes the same :func:`_certified_norms` call for all its operators at once.  This
+    name stays only because the benchmark's tracer (``perfbench/tracing.py``, ``SPANS``) wraps it; the
+    in-library trace recorder of ROADMAP item 4 replaces that tracer and deletes it.
     """
-
-    best_value: float
-    best_tail_bound: float
-    best_vector: list[float] = field(repr=False)
-    evaluations: int
-
-
-def norm_search(
-    order: int,
-    p: float,
-    trials: int = 200,
-    support: int = 16,
-    out_len: int = 10_000,
-    seed: int = 0,
-    operator: str = "T",
-) -> NormSearchReport:
-    """The certified norm lower bound at e_1, the maximizer over unit-l^1 vectors.
-
-    The one-operator case of :func:`norm_searches`, which ``infinite --search
-    --op both`` runs for T and F.
-    """
-    (report,) = norm_searches((operator,), order, p, trials, support, out_len, seed)
-    return report
-
-
-def norm_searches(operators, order: int, p: float, trials: int = 200, support: int = 16, out_len: int = 10_000,
-                  seed: int = 0) -> tuple[NormSearchReport, ...]:
-    """:func:`norm_search` for each of ``operators``, from one head of e_1.
-
-    Checks the operators and p, then ``trials`` and ``support``, then the head
-    rule for ``support`` entries before e_1 of that length is listed.  The
-    head is that of [1.0], whose trailing zeros change no value, so
-    ``support`` sets only the listed e_1's length and, with ``trials``,
-    ``evaluations``; ``seed`` is read by nothing.
-    """
-    for operator in operators:
-        tail_exponent(operator, order, p)
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    if support < 1:
-        raise ValueError("support must be >= 1")
-    generating_length(support, order, out_len)  # refuses a huge support before the list is built
-    return tuple(
-        NormSearchReport(cert.value, cert.tail_bound, [1.0] + [0.0] * (support - 1), support + 4 + trials)
-        for cert in _certified_norms(operators, [1.0], order, p, out_len)
-    )
+    (cert,) = _certified_norms((operator,), [1.0], order, p, out_len)
+    return cert

@@ -1,8 +1,9 @@
-"""Seeded 64-bit pseudo-random generator for reproducible draws.
+"""Seeded 64-bit pseudo-random generator for the tests' reproducible draws.
 
-No report reads it; the tests draw their seeded vectors from it.  The
-recurrence is pinned down exactly so that a seed gives the same draws in this
-implementation or any other:
+No report draws random numbers; the tests draw their seeded vectors from
+this generator (``from splitmix import SplitMix64``; pytest puts ``tests/``
+on the path).  The recurrence is pinned down exactly so that a seed gives
+the same draws in this implementation or any other:
 
     state  <- (state + 0x9E3779B97F4A7C15)            mod 2^64
     z      <- state

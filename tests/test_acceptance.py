@@ -16,7 +16,6 @@ import numpy as np
 from hilbert_tensors import (
     PI_OVER_SQRT6,
     HilbertTensor,
-    SplitMix64,
     cli,
     f_infinity,
     h_spectral_radius,
@@ -26,6 +25,8 @@ from hilbert_tensors import (
 from hilbert_tensors.analysis import dimension_sweep
 from hilbert_tensors.oracle import brute_apply, dense_matrix_eigenpair
 from hilbert_tensors.reporting import sweep_rows
+
+from splitmix import SplitMix64
 
 SEED = 20_240_901
 

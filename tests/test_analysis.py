@@ -12,7 +12,6 @@ from hilbert_tensors import (
     GeneratingVector,
     HilbertTensor,
     SequenceVector,
-    SplitMix64,
     analysis,
     bound_sweep,
     check_positive_definite,
@@ -26,6 +25,8 @@ from hilbert_tensors import (
 )
 from hilbert_tensors.eigensolvers import equation_residual
 from hilbert_tensors.oracle import dense_matrix_eigenpair
+
+from splitmix import SplitMix64
 
 
 # -- positive definiteness ------------------------------------------------------

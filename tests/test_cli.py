@@ -629,10 +629,7 @@ def test_search_show_vector_prints_each_best_vector(capsys, m, p):
     assert code == 0
     for op in ("T", "F"):
         (line,) = [line for line in err.splitlines() if line.startswith(f"{op}-search vector: ")]
-        vector = json.loads(line.split(": ", 1)[1])
-        rep = infinite.norm_search(int(m), float(p), 12, 5, 200, 4, operator=op)
-        assert vector == rep.best_vector
-        assert math.fsum(abs(v) for v in vector) == pytest.approx(1.0, abs=1e-15)
+        assert json.loads(line.split(": ", 1)[1]) == [1.0, 0.0, 0.0, 0.0, 0.0]  # e_1, listed --support long
 
 
 def test_bounds_prints_its_monotonicity_verdict(capsys):
@@ -722,6 +719,30 @@ def test_search_never_builds_the_unit_vector(capsys):
                             "--trunc", "200"], capsys)
     assert code == 0
     assert [row["kind"] for row in parse_rows(out)] == ["T-search"]
+
+
+@pytest.mark.parametrize("m", ["2", "3", "4"])
+def test_search_rows_are_the_e1_rows(capsys, m):
+    # --search certifies e1 through the same call as --x e1: equal values bit for bit, equal printed tails
+    args = ["infinite", "--op", "both", "--m", m, "--p", str(2 * int(m) - 1)]
+    search_code, search_out, search_err = run_cli(args + ["--search"], capsys)
+    e1_code, e1_out, e1_err = run_cli(args + ["--x", "e1"], capsys)
+    assert search_code == e1_code == 0
+    search_rows, e1_rows = parse_rows(search_out), parse_rows(e1_out)
+    assert [row["kind"] for row in search_rows] == ["T-search", "F-search"]
+    assert [row["value"] for row in search_rows] == [row["value"] for row in e1_rows]
+
+    def tails(err, key):
+        return [line.split(key, 1)[1].split()[0] for line in err.splitlines() if key in line]
+
+    assert len(tails(search_err, " tail=")) == 2
+    assert tails(search_err, " tail=") == tails(e1_err, " tail<=")
+
+
+def test_search_reads_nothing_of_x(capsys):
+    search = run_cli(["infinite", "--search"], capsys)
+    assert search[0] == 0
+    assert run_cli(["infinite", "--search", "--x=1,-0.5,0.25"], capsys) == search
 
 
 def test_unit_vector_is_the_coordinate_list(capsys):

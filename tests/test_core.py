@@ -13,7 +13,6 @@ from hilbert_tensors import (
     GeneratingVector,
     HilbertTensor,
     SequenceVector,
-    SplitMix64,
     apply_infinite,
     convolution_power,
     f_infinity,
@@ -32,6 +31,8 @@ from hilbert_tensors.core import (
     generating_length,
     hankel_operator,
 )
+
+from splitmix import SplitMix64
 
 
 # -- entries ------------------------------------------------------------------

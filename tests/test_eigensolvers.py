@@ -7,13 +7,14 @@ import pytest
 from hilbert_tensors import (
     GeneratingVector,
     HilbertTensor,
-    SplitMix64,
     h_spectral_radius,
     z_spectral_radius,
 )
 from hilbert_tensors import core
 from hilbert_tensors.eigensolvers import _power_iteration, equation_residual
 from hilbert_tensors.oracle import OracleConfig, brute_max_sphere, dense_matrix_eigenpair
+
+from splitmix import SplitMix64
 
 CLOSED_FORM_N2 = (4 + math.sqrt(13)) / 6
 

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import tracemalloc
@@ -10,7 +11,6 @@ from hilbert_tensors import (
     PI_OVER_SQRT6,
     GeneratingVector,
     HilbertTensor,
-    SplitMix64,
     apply_infinite,
     cli,
     f_infinity,
@@ -22,6 +22,15 @@ from hilbert_tensors import (
     t_infinity,
 )
 from hilbert_tensors.infinite import CertifiedNorm, tail_exponent, zeta_upper_bound
+
+from splitmix import SplitMix64
+
+
+def _cli(capsys, argv):
+    """Exit code, stdout and stderr of one in-process CLI run of the space-separated ``argv``."""
+    code = cli.run(argv.split())
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def unit_l1(x):
@@ -194,7 +203,7 @@ def test_empty_input_is_refused_not_a_zero_norm(call):
         lambda: t_infinity([1.0], 1, 2.0, out_len=10),
         lambda: f_infinity([1.0], 1, 2.0, out_len=10),
         lambda: operator_norm_constant("F", 0, 2.0),
-        lambda: norm_search(1, 2.0, trials=0, support=2, out_len=10),
+        lambda: norm_search(1, 2.0, out_len=10),
         lambda: hankel_apply(GeneratingVector.hilbert(10), [1.0, 2.0], 1, 3),
     ],
     ids=["t_infinity", "f_infinity", "constant", "norm_search", "hankel_apply"],
@@ -268,8 +277,8 @@ def test_tail_exponent_per_operator():
         (lambda: f_infinity([1.0], 3, 1.5), "operator F needs p > m-1 = 2, got p = 1.5"),
         (lambda: operator_norm_constant("T", 2, 0.5), "operator T needs p > 1, got p = 0.5"),
         (lambda: operator_norm_constant("F", 4, 3.0), "operator F needs p > m-1 = 3, got p = 3"),
-        (lambda: norm_search(3, 2.0, trials=1, operator="F"), "operator F needs p > m-1 = 2, got p = 2"),
-        (lambda: norm_search(2, 2.0, trials=1, operator="Q"), "operator must be 'T' or 'F', got 'Q'"),
+        (lambda: norm_search(3, 2.0, operator="F"), "operator F needs p > m-1 = 2, got p = 2"),
+        (lambda: norm_search(2, 2.0, operator="Q"), "operator must be 'T' or 'F', got 'Q'"),
     ],
     ids=["t_infinity", "f_infinity", "constant-T", "constant-F", "search-F", "search-Q"],
 )
@@ -287,7 +296,7 @@ def test_p_range_errors_carry_the_cli_text(call, message):
         lambda p: t_infinity([0.5], 2, p),
         lambda p: f_infinity([0.5], 3, p),
         lambda p: operator_norm_constant("T", 2, p),
-        lambda p: norm_search(2, p, trials=1, support=2, out_len=10),
+        lambda p: norm_search(2, p, out_len=10),
     ],
     ids=["tail_exponent", "t_infinity", "f_infinity", "constant", "search"],
 )
@@ -322,14 +331,14 @@ def test_overflow_raises_no_numpy_warning():
 # -- norm search ------------------------------------------------------------------
 
 
-def test_norm_search_support_one_is_e1():
-    rep = norm_search(2, 2.0, trials=10, support=1, out_len=2000, seed=5)
-    assert rep.best_vector == [1.0]
+def test_norm_search_support_one_is_e1(capsys):
+    code, _, err = _cli(capsys, "infinite --search --m 2 --p 2 --trials 10 --support 1 --trunc 2000 --show-vector")
+    assert code == 0 and "T-search vector: [1.0]" in err.splitlines()
 
 
-def test_norm_search_rejects_negative_trials():
-    with pytest.raises(ValueError, match="trials must be >= 0"):
-        norm_search(2, 2.0, trials=-3, support=2, out_len=10)
+def test_norm_search_rejects_negative_trials(capsys):
+    code, out, err = _cli(capsys, "infinite --search --m 2 --p 2 --trials -3 --support 2 --trunc 10")
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "hilbert-tensors: error: --trials must be >= 0, got -3\n")
 
 
 def test_norm_search_coordinate_decay():
@@ -339,23 +348,21 @@ def test_norm_search_coordinate_decay():
 
 
 def test_norm_search_finds_e1():
-    rep = norm_search(2, 2.0, trials=60, support=8, out_len=1_000_000, seed=6)
-    assert rep.best_value >= PI_OVER_SQRT6 - 1e-6
-    assert rep.best_value <= PI_OVER_SQRT6 + 1e-9
-    assert np.argmax(np.abs(rep.best_vector)) == 0
+    cert = norm_search(2, 2.0, out_len=1_000_000)
+    assert cert.value >= PI_OVER_SQRT6 - 1e-6
+    assert cert.value <= PI_OVER_SQRT6 + 1e-9
+    assert cert == t_infinity([1.0], 2, 2.0, out_len=1_000_000)
 
 
 def test_norm_search_deterministic():
-    a = norm_search(3, 2.0, trials=40, support=6, out_len=1000, seed=9)
-    b = norm_search(3, 2.0, trials=40, support=6, out_len=1000, seed=9)
-    assert a == b
+    assert norm_search(3, 2.0, out_len=1000) == norm_search(3, 2.0, out_len=1000)
 
 
 def test_norm_search_never_exceeds_bound():
     for op in ("T", "F"):
         p = 2.0 if op == "T" else 4.0
-        rep = norm_search(3, p, trials=80, support=6, out_len=5000, seed=10, operator=op)
-        assert rep.best_value <= PI_OVER_SQRT6 + 1e-9
+        cert = norm_search(3, p, out_len=5000, operator=op)
+        assert cert.value <= PI_OVER_SQRT6 + 1e-9
 
 
 def test_norm_search_gap_is_to_its_own_constant(capsys):
@@ -363,10 +370,10 @@ def test_norm_search_gap_is_to_its_own_constant(capsys):
     argv = "infinite --search --op F --m 3 --p 4 --trials 6 --support 4 --trunc 1000 --seed 3"
     assert cli.run(argv.split()) == 0
     [line] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("F-search: ")]
-    rep = norm_search(3, 4.0, trials=6, support=4, out_len=1000, seed=3, operator="F")
-    gap = operator_norm_constant("F", 3, 4.0) - rep.best_value
+    cert = norm_search(3, 4.0, out_len=1000, operator="F")
+    gap = operator_norm_constant("F", 3, 4.0) - cert.value
     assert f" gap to constant={gap:.3e} " in line
-    assert 0 < gap < PI_OVER_SQRT6 - rep.best_value
+    assert 0 < gap < PI_OVER_SQRT6 - cert.value
 
 
 # -- one work array per head ------------------------------------------------------------
@@ -577,13 +584,14 @@ def test_in_place_relative_pass_rebuilds_the_head_and_keeps_the_bits(monkeypatch
 @pytest.mark.parametrize("m, ps", [(2, (2.0, 3.5)), (3, (2.5, 4.0)), (4, (3.5, 6.0))])
 @pytest.mark.parametrize("support", [1, 5, 16])
 @pytest.mark.parametrize("seed", [0, 13])
-def test_joint_search_is_the_separate_searches(m, ps, support, seed):
+def test_joint_search_is_the_separate_searches(capsys, m, ps, support, seed):
+    # at every --support and --seed, --op both prints the T search's rows and lines, then the F search's
     for p in ps:
-        joint = infinite.norm_searches(("T", "F"), m, p, trials=30, support=support, out_len=300, seed=seed)
-        separate = tuple(
-            norm_search(m, p, trials=30, support=support, out_len=300, seed=seed, operator=op) for op in ("T", "F")
-        )
-        assert joint == separate
+        argv = (f"infinite --search --m {m} --p {p} --trials 30 --support {support} --trunc 300 --seed {seed}"
+                " --show-vector")
+        (t_code, t_out, t_err), (f_code, f_out, f_err) = (_cli(capsys, f"{argv} --op {op}") for op in ("T", "F"))
+        assert t_code == f_code == 0
+        assert _cli(capsys, f"{argv} --op both") == (0, t_out + f_out, t_err + f_err)
 
 
 @pytest.mark.parametrize("x", [[1.0], [0.5, -0.25, 0.25], np.cos(np.arange(1, 17))])
@@ -595,20 +603,17 @@ def test_joint_norms_are_the_single_operator_norms(x):
         )
 
 
-def test_norm_search_memory_grows_with_support_not_its_square(monkeypatch):
-    # with the heads stubbed out, what is left is the search's own arrays:
-    # e_1 of length support, not a support x support identity (32 MB here)
-    def first_coordinate(operators, x, order, p, out_len):
-        return tuple(infinite.CertifiedNorm(float(abs(x[0])), 0.0, p, out_len) for _ in operators)
-
-    monkeypatch.setattr(infinite, "_certified_norms", first_coordinate)
+def test_norm_search_memory_grows_with_support_not_its_square(capsys):
+    # the search lists e_1 support long, not a support x support identity (32 MB here), from the head of [1.0]
+    argv = "infinite --search --m 2 --p 2 --trials 30 --support 2000 --trunc 10 --show-vector"
+    _cli(capsys, argv)  # the parser and the generating vector are built outside the measurement
     tracemalloc.start()
     try:
-        (report,) = infinite.norm_searches(("T",), 2, 2.0, trials=30, support=2000, out_len=10)
+        code, _, err = _cli(capsys, argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.best_vector[0] == 1.0 and report.evaluations == 2000 + 4 + 30
+    assert code == 0 and "evaluations=2034\n" in err and f"T-search vector: {[1.0] + [0.0] * 1999}\n" in err
     assert peak < 1_000_000
 
 
@@ -616,13 +621,11 @@ def test_norm_search_memory_grows_with_support_not_its_square(monkeypatch):
     "call, match",
     [
         (lambda: infinite.zeta_upper_bound(1.0), "q > 1"),
-        (lambda: infinite.norm_searches(("T",), 2, 2.0, support=0), "support"),
-        (lambda: infinite.norm_searches(("T",), 2, 2.0, out_len=-1), "out_len must be >= 1"),
+        (lambda: norm_search(2, 2.0, out_len=-1), "out_len must be >= 1"),
     ],
     ids=[
         "zeta_upper_bound",
-        "norm_searches",
-        "norm_searches-negative-out_len",
+        "norm_search-negative-out_len",
     ],
 )
 def test_infinite_refusals(call, match):
@@ -666,10 +669,7 @@ def _assert_no_candidate_beats_e1(operators, m, p, out_len, support, seed, trial
     for k, x in enumerate(_candidates(support, seed, trials)):
         for best, cert in zip(e1, infinite._certified_norms(operators, x, m, p, out_len)):
             assert cert.value <= best.value, (k, x.tolist(), cert.value, best.value)
-    e1_vector = [1.0] + [0.0] * (support - 1)
-    assert infinite.norm_searches(operators, m, p, trials, support, out_len, seed) == tuple(
-        infinite.NormSearchReport(cert.value, cert.tail_bound, e1_vector, support + 4 + trials) for cert in e1
-    )
+    assert tuple(norm_search(m, p, out_len, operator) for operator in operators) == e1
 
 
 @pytest.mark.parametrize(
@@ -706,9 +706,8 @@ def test_negated_candidate_has_the_same_norms_bit_for_bit(m, out_len):
     )
 
 
-def _full_heads(monkeypatch, **search):
-    """Heads of length out_len that one T+F norm_searches call builds."""
-    out_len = search["out_len"]
+def _full_heads(monkeypatch, capsys, order, p, seed, out_len, support=16):
+    """Heads of length out_len that one default ``infinite --search --op both`` builds, and its evaluations= count."""
     lengths = []
     apply = infinite._head
 
@@ -717,18 +716,20 @@ def _full_heads(monkeypatch, **search):
         return apply(x, order, length)
 
     monkeypatch.setattr(infinite, "_head", counted)
-    reports = infinite.norm_searches(("T", "F"), **search)
-    assert all(report.best_vector[0] == 1.0 for report in reports)
-    return lengths.count(out_len), reports[0].evaluations
+    code, _, err = _cli(capsys, f"infinite --search --op both --m {order} --p {p} --seed {seed} --support {support} "
+                                f"--trunc {out_len} --show-vector")
+    assert code == 0 and err.count(f"-search vector: {[1.0] + [0.0] * (support - 1)}\n") == 2
+    (evaluations,) = {line.split("evaluations=")[1] for line in err.splitlines() if "evaluations=" in line}
+    return lengths.count(out_len), int(evaluations)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 13])
-def test_default_search_builds_at_most_two_full_heads(monkeypatch, m, seed):
-    full, evaluations = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed,
+def test_default_search_builds_at_most_two_full_heads(monkeypatch, capsys, m, seed):
+    full, evaluations = _full_heads(monkeypatch, capsys, order=m, p=2.0 * (m - 1), seed=seed,
                                     out_len=infinite.DEFAULT_TRUNCATION)
     assert evaluations == 16 + 4 + 200 and full <= 2
-    full, _ = _full_heads(monkeypatch, order=m, p=2.0 * (m - 1), seed=seed, support=1,
+    full, _ = _full_heads(monkeypatch, capsys, order=m, p=2.0 * (m - 1), seed=seed, support=1,
                           out_len=infinite.DEFAULT_TRUNCATION)
     assert full == 1  # e1 once: every later candidate is e1 or -e1
 
@@ -740,17 +741,17 @@ def test_default_search_builds_at_most_two_full_heads(monkeypatch, m, seed):
     + [pytest.param(m, seed, m - 1 + 0.2, out_len, id=f"{seed}-{m}-small-q-{out_len}")  # q 1.07-3.2
        for m in (2, 3, 4) for seed in (0, 13) for out_len in (1000, 100_000)],
 )
-def test_default_search_builds_one_full_head(monkeypatch, m, seed, p, out_len):
-    full, evaluations = _full_heads(monkeypatch, order=m, p=p, seed=seed, out_len=out_len)
+def test_default_search_builds_one_full_head(monkeypatch, capsys, m, seed, p, out_len):
+    full, evaluations = _full_heads(monkeypatch, capsys, order=m, p=p, seed=seed, out_len=out_len)
     assert full == 1 and evaluations == 16 + 4 + 200  # e1's, for T and F at once
-    full, _ = _full_heads(monkeypatch, order=m, p=p, seed=seed, support=1, out_len=out_len)
+    full, _ = _full_heads(monkeypatch, capsys, order=m, p=p, seed=seed, support=1, out_len=out_len)
     assert full == 1  # at support 1 too
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("support", [1, 16, 2000])
 @pytest.mark.parametrize("out_len", [1000, 100_000])
-def test_search_certifies_one_head_of_a_length_one_e1(monkeypatch, m, support, out_len):
+def test_search_certifies_one_head_of_a_length_one_e1(monkeypatch, capsys, m, support, out_len):
     # --support sets only the listed e_1 and evaluations: the head is [1.0]'s, whatever the support
     heads = []
     apply = infinite._head
@@ -761,10 +762,12 @@ def test_search_certifies_one_head_of_a_length_one_e1(monkeypatch, m, support, o
 
     monkeypatch.setattr(infinite, "_head", recorded)
     p = 2.0 * (m - 1)
-    reports = infinite.norm_searches(("T", "F"), m, p, trials=30, support=support, out_len=out_len)
-    assert heads == [(1, m, out_len)]
-    e1_vector = [1.0] + [0.0] * (support - 1)
-    assert reports == tuple(
-        infinite.NormSearchReport(cert.value, cert.tail_bound, e1_vector, support + 4 + 30)
-        for cert in infinite._certified_norms(("T", "F"), [1.0], m, p, out_len)
-    )
+    code, out, err = _cli(capsys, f"infinite --search --op both --m {m} --p {p} --trials 30 --support {support} "
+                                  f"--trunc {out_len} --show-vector")
+    assert code == 0 and heads == [(1, m, out_len)]
+    certs = infinite._certified_norms(("T", "F"), [1.0], m, p, out_len)
+    assert [json.loads(line)["value"] for line in out.splitlines()] == [cert.value for cert in certs]
+    for op, cert in zip(("T", "F"), certs):
+        assert f"{op}-search: best={cert.value:.12g} tail={cert.tail_bound:.3e} " in err
+        assert f"{op}-search vector: {[1.0] + [0.0] * (support - 1)}\n" in err
+    assert err.count(f" evaluations={support + 4 + 30}\n") == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hilbert_tensors import BudgetError, HilbertTensor, SplitMix64
+from hilbert_tensors import BudgetError, HilbertTensor
 from hilbert_tensors.oracle import (
     OracleConfig,
     brute_apply,
@@ -12,6 +12,8 @@ from hilbert_tensors.oracle import (
     brute_quadratic_form,
     dense_matrix_eigenpair,
 )
+
+from splitmix import SplitMix64
 
 
 def test_brute_apply_frozen():
