@@ -79,7 +79,8 @@ def workload_argvs() -> list[list[str]]:
 # then a long m = 2 sweep: each H solve starts from the previous dimension's H vector, each Z solve from its own
 # dimension's H vector; then m = 4 solves that converge only at the rounding floor: n = 600 on the one-block
 # FFT route, the range 2..400, and n = 10^3, 10^4 and 10^5; then a search given --x, which it checks and does
-# not read: it certifies e1 through the same call as --x e1
+# not read: it certifies e1 through the same call as --x e1; then the one head on the multi-block FFT route, e16
+# at m = 4 (blocks of 1024 over 100045 values), as every other infinite head here takes the direct route
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -156,6 +157,7 @@ spectrum --m 4 --n 600
 bounds --m 4 --n 2..400
 bounds --m 4 --n 1000,10000,100000
 infinite --search --op both --m 3 --p 4 --x=1,-0.5,0.25 --support 3 --show-vector
+infinite --m 4 --p 6 --op both --x e16
 """.strip().splitlines()
 )
 

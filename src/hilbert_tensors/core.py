@@ -19,10 +19,11 @@ short against v; otherwise one block covers every offset read, at the
 smallest 2^a 3^b 5^c >= need, a length pocketfft transforms by radix-2, 3 and
 5 passes.  Many blocks are taken in groups of ``_FFT_GROUP_BLOCKS`` that
 write into one output array, so no other head-sized array is made.  The block
-spectra of v are memoised on its ``GeneratingVector``, and
-``GeneratingVector.hilbert`` keeps the last vector it built, so repeated
-plans at one shape (a norm search's full heads) transform only x, as does
-each call of one operator (solver iterations).
+spectra of v and the route's two work arrays are memoised on its
+``GeneratingVector``, and ``GeneratingVector.hilbert`` keeps the last vector
+it built, so repeated plans at one shape (a norm search's full heads)
+transform only x, as does each call of one operator (solver iterations); a
+warm one-block call allocates only its result.
 
 A ``GeneratingVector`` keeps its numbers in a private writeable buffer and
 shows them as the read-only view ``values``.  The direct route correlates
@@ -41,7 +42,7 @@ Three routes compute the same contraction and quadratic form:
   integral(0,1) (sum_i x_i t^(i-1))^m dt, optionally in exact rationals.
 
 They are kept deliberately redundant; the test suite holds them against each
-other and against the brute-force oracle module.
+other and against the brute-force oracle of ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ class SequenceVector:
     def _owning(cls, values: np.ndarray) -> "SequenceVector":
         """Wrap a fresh 1-d float array that nothing else holds, read-only from then on.
 
-        An array that owns its memory is taken without a copy; a view is
-        copied, since it may keep a longer array alive (an FFT block).
+        An array that owns its memory is taken without a copy; a view, the
+        multi-block FFT output, is copied, since it keeps a longer array alive.
         """
         vec = cls.__new__(cls)
         vec.values = values if values.base is None else values.copy()
@@ -158,6 +159,7 @@ class GeneratingVector:
     values: np.ndarray
     _buffer: np.ndarray = field(init=False, repr=False)
     _spectra: dict = field(init=False, repr=False)
+    _work: dict = field(init=False, repr=False)
 
     # the last vector ``hilbert`` built; at most one is held
     _last_hilbert: ClassVar["GeneratingVector | None"] = None
@@ -171,6 +173,7 @@ class GeneratingVector:
         object.__setattr__(self, "_buffer", buffer)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_spectra", {})
+        object.__setattr__(self, "_work", {})
 
     @classmethod
     def hilbert(cls, length: int) -> "GeneratingVector":
@@ -256,8 +259,10 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
     irfft.  Past X, B = X, a power of two.  Several blocks go in groups of
     ``_FFT_GROUP_BLOCKS``, each one product and one batched irfft written into
     its rows of the one output array; the bits are those of a single batch.
-    A ``GeneratingVector`` keeps the spectra of its last shape; a raw array is
-    wrapped in a throwaway one.
+    A ``GeneratingVector`` keeps the spectra of its last shape, with the work
+    arrays that rfft(x) and the product are written into, dropped with them; a
+    raw array is wrapped in a throwaway one.  So operators that share one
+    ``GeneratingVector`` must not be called concurrently.
 
     Each call returns a fresh array, which the caller owns and may overwrite.
     Any generating sequence is accepted; nothing here is specific to the
@@ -292,18 +297,21 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
     key = (need, block, step)
     if key not in gen._spectra:
         gen._spectra.clear()
+        gen._work.clear()
         gen._spectra[key] = _block_spectra(v[:need], block, step)
-    spectra = gen._spectra[key]
+        gen._work[key] = np.empty((2, block // 2 + 1), complex)
+    spectra, work = gen._spectra[key], gen._work[key]
 
     def apply_fft(x) -> np.ndarray:
-        fx = np.fft.rfft(checked(x), block)
+        fx, fy = work
+        np.fft.rfft(checked(x), block, out=fx)
         np.conjugate(fx, out=fx)
         if spectra.shape[0] == 1:
-            fy = spectra * fx  # spectra * conj(fx)^(order-1), in place after the first product
+            np.multiply(spectra[0], fx, out=fy)  # fy = spectra * conj(fx)^(order-1)
             for _ in range(order - 2):
                 fy *= fx
-            del fx  # one block over v[:need]: free its buffer before irfft allocates the output
-            return np.fft.irfft(fy, block)[:, :step].reshape(-1)[:n_out]
+            # fx is read no more, and its 2 (block//2 + 1) doubles hold the block
+            return np.fft.irfft(fy, block, out=fx.view(np.float64)[:block])[:n_out].copy()
         # groups of blocks write into one output array, so no head-sized temporary is made
         out = np.empty((spectra.shape[0], step))
         for g in range(0, spectra.shape[0], _FFT_GROUP_BLOCKS):

@@ -1,4 +1,4 @@
-"""Brute-force reference implementations, used by the test suite only.
+"""Brute-force reference implementations of the test suite (``from oracle import ...``).
 
 Nothing here shares code with the production paths in :mod:`core`:
 contraction goes through a dense materialized tensor (float) or literal
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BudgetError, HilbertTensor, as_vector
+from hilbert_tensors.core import BudgetError, HilbertTensor, as_vector
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from hilbert_tensors import (
     z_spectral_radius,
 )
 from hilbert_tensors.analysis import dimension_sweep
-from hilbert_tensors.oracle import brute_apply, dense_matrix_eigenpair
 from hilbert_tensors.reporting import sweep_rows
 
+from oracle import brute_apply, dense_matrix_eigenpair
 from splitmix import SplitMix64
 
 SEED = 20_240_901

@@ -24,8 +24,8 @@ from hilbert_tensors import (
     z_spectral_radius,
 )
 from hilbert_tensors.eigensolvers import equation_residual
-from hilbert_tensors.oracle import dense_matrix_eigenpair
 
+from oracle import dense_matrix_eigenpair
 from splitmix import SplitMix64
 
 

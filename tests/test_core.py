@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -763,3 +764,52 @@ def test_hankel_operator_checks_when_it_plans(plan, match):
     # the plan refuses before any x is seen, with hankel_apply's messages
     with pytest.raises(ValueError, match=match):
         plan()
+
+
+# -- the FFT route's work arrays, held with the spectra ---------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_warm_one_block_apply_allocates_only_its_result(m):
+    n = 10**5
+    x = np.cos(np.arange(1, n + 1))
+    apply = hankel_operator(GeneratingVector.hilbert(generating_length(n, m, n)), m, n)
+    for call in (HilbertTensor(m, n).apply_fast, apply):
+        call(x)  # warm-up
+        tracemalloc.start()
+        try:
+            call(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * x.itemsize, peak / (n * x.itemsize)  # each fresh transform: 2n floats
+
+
+# two plans per FFT route at one key (need, block, step): equal out_len and (m - 1)(n - 1)
+_SHARED_KEY_PLANS = {
+    "one-block": [(2, 2001, 2001), (3, 1001, 2001)],
+    "multi-block": [(4, 16, 100_000), (2, 46, 100_000)],
+}
+
+
+@pytest.mark.parametrize("route", _SHARED_KEY_PLANS)
+def test_fft_operators_sharing_work_arrays_return_fresh_results(route):
+    plans = _SHARED_KEY_PLANS[route]
+    m, n, out_len = plans[0]
+    values = 1.0 / np.arange(1, generating_length(n, m, out_len) + 1)
+    gen = GeneratingVector(values)
+    ops = [hankel_operator(gen, m, n, out_len) for m, n, out_len in plans]
+    assert _route(gen) == route and len(gen._work) == 1
+    xs = [np.cos(np.arange(1, n + 1)) for _, n, _ in plans]
+    alone = [hankel_operator(GeneratingVector(values), m, n, out_len)(x) for (m, n, out_len), x in zip(plans, xs)]
+    held = [*gen._work.values(), *gen._spectra.values()]
+    for op, x, bits in [*zip(ops, xs, alone)] * 2:  # called alternately
+        out = op(x)
+        assert np.array_equal(out, bits)
+        assert not any(np.shares_memory(out, a) for a in held)
+        out[:] = np.nan  # the caller's to overwrite: the next call's bits stay
+    old_key, old_work = next(iter(gen._work)), weakref.ref(held[0])
+    del ops, op, held
+    hankel_operator(gen, m, n - 1, out_len)  # another shape drops the old work arrays with the spectra
+    assert gen._work.keys() == gen._spectra.keys() != {old_key}
+    assert old_work() is None

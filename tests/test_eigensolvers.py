@@ -12,8 +12,8 @@ from hilbert_tensors import (
 )
 from hilbert_tensors import core
 from hilbert_tensors.eigensolvers import _power_iteration, equation_residual
-from hilbert_tensors.oracle import OracleConfig, brute_max_sphere, dense_matrix_eigenpair
 
+from oracle import OracleConfig, brute_max_sphere, dense_matrix_eigenpair
 from splitmix import SplitMix64
 
 CLOSED_FORM_N2 = (4 + math.sqrt(13)) / 6

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from hilbert_tensors import BudgetError, HilbertTensor
-from hilbert_tensors.oracle import (
+
+from oracle import (
     OracleConfig,
     brute_apply,
     brute_max_sphere,
     brute_quadratic_form,
     dense_matrix_eigenpair,
 )
-
 from splitmix import SplitMix64
 
 
