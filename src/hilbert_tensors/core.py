@@ -107,14 +107,13 @@ class SequenceVector:
 
     @classmethod
     def _owning(cls, values: np.ndarray) -> "SequenceVector":
-        """Wrap a fresh 1-d float array that nothing else holds, read-only from then on.
+        """Wrap, without a copy, a fresh 1-d float array that owns its memory and that nothing else holds.
 
-        An array that owns its memory is taken without a copy; a view, the
-        multi-block FFT output, is copied, since it keeps a longer array alive.
+        Read-only from then on.  Every route of ``hankel_operator`` returns such an array.
         """
         vec = cls.__new__(cls)
-        vec.values = values if values.base is None else values.copy()
-        vec.values.setflags(write=False)
+        vec.values = values
+        values.setflags(write=False)
         return vec
 
 
@@ -264,7 +263,7 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
     raw array is wrapped in a throwaway one.  So operators that share one
     ``GeneratingVector`` must not be called concurrently.
 
-    Each call returns a fresh array, which the caller owns and may overwrite.
+    Each call returns a fresh array, not a view, which the caller owns and may overwrite.
     Any generating sequence is accepted; nothing here is specific to the
     Hilbert choice gen[s] = 1/(s+1).
     """
@@ -312,14 +311,15 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
                 fy *= fx
             # fx is read no more, and its 2 (block//2 + 1) doubles hold the block
             return np.fft.irfft(fy, block, out=fx.view(np.float64)[:block])[:n_out].copy()
-        # groups of blocks write into one output array, so no head-sized temporary is made
-        out = np.empty((spectra.shape[0], step))
+        # groups of blocks write into the rows of one n_out-long output, so no head-sized temporary is made
+        out = np.empty(n_out)
         for g in range(0, spectra.shape[0], _FFT_GROUP_BLOCKS):
             fy = spectra[g : g + _FFT_GROUP_BLOCKS] * fx
             for _ in range(order - 2):
                 fy *= fx
-            out[g : g + _FFT_GROUP_BLOCKS] = np.fft.irfft(fy, block)[:, :step]
-        return out.reshape(-1)[:n_out]
+            rows = out[g * step : (g + _FFT_GROUP_BLOCKS) * step]  # the group's rows, the last cut short at n_out
+            rows[:] = np.fft.irfft(fy, block)[:, :step].reshape(-1)[: rows.size]
+        return out
 
     return apply_fft
 

@@ -11,7 +11,9 @@ componentwise, so the p-norm tail beyond index N is at most
 ||x||_1 (sum_{i>N} i^{-q})^{1/p} with q from :func:`tail_exponent`, and the
 zeta tail is capped by the integral comparison sum_{i>N} i^{-q} <= N^{1-q}/(q-1),
 whose p-th root :func:`_enclosure` takes from logarithms, rounded up.  The
-upper end of the enclosure is :attr:`CertifiedNorm.upper`.
+upper end of the enclosure is :attr:`CertifiedNorm.upper`.  At q in {2, 4, 6, 8}
+the head's sum of |s h_i|^q is one ``np.einsum`` chain of products, within
+gamma_{N+q+2} relative and independent of the BLAS thread count.
 
 The operators:
 
@@ -67,6 +69,9 @@ _EM_COEFFS = tuple(
 # 4M + 3 roundings of u = 2^-53 (pow counted as two, the rising-factorial
 # factors, its coefficient), fsum one more and the two final additions two
 _EM_ROUNDING = 64 * 2.0**-53
+
+# q -> in-place squarings of r = scale h before _enclosure's one sum of products: r.r, r^2.r^2, r^2.r^2.r^2, r^4.r^4
+_FUSED_SQUARINGS = {2.0: 0, 4.0: 1, 6.0: 1, 8.0: 2}
 
 
 @dataclass(frozen=True)
@@ -188,18 +193,34 @@ def _enclosure(p: float, head, q: float, scale: float, l1: float, out_len: int, 
     taken as exp(log(bound) / p) rounded up by 2^-40 relative (the logarithms' rounding is < 1e-13 for
     out_len < 2^64), so it holds where the bound underflows too.
 
-    Without ``rebuild`` the head is left as it is, and one work array is made.  With it, a callable that
-    returns the head anew as a fresh array, the work is done in place on ``head``, and the rare relative pass
-    takes |h| from ``rebuild()``.
+    At q in {2, 4, 6, 8} the sum is r = scale h, squared in place to r^2 (and r^4 at q = 8), then one
+    ``np.einsum`` sum of products: a single accumulation chain, within gamma_{N+q+2} = (N+q+2)u / (1-(N+q+2)u),
+    u = 2^-53, of the sum relative (plus N 2^-1073 where products underflow), and with bits that do not
+    depend on the BLAS thread count.  Every other q, and the relative pass, takes |h|, ``**= q`` and a sum.
+
+    Without ``rebuild`` the head is left as it is, and at most one work array is made (none at scale 1 and
+    q = 2).  With it, a callable that returns the head anew as a fresh array, the work is done in place on
+    ``head``, and the rare relative pass takes |h| from ``rebuild()``.
     """
+    def out(work):  # where a pass over work writes: in place, unless work is a head left as it is
+        return None if work is head and rebuild is None else work
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):  # inf/nan in the results
-        work = np.abs(head, out=None if rebuild is None else head)  # |h|, scaled for T, to the q
-        if scale != 1.0:
-            work *= scale  # |h| s equals |h s| bit for bit
-        work **= q
-        value = (total := work.sum()) ** (1.0 / p)
+        if q in _FUSED_SQUARINGS:
+            work = head if scale == 1.0 else np.multiply(head, scale, out=out(head))  # r = scale h
+            for _ in range(_FUSED_SQUARINGS[q]):
+                work = np.multiply(work, work, out=out(work))
+            total = np.einsum("i,i,i->", work, work, work) if q == 6 else np.einsum("i,i->", work, work)
+        else:
+            work = np.abs(head, out=out(head))  # |h|, scaled for T, to the q
+            if scale != 1.0:
+                work *= scale  # |h| s equals |h s| bit for bit
+            work **= q
+            total = work.sum()
+        value = total ** (1.0 / p)
         if total < sys.float_info.min:  # one more pass, over |h| / max |h|
-            big = np.abs(head if rebuild is None else rebuild(), out=work).max()
+            work = np.abs(head if rebuild is None else rebuild(), out=out(work))
+            big = work.max()
             work /= big
             work **= q
             value = (scale * big) ** (q / p) * np.nansum(work) ** (1.0 / p)
@@ -219,8 +240,8 @@ def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[
     (tiny, or for T huge, finite ||x||_1), the value is ||x||_1 times the
     value at x / ||x||_1; :func:`_enclosure` computes both, and keeps them
     where only p-th powers underflow.  The zero vector calls no head.
-    Every operator but the last works in its own array, freed before the next
-    one is made, and the last works in place on the head, so one operator
+    Every operator but the last works in its own array (none at scale 1 and q = 2),
+    freed before the next one is made, and the last works in place on the head, so one operator
     holds one head-sized array and two hold two (plus the clamped copy
     ``even_root_domain`` makes where a head for F at odd m has float-noise
     negatives).

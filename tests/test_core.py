@@ -785,6 +785,18 @@ def test_warm_one_block_apply_allocates_only_its_result(m):
         assert peak <= 1.1 * n * x.itemsize, peak / (n * x.itemsize)  # each fresh transform: 2n floats
 
 
+@pytest.mark.parametrize(
+    "order, n, out_len, route",
+    [(3, 8, 1000, "direct"), (2, 1500, 1500, "one-block"),
+     (4, 16, 100_000, "multi-block"), (3, 151, 3796 * 4, "multi-block")],
+)
+def test_every_route_returns_an_array_that_owns_its_memory(order, n, out_len, route):
+    # so SequenceVector._owning takes it without a copy; the multi-block rows end exactly at out_len here
+    gen = GeneratingVector(1.0 / np.arange(1, generating_length(n, order, out_len) + 1))
+    out = hankel_operator(gen, order, n, out_len)(np.cos(np.arange(1, n + 1)))
+    assert _route(gen) == route and out.base is None and out.shape == (out_len,)
+
+
 # two plans per FFT route at one key (need, block, step): equal out_len and (m - 1)(n - 1)
 _SHARED_KEY_PLANS = {
     "one-block": [(2, 2001, 2001), (3, 1001, 2001)],

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,7 +391,9 @@ def _head_norm(operator, x, order, p, out_len):
         head = head * float(np.abs(x).sum()) ** (2 - order)
     elif order % 2 == 1:
         head = np.where(head < 0, 0.0, head)
-    return float(np.sum(np.abs(head) ** q) ** (1.0 / p))
+    return float((np.einsum("i,i,i->", *[head * head] * 3) if q == 6
+                  else np.einsum("i,i->", *[head if q == 2 else head * head if q == 4 else (head * head) ** 2] * 2)
+                  if q in (2, 4, 8) else np.sum(np.abs(head) ** q)) ** (1.0 / p))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -562,6 +568,62 @@ def test_joint_certification_holds_two_head_sized_arrays(warm_x):
     joint = lambda: infinite._certified_norms(("T", "F"), [1.0], 3, 4.0, 10**5)
     warm = lambda: infinite._certified_norms(("T", "F"), warm_x, 3, 4.0, 10**5)
     assert _traced_peak(joint, warm) <= 2.1 * HEAD_BYTES
+
+
+def test_multi_block_apply_infinite_makes_no_copy_of_its_head():
+    # the FFT route's groups write into one n_out-long array, which SequenceVector._owning takes as it is
+    x = np.cos(np.arange(1, 17))
+    assert _traced_peak(lambda: apply_infinite(x, 4, 10**5)) <= 1.6 * HEAD_BYTES
+
+
+@pytest.mark.parametrize("x", [[1.0], [1.0, -0.5, 0.25]], ids=["e1", "scaled"])
+@pytest.mark.parametrize("m, p", [(4, 6.0), (2, 8.0)])
+def test_fused_sum_of_one_operator_holds_one_head_sized_array(m, p, x):
+    # r = s h and its squares are taken in place on the head
+    assert _traced_peak(lambda: t_infinity(x, m, p, 10**5)) <= 1.1 * HEAD_BYTES
+
+
+def test_joint_certification_at_q2_and_scale_1_makes_no_copy():
+    # T at m = 2 has scale ||x||_1^0 = 1: its sum of products reads the head, which F then reads too
+    joint = lambda: infinite._certified_norms(("T", "F"), [1.0, -0.5], 2, 2.0, 10**5)
+    assert _traced_peak(joint) <= 1.1 * HEAD_BYTES
+
+
+# (operator, m, p) at each q of the fused sum, for T (q = p) and F (q = p / (m - 1))
+_FUSED_CASES = [("T", 3, 2.0), ("T", 3, 4.0), ("T", 4, 6.0), ("T", 2, 8.0),
+                ("F", 3, 4.0), ("F", 3, 8.0), ("F", 4, 18.0), ("F", 2, 8.0)]
+
+
+@pytest.mark.parametrize("out_len", [10**3, 10**5])
+@pytest.mark.parametrize("x", [[1.0], [1.0, -0.5, 0.25]], ids=["e1", "mixed-sign"])
+def test_fused_sum_is_accurate_against_long_double(x, out_len):
+    # the value against (sum |s h_i|^q)^(1/p) over the same float head, summed in 64-bit-mantissa long double
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double is no wider than double here")
+    errors = []
+    for operator, m, p in _FUSED_CASES:
+        call = t_infinity if operator == "T" else f_infinity
+        head = apply_infinite(x, m, out_len).values.astype(np.longdouble)
+        if operator == "T":
+            head *= np.longdouble(float(np.abs(x).sum()) ** (2 - m))
+        q = tail_exponent(operator, m, p)
+        exact = np.sum(np.abs(head) ** q) ** (1 / np.longdouble(p))
+        errors.append(float(abs(np.longdouble(call(x, m, p, out_len).value) - exact) / exact))
+    assert max(errors) <= 1e-13, errors
+
+
+def test_infinite_bytes_do_not_depend_on_the_blas_thread_count():
+    # at this x, sums by a threaded BLAS dot differ in a last bit between 1 and 2 threads, and the rows show it
+    root = Path(__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "hilbert_tensors", "infinite", "--op", "both", "--m", "3",
+                               "--p", "4", "--x=0.9,-0.1,0.4,-0.3"], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
