@@ -81,7 +81,7 @@ def workload_argvs() -> list[list[str]]:
 # FFT route, the range 2..400, and n = 10^3, 10^4 and 10^5; then a search given --x, which it checks and does
 # not read: it certifies e1 through the same call as --x e1; then the one head on the multi-block FFT route, e16
 # at m = 4 (blocks of 1024 over 100045 values), as every other infinite head here takes the direct route;
-# then T at q = 6 and q = 8, whose sums of products run in place on the last operator's head
+# then T at q = 6, whose sum of products runs in place on the last operator's head
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -160,7 +160,6 @@ bounds --m 4 --n 1000,10000,100000
 infinite --search --op both --m 3 --p 4 --x=1,-0.5,0.25 --support 3 --show-vector
 infinite --m 4 --p 6 --op both --x e16
 infinite --m 4 --p 6 --op T --x=1,-0.5,0.25
-infinite --m 2 --p 8 --op T --x=1,-0.5,0.25
 """.strip().splitlines()
 )
 

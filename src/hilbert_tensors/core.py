@@ -313,12 +313,17 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
             return np.fft.irfft(fy, block, out=fx.view(np.float64)[:block])[:n_out].copy()
         # groups of blocks write into the rows of one n_out-long output, so no head-sized temporary is made
         out = np.empty(n_out)
+        whole = n_out // step
+        rows = out[: whole * step].reshape(whole, step)  # the rows that end by n_out; the last may be cut short
         for g in range(0, spectra.shape[0], _FFT_GROUP_BLOCKS):
             fy = spectra[g : g + _FFT_GROUP_BLOCKS] * fx
             for _ in range(order - 2):
                 fy *= fx
-            rows = out[g * step : (g + _FFT_GROUP_BLOCKS) * step]  # the group's rows, the last cut short at n_out
-            rows[:] = np.fft.irfft(fy, block)[:, :step].reshape(-1)[: rows.size]
+            fy = np.fft.irfft(fy, block)  # the group's blocks, in place of their spectra
+            k = len(rows[g : g + _FFT_GROUP_BLOCKS])
+            rows[g : g + k] = fy[:k, :step]
+            if k < len(fy):
+                out[whole * step :] = fy[k, : n_out - whole * step]
         return out
 
     return apply_fft

@@ -11,7 +11,7 @@ componentwise, so the p-norm tail beyond index N is at most
 ||x||_1 (sum_{i>N} i^{-q})^{1/p} with q from :func:`tail_exponent`, and the
 zeta tail is capped by the integral comparison sum_{i>N} i^{-q} <= N^{1-q}/(q-1),
 whose p-th root :func:`_enclosure` takes from logarithms, rounded up.  The
-upper end of the enclosure is :attr:`CertifiedNorm.upper`.  At q in {2, 4, 6, 8}
+upper end of the enclosure is :attr:`CertifiedNorm.upper`.  At q in {2, 4, 6}
 the head's sum of |s h_i|^q is one ``np.einsum`` chain of products, within
 gamma_{N+q+2} relative and independent of the BLAS thread count.
 
@@ -70,15 +70,13 @@ _EM_COEFFS = tuple(
 # factors, its coefficient), fsum one more and the two final additions two
 _EM_ROUNDING = 64 * 2.0**-53
 
-# q -> in-place squarings of r = scale h before _enclosure's one sum of products: r.r, r^2.r^2, r^2.r^2.r^2, r^4.r^4
-_FUSED_SQUARINGS = {2.0: 0, 4.0: 1, 6.0: 1, 8.0: 2}
-
-
 @dataclass(frozen=True)
 class CertifiedNorm:
     """Truncated p-norm plus a rigorous bound on the discarded tail.
 
-    The true norm lies in [value, (value^p + tail_bound^p)^(1/p)].
+    The true norm lies in [value, (value^p + tail_bound^p)^(1/p)], up to the
+    rounding of value, which is not yet rounded outward: at q in {2, 4, 6}
+    up to gamma_{N+q+2} relative, N = truncation (see :func:`_enclosure`).
     """
 
     value: float
@@ -193,7 +191,7 @@ def _enclosure(p: float, head, q: float, scale: float, l1: float, out_len: int, 
     taken as exp(log(bound) / p) rounded up by 2^-40 relative (the logarithms' rounding is < 1e-13 for
     out_len < 2^64), so it holds where the bound underflows too.
 
-    At q in {2, 4, 6, 8} the sum is r = scale h, squared in place to r^2 (and r^4 at q = 8), then one
+    At q in {2, 4, 6} the sum is r = scale h, squared in place to r^2 at q = 4 and 6, then one
     ``np.einsum`` sum of products: a single accumulation chain, within gamma_{N+q+2} = (N+q+2)u / (1-(N+q+2)u),
     u = 2^-53, of the sum relative (plus N 2^-1073 where products underflow), and with bits that do not
     depend on the BLAS thread count.  Every other q, and the relative pass, takes |h|, ``**= q`` and a sum.
@@ -206,10 +204,10 @@ def _enclosure(p: float, head, q: float, scale: float, l1: float, out_len: int, 
         return None if work is head and rebuild is None else work
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):  # inf/nan in the results
-        if q in _FUSED_SQUARINGS:
+        if q in (2.0, 4.0, 6.0):
             work = head if scale == 1.0 else np.multiply(head, scale, out=out(head))  # r = scale h
-            for _ in range(_FUSED_SQUARINGS[q]):
-                work = np.multiply(work, work, out=out(work))
+            if q != 2:
+                work = np.multiply(work, work, out=out(work))  # r^2
             total = np.einsum("i,i,i->", work, work, work) if q == 6 else np.einsum("i,i->", work, work)
         else:
             work = np.abs(head, out=out(head))  # |h|, scaled for T, to the q
