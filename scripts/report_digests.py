@@ -81,7 +81,9 @@ def workload_argvs() -> list[list[str]]:
 # FFT route, the range 2..400, and n = 10^3, 10^4 and 10^5; then a search given --x, which it checks and does
 # not read: it certifies e1 through the same call as --x e1; then the one head on the multi-block FFT route, e16
 # at m = 4 (blocks of 1024 over 100045 values), as every other infinite head here takes the direct route;
-# then T at q = 6, whose sum of products runs in place on the last operator's head
+# then T at q = 6, whose sum of products runs in place on the last operator's head;
+# then the two edges of the FFT route's row copy: e16 at --trunc 100837, whose 103 blocks
+# of 979 rows end exactly at n_out, and n = 1563 at m = 2, one block with need = B = 3125, so n_out = step
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -160,6 +162,8 @@ bounds --m 4 --n 1000,10000,100000
 infinite --search --op both --m 3 --p 4 --x=1,-0.5,0.25 --support 3 --show-vector
 infinite --m 4 --p 6 --op both --x e16
 infinite --m 4 --p 6 --op T --x=1,-0.5,0.25
+infinite --m 4 --p 6 --op both --x e16 --trunc 100837
+spectrum --m 2 --n 1563
 """.strip().splitlines()
 )
 

@@ -17,13 +17,12 @@ convolution power never leaves the frequency domain (the anti-circulant form
 of Ding, Qi and Wei, NLAA 2015).  Blocks are short, a power of two, when y is
 short against v; otherwise one block covers every offset read, at the
 smallest 2^a 3^b 5^c >= need, a length pocketfft transforms by radix-2, 3 and
-5 passes.  Many blocks are taken in groups of ``_FFT_GROUP_BLOCKS`` that
-write into one output array, so no other head-sized array is made.  The block
-spectra of v and the route's two work arrays are memoised on its
-``GeneratingVector``, and ``GeneratingVector.hilbert`` keeps the last vector
-it built, so repeated plans at one shape (a norm search's full heads)
-transform only x, as does each call of one operator (solver iterations); a
-warm one-block call allocates only its result.
+5 passes.  Every FFT plan runs one body: one product over all blocks and one
+batched irfft, into one work array memoised with the block spectra of v on
+its ``GeneratingVector``.  ``GeneratingVector.hilbert`` keeps the last vector it
+built, so repeated plans at one shape (a norm search's full heads) transform
+only x, as does each call of one operator (solver iterations); a warm call
+allocates only its result.
 
 A ``GeneratingVector`` keeps its numbers in a private writeable buffer and
 shows them as the read-only view ``values``.  The direct route correlates
@@ -62,12 +61,6 @@ MAX_DENSE_ELEMENTS = 10_000_000
 
 # Above this need * len(y) cost, hankel_apply takes the overlap-save FFT route.
 _FFT_PRODUCT_THRESHOLD = 1 << 22
-
-# Blocks per group on the multi-block FFT route: each group's product and irfft
-# stay small (G * B doubles) while the head goes straight into one output array.
-# Against one batch of all blocks, groups of 16 took 8% off the `infinite`
-# benchmark's wall time (2-core x86-64, numpy 2.4).
-_FFT_GROUP_BLOCKS = 16
 
 
 class BudgetError(RuntimeError):
@@ -250,18 +243,22 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
     of ``gen`` are fixed here, once; each call does only the arithmetic of x.
 
     While need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, one valid-mode correlation
-    (out_len * len(y) multiply-adds).  Else overlap-save with
+    (out_len * len(y) multiply-adds) on a view of ``gen``, the route's only
+    holding.  Else overlap-save with
     X = max(1024, the power of two >= 8 len(y)): each block of B offsets
     yields B - len(y) + 1 outputs from one rfft(x, B) and the cached block
     spectra of ``gen``.  While need <= X, B = ``_fast_length(need)``, the
     smallest 2^a 3^b 5^c >= need: one block, the whole of v[:need], and one
-    irfft.  Past X, B = X, a power of two.  Several blocks go in groups of
-    ``_FFT_GROUP_BLOCKS``, each one product and one batched irfft written into
-    its rows of the one output array; the bits are those of a single batch.
-    A ``GeneratingVector`` keeps the spectra of its last shape, with the work
-    arrays that rfft(x) and the product are written into, dropped with them; a
-    raw array is wrapped in a throwaway one.  So operators that share one
-    ``GeneratingVector`` must not be called concurrently.
+    irfft.  Past X, B = X, a power of two.  Each call multiplies every block
+    at once, runs one batched irfft and copies the first B - len(y) + 1
+    entries of each block into its result.  A ``GeneratingVector`` keeps the
+    spectra of its last shape and, dropped with them, one float array of
+    work: the product, n_blocks (B//2 + 1) complex, then rfft(x), whose
+    memory the blocks' irfft overwrites once the product is made.  One block
+    holds 4 (B//2 + 1) doubles of work; many blocks hold about two heads of
+    it beside their spectra (about 170 MB at out_len 10^7).  A raw array is
+    wrapped in a throwaway ``GeneratingVector``.  Operators that share one
+    must not be called concurrently.
 
     Each call returns a fresh array, not a view, which the caller owns and may overwrite.
     Any generating sequence is accepted; nothing here is specific to the
@@ -297,33 +294,27 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
     if key not in gen._spectra:
         gen._spectra.clear()
         gen._work.clear()
-        gen._spectra[key] = _block_spectra(v[:need], block, step)
-        gen._work[key] = np.empty((2, block // 2 + 1), complex)
+        spectra = gen._spectra[key] = _block_spectra(v[:need], block, step)
+        n_blocks, half = spectra.shape
+        # the product, then rfft(x), which the blocks' irfft overwrites once the product is made
+        gen._work[key] = np.empty(2 * n_blocks * half + max(n_blocks * block, 2 * half))
     spectra, work = gen._spectra[key], gen._work[key]
+    n_blocks, half = spectra.shape
+    fy = work[: 2 * n_blocks * half].view(complex).reshape(n_blocks, half)
+    rest = work[2 * n_blocks * half :]
+    fx, blocks = rest[: 2 * half].view(complex), rest[: n_blocks * block].reshape(n_blocks, block)
+    whole, cut = divmod(n_out, step)  # rows that end by n_out, and the length of the last one's cut
 
     def apply_fft(x) -> np.ndarray:
-        fx, fy = work
         np.fft.rfft(checked(x), block, out=fx)
         np.conjugate(fx, out=fx)
-        if spectra.shape[0] == 1:
-            np.multiply(spectra[0], fx, out=fy)  # fy = spectra * conj(fx)^(order-1)
-            for _ in range(order - 2):
-                fy *= fx
-            # fx is read no more, and its 2 (block//2 + 1) doubles hold the block
-            return np.fft.irfft(fy, block, out=fx.view(np.float64)[:block])[:n_out].copy()
-        # groups of blocks write into the rows of one n_out-long output, so no head-sized temporary is made
+        np.multiply(spectra, fx, out=fy)  # fy = spectra * conj(fx)^(order-1)
+        for _ in range(order - 2):
+            np.multiply(fy, fx, out=fy)
+        np.fft.irfft(fy, block, out=blocks)
         out = np.empty(n_out)
-        whole = n_out // step
-        rows = out[: whole * step].reshape(whole, step)  # the rows that end by n_out; the last may be cut short
-        for g in range(0, spectra.shape[0], _FFT_GROUP_BLOCKS):
-            fy = spectra[g : g + _FFT_GROUP_BLOCKS] * fx
-            for _ in range(order - 2):
-                fy *= fx
-            fy = np.fft.irfft(fy, block)  # the group's blocks, in place of their spectra
-            k = len(rows[g : g + _FFT_GROUP_BLOCKS])
-            rows[g : g + k] = fy[:k, :step]
-            if k < len(fy):
-                out[whole * step :] = fy[k, : n_out - whole * step]
+        out[: whole * step].reshape(whole, step)[:] = blocks[:whole, :step]
+        out[whole * step :] = blocks[whole:, :cut].reshape(-1)  # no row when the rows end at n_out
         return out
 
     return apply_fft

@@ -24,7 +24,6 @@ from hilbert_tensors import (
     spectral_bound_z,
 )
 from hilbert_tensors.core import (
-    _FFT_GROUP_BLOCKS,
     _FFT_PRODUCT_THRESHOLD,
     _fast_length,
     convolve,
@@ -541,7 +540,7 @@ def test_even_root_clamps_noise_and_rejects_negatives(route, monkeypatch):
         apply(negative)
 
 
-# -- grouped overlap-save blocks and the even-root fast exit --------------------------
+# -- overlap-save blocks in one batch and the even-root fast exit ---------------------
 
 # every 2^a 3^b 5^c up to 2^21, sorted: the brute-force reference for the one-block length
 _SMOOTH_LENGTHS = sorted(
@@ -569,7 +568,7 @@ def _one_shot_blocks(x, order, out_len):
     return n_blocks, np.fft.irfft(fy, block)[:, :step].reshape(-1)[:out_len]
 
 
-@pytest.mark.parametrize("blocks", [1, _FFT_GROUP_BLOCKS - 1, _FFT_GROUP_BLOCKS, _FFT_GROUP_BLOCKS + 1, 103])
+@pytest.mark.parametrize("blocks", [1, 15, 16, 17, 103])
 def test_grouped_fft_route_is_the_one_shot_blocks_bit_for_bit(blocks):
     if blocks == 1:  # B = S: one block over all of v[:need]
         order, x, out_len = 2, np.cos(np.arange(1, 1501)), 1500

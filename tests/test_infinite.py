@@ -536,10 +536,10 @@ def _traced_peak(call, warm=None):
     ids=["apply_infinite", "t_infinity", "f_infinity"],
 )
 def test_multi_block_head_holds_two_head_sized_arrays_at_most(call):
-    # the output array plus the FFT route's per-group temporaries; |h|^q is taken in place on the output
+    # the output array only: the FFT route's product and blocks are held by its plan; |h|^q is taken in place
     x = np.cos(np.arange(1, 17))
     head_bytes = apply_infinite(x, 4, 100_000).values.nbytes
-    assert _traced_peak(lambda: call(x)) <= 2.5 * head_bytes
+    assert _traced_peak(lambda: call(x)) <= 1.1 * head_bytes
 
 
 def test_joint_evaluation_holds_two_head_sized_arrays_at_most():
@@ -547,7 +547,7 @@ def test_joint_evaluation_holds_two_head_sized_arrays_at_most():
     x = np.cos(np.arange(1, 17))
     head_bytes = apply_infinite(x, 4, 100_000).values.nbytes
     joint = lambda: infinite._certified_norms(("T", "F"), x, 4, 6.0, 10**5)
-    assert _traced_peak(joint) <= 2.5 * head_bytes
+    assert _traced_peak(joint) <= 2.1 * head_bytes
 
 
 # one 10^5-long head: 8e5 bytes
@@ -639,13 +639,10 @@ def test_in_place_relative_pass_rebuilds_the_head_and_keeps_the_bits(monkeypatch
 
 
 @pytest.mark.parametrize("m, ps", [(2, (2.0, 3.5)), (3, (2.5, 4.0)), (4, (3.5, 6.0))])
-@pytest.mark.parametrize("support", [1, 5, 16])
-@pytest.mark.parametrize("seed", [0, 13])
-def test_joint_search_is_the_separate_searches(capsys, m, ps, support, seed):
-    # at every --support and --seed, --op both prints the T search's rows and lines, then the F search's
+def test_joint_search_is_the_separate_searches(capsys, m, ps):
+    # at p = 2(m - 1) and off it, --op both prints the T search's rows and lines, then the F search's
     for p in ps:
-        argv = (f"infinite --search --m {m} --p {p} --trials 30 --support {support} --trunc 300 --seed {seed}"
-                " --show-vector")
+        argv = f"infinite --search --m {m} --p {p} --trials 30 --support 16 --trunc 300 --seed 0 --show-vector"
         (t_code, t_out, t_err), (f_code, f_out, f_err) = (_cli(capsys, f"{argv} --op {op}") for op in ("T", "F"))
         assert t_code == f_code == 0
         assert _cli(capsys, f"{argv} --op both") == (0, t_out + f_out, t_err + f_err)
@@ -778,17 +775,6 @@ def _full_heads(monkeypatch, capsys, order, p, seed, out_len, support=16):
     assert code == 0 and err.count(f"-search vector: {[1.0] + [0.0] * (support - 1)}\n") == 2
     (evaluations,) = {line.split("evaluations=")[1] for line in err.splitlines() if "evaluations=" in line}
     return lengths.count(out_len), int(evaluations)
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("seed", [0, 13])
-def test_default_search_builds_at_most_two_full_heads(monkeypatch, capsys, m, seed):
-    full, evaluations = _full_heads(monkeypatch, capsys, order=m, p=2.0 * (m - 1), seed=seed,
-                                    out_len=infinite.DEFAULT_TRUNCATION)
-    assert evaluations == 16 + 4 + 200 and full <= 2
-    full, _ = _full_heads(monkeypatch, capsys, order=m, p=2.0 * (m - 1), seed=seed, support=1,
-                          out_len=infinite.DEFAULT_TRUNCATION)
-    assert full == 1  # e1 once: every later candidate is e1 or -e1
 
 
 @pytest.mark.parametrize(
