@@ -10,7 +10,7 @@ The pipeline is plan, then apply.  ``hankel_operator`` plans the contraction
 for one (v, order, len x, out_len): it checks the shapes and picks the route
 once, and the callable it returns does only the arithmetic of each x.
 ``hankel_apply`` is that operator applied once; a solver plans one operator
-per solve.  The routes: when small, one valid-mode correlation of v against
+per solve.  The routes: when small, a valid-mode correlation of v against
 y = x^{*(m-1)}, which computes only the outputs returned; else overlap-save,
 irfft(rfft(v_j) * conj(rfft(x)^(m-1))) over blocks v_j of v, so the
 convolution power never leaves the frequency domain (the anti-circulant form
@@ -32,6 +32,15 @@ at 10^5 values and len(y) = 1 the call takes about 0.1 ms on the buffer and
 ``GeneratingVector.hilbert`` computes 1/(s+1) once into a buffer
 of length L and serves every length from L/2 to L as a prefix view of it, so
 heads whose lengths differ by a few entries share one buffer.
+
+The direct route splits y at numpy's kernel limit.  ``np.correlate`` runs an
+unrolled loop for a kernel of at most 11 taps and one BLAS dot call per output
+above that (numpy's ``small_correlate``, limit measured on numpy 2.4).  So while
+11 < len(y) <= 22 and at least 1024 outputs are asked for, the route correlates
+against y[:11] and adds the correlation against y[11:], each an unrolled loop:
+at 10^5 outputs, len(y) = 12 to 22 took 0.84-1.87 ms in one call and
+0.44-0.78 ms split (2-core x86-64 VM, numpy 2.4).  At 256 outputs one call
+is as fast or faster.
 
 Three routes compute the same contraction and quadratic form:
 
@@ -61,6 +70,13 @@ MAX_DENSE_ELEMENTS = 10_000_000
 
 # Above this need * len(y) cost, hankel_apply takes the overlap-save FFT route.
 _FFT_PRODUCT_THRESHOLD = 1 << 22
+
+# The longest kernel np.correlate sums by its unrolled loop, not one BLAS dot per output (numpy 2.4).
+_SMALL_KERNEL = 11
+# The direct route splits y at _SMALL_KERNEL from this many outputs on, adding the second piece
+# in row blocks of _SPLIT_ROWS, so the one temporary is a block.
+_SPLIT_MIN_ROWS = 1024
+_SPLIT_ROWS = 8192
 
 
 class BudgetError(RuntimeError):
@@ -244,7 +260,11 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
 
     While need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, one valid-mode correlation
     (out_len * len(y) multiply-adds) on a view of ``gen``, the route's only
-    holding.  Else overlap-save with
+    holding.  When 11 < len(y) <= 22 and out_len >= 1024 it is two: against
+    y[:11] into the result, then against y[11:], added in blocks of
+    ``_SPLIT_ROWS`` rows, so that ``np.correlate`` runs its unrolled loop for
+    both pieces and not one BLAS dot per output (the 11-tap limit is numpy's,
+    measured on numpy 2.4); the one temporary is one block.  Else overlap-save with
     X = max(1024, the power of two >= 8 len(y)): each block of B offsets
     yields B - len(y) + 1 outputs from one rfft(x, B) and the cached block
     spectra of ``gen``.  While need <= X, B = ``_fast_length(need)``, the
@@ -256,7 +276,9 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
     work: the product, n_blocks (B//2 + 1) complex, then rfft(x), whose
     memory the blocks' irfft overwrites once the product is made.  One block
     holds 4 (B//2 + 1) doubles of work; many blocks hold about two heads of
-    it beside their spectra (about 170 MB at out_len 10^7).  A raw array is
+    it beside their spectra (about 170 MB at out_len 10^7).  Besides these,
+    pocketfft allocates about 2B doubles of scratch per transform, which
+    ``tracemalloc`` does not see.  A raw array is
     wrapped in a throwaway ``GeneratingVector``.  Operators that share one
     must not be called concurrently.
 
@@ -280,11 +302,23 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
 
     if need * y_len <= _FFT_PRODUCT_THRESHOLD:
         head = gen._buffer[:need]  # writeable, so np.correlate reads it without a copy
+        if not (_SMALL_KERNEL < y_len <= 2 * _SMALL_KERNEL and n_out >= _SPLIT_MIN_ROWS):
 
-        def apply_direct(x) -> np.ndarray:
-            return np.correlate(head, convolution_power(checked(x), order - 1), "valid")
+            def apply_direct(x) -> np.ndarray:
+                return np.correlate(head, convolution_power(checked(x), order - 1), "valid")
 
-        return apply_direct
+            return apply_direct
+
+        def apply_split(x) -> np.ndarray:
+            y = convolution_power(checked(x), order - 1)
+            first, rest = y[:_SMALL_KERNEL], y[_SMALL_KERNEL:]
+            out = np.correlate(head[: n_out + _SMALL_KERNEL - 1], first, "valid")
+            for start in range(0, n_out, _SPLIT_ROWS):
+                stop = min(start + _SPLIT_ROWS, n_out)
+                out[start:stop] += np.correlate(head[start + _SMALL_KERNEL : stop + y_len - 1], rest, "valid")
+            return out
+
+        return apply_split
     block = max(1024, 1 << (8 * y_len - 1).bit_length())
     if need <= block:  # one block over v[:need], at a length no larger than the power of two >= need
         block = _fast_length(need)

@@ -238,11 +238,11 @@ def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[
     (tiny, or for T huge, finite ||x||_1), the value is ||x||_1 times the
     value at x / ||x||_1; :func:`_enclosure` computes both, and keeps them
     where only p-th powers underflow.  The zero vector calls no head.
-    Every operator but the last works in its own array (none at scale 1 and q = 2),
-    freed before the next one is made, and the last works in place on the head, so one operator
-    holds one head-sized array and two hold two (plus the clamped copy
-    ``even_root_domain`` makes where a head for F at odd m has float-noise
-    negatives).
+    An operator at scale 1 and q = 2 only reads the head; such operators run first.  The last to run
+    works in place on the head, and every other one that needs a work array works in its own, freed before
+    the next one is made.  So one operator holds one head-sized array, and two hold two only when both
+    need a work array (plus the clamped copy ``even_root_domain`` makes where a head for F at odd m has
+    float-noise negatives).  The results come in the order of ``operators``.
     """
     qs = [tail_exponent(operator, order, p) for operator in operators]
     xv = as_vector(x)
@@ -258,11 +258,13 @@ def _certified_norms(operators, x, order: int, p: float, out_len: int) -> tuple[
         def domain(op, h):  # at odd m, F takes an even root of every component
             return even_root_domain(h) if op == "F" and order % 2 == 1 else h
 
-        # the last operator works in place on the head, and computes it again for a relative pass
-        h, last = _head(xv, order, out_len), len(operators) - 1
-        ends = [_enclosure(p, domain(op, h), q, scales[op], l1, out_len,
-                           None if i < last else lambda: domain(op, _head(xv, order, out_len)))
-                for i, (op, q) in enumerate(zip(operators, qs))]
+        # readers first; the last to run works in place on the head, and computes it again for a relative pass
+        runs = sorted(range(len(operators)), key=lambda i: not (scales[operators[i]] == 1.0 and qs[i] == 2.0))
+        h, ends = _head(xv, order, out_len), [None] * len(operators)
+        for i in runs:
+            op = operators[i]
+            rebuild = (lambda op=op: domain(op, _head(xv, order, out_len))) if i == runs[-1] else None
+            ends[i] = _enclosure(p, domain(op, h), qs[i], scales[op], l1, out_len, rebuild)
     return tuple(CertifiedNorm(float(value) * times, float(tail), p, out_len) for value, tail in ends)
 
 

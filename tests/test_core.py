@@ -25,6 +25,7 @@ from hilbert_tensors import (
 )
 from hilbert_tensors.core import (
     _FFT_PRODUCT_THRESHOLD,
+    _SPLIT_ROWS,
     _fast_length,
     convolve,
     even_root_domain,
@@ -381,11 +382,15 @@ def test_fft_route_long_by_short_apply_infinite():
         pytest.param(m, n, n, id=f"{m}-{n}")
         for m, n in [*itertools.product((2, 3, 4), (1, 2, 30)), (2, 1448), (3, 836), (4, 591)]
     ]
-    + [pytest.param(3, 16, 100_000, id="3-16-100000")],
+    + [pytest.param(3, 16, 100_000, id="3-16-100000")]
+    # each side of the split rule, which keeps one call: len(y) = 11 and 23, and 1023 outputs at len(y) = 15 and 22
+    + [pytest.param(m, n, out_len, id=f"{m}-{n}-{out_len}")
+       for m, n, out_len in [(2, 11, 100_000), (3, 6, 100_000), (2, 23, 100_000), (3, 12, 1024), (3, 8, 1023),
+                             (4, 8, 1023)]],
 )
 def test_direct_route_is_convolve_of_convolution_power(m, n, out_len):
-    # small dimensions, the last dimension before the FFT route, and one
-    # long-by-short correlation: direct sums, bit for bit
+    # small dimensions, the last dimension before the FFT route, and
+    # long-by-short correlations off the split: direct sums, bit for bit
     y_len, need = _route_sizes(m, n, out_len)
     assert need * y_len <= _FFT_PRODUCT_THRESHOLD
     x = np.cos(np.arange(1, n + 1))
@@ -394,6 +399,27 @@ def test_direct_route_is_convolve_of_convolution_power(m, n, out_len):
     expected = convolve(gen, y[::-1])[y.size - 1 : y.size - 1 + out_len]
     out = HilbertTensor(m, n).apply_fast(x) if out_len == n else apply_infinite(x, m, out_len)
     assert np.array_equal(out.values, expected)
+
+
+@pytest.mark.parametrize("m, n", [(2, 12), (3, 8), (4, 8)], ids=["y12", "y15", "y22"])
+@pytest.mark.parametrize("out_len", [1024, 3 * _SPLIT_ROWS + 5, 100_000])
+def test_split_route_is_the_two_correlations_summed(m, n, out_len):
+    # 11 < len(y) <= 22 from 1024 outputs on: v against y[:11], plus v against y[11:] added in row blocks, whose
+    # rounding is that of the two np.correlate calls summed; the rows err by at most gamma_len(y) (v * |y|)
+    y_len, need = _route_sizes(m, n, out_len)
+    assert need * y_len <= _FFT_PRODUCT_THRESHOLD and 11 < y_len <= 22
+    x = np.cos(np.arange(1, n + 1))
+    y = convolution_power(x, m - 1)
+    v = GeneratingVector.hilbert(need).values
+    out = apply_infinite(x, m, out_len).values
+    pieces = np.correlate(v[: out_len + 10], y[:11], "valid") + np.correlate(v[11:], y[11:], "valid")
+    assert np.array_equal(out, pieces)
+    rows = [r for r in (0, 1, _SPLIT_ROWS - 1, _SPLIT_ROWS, out_len // 2, out_len - 1) if r < out_len]
+    u = np.finfo(float).eps / 2
+    for i in rows:
+        exact = sum(Fraction(v[i + s]) * Fraction(y[s]) for s in range(y_len))
+        bound = y_len * u / (1 - y_len * u) * float(np.abs(y) @ v[i : i + y_len])
+        assert abs(Fraction(out[i]) - exact) <= bound * (1 + 1e-12), i
 
 
 # -- overlap-save blocks of the FFT route and the cached generating vector -----------
@@ -721,6 +747,7 @@ def _route(gen):
         pytest.param(4, 591, None, "direct", id="4-591"),
         pytest.param(4, 592, None, "one-block", id="4-592"),
         pytest.param(4, 16, 100_000, "multi-block", id="multi-block"),
+        pytest.param(3, 8, 100_000, "direct", id="split"),
     ],
 )
 def test_hankel_operator_is_hankel_apply_bit_for_bit(order, n, out_len, route):
@@ -786,7 +813,7 @@ def test_warm_one_block_apply_allocates_only_its_result(m):
 
 @pytest.mark.parametrize(
     "order, n, out_len, route",
-    [(3, 8, 1000, "direct"), (2, 1500, 1500, "one-block"),
+    [(3, 8, 1000, "direct"), (3, 8, 100_000, "direct"), (2, 1500, 1500, "one-block"),
      (4, 16, 100_000, "multi-block"), (3, 151, 3796 * 4, "multi-block")],
 )
 def test_every_route_returns_an_array_that_owns_its_memory(order, n, out_len, route):
