@@ -84,7 +84,9 @@ def workload_argvs() -> list[list[str]]:
 # then T at q = 6, whose sum of products runs in place on the last operator's head;
 # then the two edges of the FFT route's row copy: e16 at --trunc 100837, whose 103 blocks
 # of 979 rows end exactly at n_out, and n = 1563 at m = 2, one block with need = B = 3125, so n_out = step;
-# then the direct route's split at 11 taps of y: len(y) = 12 and 22 at 1024 rows, split, and 22 at 1023, one call
+# then the direct route's split at 11 taps of y: len(y) = 12 and 22 at 1024 rows, split, and 22 at 1023, one call;
+# then a cold FFT plan in the plan slot's memory that a larger one left: bench at m = 2 plans n = 1500, then
+# n = 1450, still on the FFT route (need * len(y) = 4,203,550 > 2^22), with the spectra of a new vector
 ARGVS = tuple(workload_argvs()) + tuple(
     shlex.split(line)
     for line in """
@@ -168,6 +170,7 @@ spectrum --m 2 --n 1563
 infinite --m 2 --p 2 --op both --x=0.2,-0.1,0.05,0.06,-0.04,0.02,0.14,-0.12,0.01,0.03,-0.07,0.09 --trunc 1024
 infinite --m 4 --p 6 --op both --x=0.3,-0.05,0.1,-0.1,0.05,0.2,-0.1,0.1 --trunc 1024
 infinite --m 4 --p 6 --op both --x=0.3,-0.05,0.1,-0.1,0.05,0.2,-0.1,0.1 --trunc 1023
+bench --m 2 --n 1500,1450 --repeats 1
 """.strip().splitlines()
 )
 

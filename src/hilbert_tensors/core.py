@@ -18,11 +18,12 @@ of Ding, Qi and Wei, NLAA 2015).  Blocks are short, a power of two, when y is
 short against v; otherwise one block covers every offset read, at the
 smallest 2^a 3^b 5^c >= need, a length pocketfft transforms by radix-2, 3 and
 5 passes.  Every FFT plan runs one body: one product over all blocks and one
-batched irfft, into one work array memoised with the block spectra of v on
-its ``GeneratingVector``.  ``GeneratingVector.hilbert`` keeps the last vector it
-built, so repeated plans at one shape (a norm search's full heads) transform
-only x, as does each call of one operator (solver iterations); a warm call
-allocates only its result.
+batched irfft, into the arrays of one plan slot per thread, which holds the
+block spectra of v and the work of the last FFT plan the thread made.  The
+slot's memory only grows, so a new plan writes into pages already mapped.
+``GeneratingVector.hilbert`` keeps the last vector it built, so repeated plans
+at one shape (a norm search's full heads) transform only x, as does each call
+of one operator (solver iterations); a warm call allocates only its result.
 
 A ``GeneratingVector`` keeps its numbers in a private writeable buffer and
 shows them as the read-only view ``values``.  The direct route correlates
@@ -58,6 +59,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,6 +80,9 @@ _SMALL_KERNEL = 11
 # in row blocks of _SPLIT_ROWS, so the one temporary is a block.
 _SPLIT_MIN_ROWS = 1024
 _SPLIT_ROWS = 8192
+
+# slot: this thread's (weakref to a GeneratingVector, key, (spectra, fy, fx, blocks), their grow-only memory)
+_plans = threading.local()
 
 
 class BudgetError(RuntimeError):
@@ -157,8 +163,8 @@ class GeneratingVector:
 
     The numbers live in a private writeable buffer, a copy of the array
     given; ``values`` is a read-only view of it.  Nothing writes the buffer
-    after construction, which is what lets ``hankel_apply`` memoise the block
-    spectra of one shape on the instance.  The buffer is writeable, not
+    after construction, which is what lets a thread's FFT plan slot keep the
+    block spectra of one shape of the instance.  The buffer is writeable, not
     read-only, because ``np.correlate`` copies a read-only first operand
     (0.7-1.0 ms against 0.1 ms per 10^5 values), so the direct route of
     ``hankel_operator`` reads the buffer itself.
@@ -166,8 +172,6 @@ class GeneratingVector:
 
     values: np.ndarray
     _buffer: np.ndarray = field(init=False, repr=False)
-    _spectra: dict = field(init=False, repr=False)
-    _work: dict = field(init=False, repr=False)
 
     # the last vector ``hilbert`` built; at most one is held
     _last_hilbert: ClassVar["GeneratingVector | None"] = None
@@ -180,8 +184,6 @@ class GeneratingVector:
         values.setflags(write=False)
         object.__setattr__(self, "_buffer", buffer)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_spectra", {})
-        object.__setattr__(self, "_work", {})
 
     @classmethod
     def hilbert(cls, length: int) -> "GeneratingVector":
@@ -189,14 +191,15 @@ class GeneratingVector:
 
         Every instance it builds views a prefix of one buffer of 1/(s+1),
         computed at a length L and reused for each length from L/2 to L; a
-        length outside that range gets a new buffer of its own length.
+        length outside that range gets a new buffer of its own length.  The
+        FFT plan slots hold a vector weakly, so the last one dies when dropped.
         """
         if length < 1:
             raise ValueError("generating vector needs length >= 1")
         last = cls._last_hilbert
         if last is not None and len(last) == length:
             return last
-        # drop the old vector and its spectra, and its buffer unless it serves length, before allocating
+        # drop the old vector, and its buffer unless it serves length, before allocating
         cls._last_hilbert = None
         full = last._buffer.base if last is not None and length <= last._buffer.base.size <= 2 * length else None
         del last
@@ -271,16 +274,17 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
     smallest 2^a 3^b 5^c >= need: one block, the whole of v[:need], and one
     irfft.  Past X, B = X, a power of two.  Each call multiplies every block
     at once, runs one batched irfft and copies the first B - len(y) + 1
-    entries of each block into its result.  A ``GeneratingVector`` keeps the
-    spectra of its last shape and, dropped with them, one float array of
-    work: the product, n_blocks (B//2 + 1) complex, then rfft(x), whose
-    memory the blocks' irfft overwrites once the product is made.  One block
-    holds 4 (B//2 + 1) doubles of work; many blocks hold about two heads of
-    it beside their spectra (about 170 MB at out_len 10^7).  Besides these,
-    pocketfft allocates about 2B doubles of scratch per transform, which
-    ``tracemalloc`` does not see.  A raw array is
-    wrapped in a throwaway ``GeneratingVector``.  Operators that share one
-    must not be called concurrently.
+    entries of each block into its result.  The spectra, the product (each
+    n_blocks (B//2 + 1) complex) and rfft(x), whose memory the blocks' irfft
+    overwrites, live in the calling thread's plan slot: about 3B doubles for
+    one block, about three heads for many (250 MB at out_len 10^7), in memory
+    that a larger plan frees before allocating its own and that lasts until
+    the thread ends.  The plan fills the slot; a call that finds another
+    plan there, or runs in another thread, transforms v into it again, so the
+    bits never depend on it and operators may be called from several threads
+    at once.  Besides these, pocketfft allocates about 2B doubles of scratch
+    per transform, which ``tracemalloc`` does not see.  A raw array is
+    wrapped in a throwaway ``GeneratingVector``.
 
     Each call returns a fresh array, not a view, which the caller owns and may overwrite.
     Any generating sequence is accepted; nothing here is specific to the
@@ -325,21 +329,30 @@ def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Call
     # row i < step of a block reads offsets i + s <= block - 1: no wrap-around
     step = block - y_len + 1
     key = (need, block, step)
-    if key not in gen._spectra:
-        gen._spectra.clear()
-        gen._work.clear()
-        spectra = gen._spectra[key] = _block_spectra(v[:need], block, step)
-        n_blocks, half = spectra.shape
-        # the product, then rfft(x), which the blocks' irfft overwrites once the product is made
-        gen._work[key] = np.empty(2 * n_blocks * half + max(n_blocks * block, 2 * half))
-    spectra, work = gen._spectra[key], gen._work[key]
-    n_blocks, half = spectra.shape
-    fy = work[: 2 * n_blocks * half].view(complex).reshape(n_blocks, half)
-    rest = work[2 * n_blocks * half :]
-    fx, blocks = rest[: 2 * half].view(complex), rest[: n_blocks * block].reshape(n_blocks, block)
     whole, cut = divmod(n_out, step)  # rows that end by n_out, and the length of the last one's cut
+    n_blocks, half = whole + (cut > 0), block // 2 + 1
+    size = 4 * n_blocks * half + max(n_blocks * block, 2 * half)
+
+    def planned() -> tuple:
+        """This plan's (spectra, fy, fx, blocks) in this thread's slot; a miss transforms v into the slot."""
+        slot = getattr(_plans, "slot", None)
+        if slot is not None and slot[0]() is gen and slot[1] == key:
+            return slot[2]
+        memory = slot[3] if slot is not None and slot[3].size >= size else None
+        _plans.slot = slot = None  # the old memory goes before new memory comes
+        memory = np.empty(size) if memory is None else memory
+        # the spectra, the product, then rfft(x), which the blocks' irfft overwrites once the product is made
+        spectra, fy = memory[: 4 * n_blocks * half].view(complex).reshape(2, n_blocks, half)
+        rest = memory[4 * n_blocks * half : size]
+        fx, blocks = rest[: 2 * half].view(complex), rest[: n_blocks * block].reshape(n_blocks, block)
+        arrays = (_block_spectra(v[:need], block, step, spectra), fy, fx, blocks)
+        _plans.slot = (weakref.ref(gen), key, arrays, memory)
+        return arrays
+
+    planned()
 
     def apply_fft(x) -> np.ndarray:
+        spectra, fy, fx, blocks = planned()
         np.fft.rfft(checked(x), block, out=fx)
         np.conjugate(fx, out=fx)
         np.multiply(spectra, fx, out=fy)  # fy = spectra * conj(fx)^(order-1)
@@ -377,18 +390,19 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _block_spectra(v: np.ndarray, block: int, step: int) -> np.ndarray:
-    """Read-only rfft of each v[j*step : j*step + block], zero past the end of v, one row per block.
+def _block_spectra(v: np.ndarray, block: int, step: int, out: np.ndarray) -> np.ndarray:
+    """rfft of each v[j*step : j*step + block], zero past the end of v, into row j of ``out``, made read-only.
 
     The rows cover the len(v) - block + step outputs of the correlation.
+    One block transforms v itself, zero-padded by the transform.
     """
-    n_blocks = -(-(v.size - block + step) // step)
-    padded = np.zeros((n_blocks - 1) * step + block)
-    padded[:v.size] = v
-    windows = np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
-    spectra = np.fft.rfft(windows, axis=-1)
-    spectra.setflags(write=False)
-    return spectra
+    if len(out) > 1:
+        padded = np.zeros((len(out) - 1) * step + block)
+        padded[:v.size] = v
+        v = np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
+    np.fft.rfft(v.reshape(len(out), -1), block, out=out)
+    out.setflags(write=False)
+    return out
 
 
 def _exact_values(x) -> list[Fraction]:

@@ -1,7 +1,10 @@
 import bisect
 import itertools
+import sys
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +30,7 @@ from hilbert_tensors.core import (
     _FFT_PRODUCT_THRESHOLD,
     _SPLIT_ROWS,
     _fast_length,
+    _plans,
     convolve,
     even_root_domain,
     generating_length,
@@ -330,6 +334,12 @@ def _route_sizes(order, support, out_len):
     return y_len, out_len + y_len - 1
 
 
+def _slot_plan(gen):
+    """(key, (spectra, fy, fx, blocks), memory) of this thread's FFT plan slot if it holds gen's plan, else None."""
+    slot = getattr(_plans, "slot", None)
+    return slot[1:] if slot is not None and slot[0]() is gen else None
+
+
 def _longdouble_rows(x, order, out_len, rows):
     """out[i] = sum_s v[i + s] y[s] at ``rows``, all in long double."""
     xl = np.asarray(x, dtype=np.longdouble)
@@ -465,14 +475,14 @@ def test_fft_route_same_bits_on_cache_miss_hit_and_raw_array():
     values = 1.0 / np.arange(1, 100_000 + 45 + 1)
     gen = GeneratingVector(values)
     miss = hankel_apply(gen, x, 4, 100_000)
-    assert len(gen._spectra) == 1
+    key = _slot_plan(gen)[0]
     hit = hankel_apply(gen, x, 4, 100_000)
     raw = hankel_apply(values, x, 4, 100_000)
     assert np.array_equal(miss, hit)
     assert np.array_equal(miss, raw)
     assert np.array_equal(miss, apply_infinite(x, 4, 100_000).values)
-    hankel_apply(gen, x[:15], 4, 100_000)  # another shape replaces the cached spectra
-    assert len(gen._spectra) == 1
+    hankel_apply(gen, x[:15], 4, 100_000)  # another shape replaces the plan in the slot
+    assert _slot_plan(gen)[0] != key
 
 
 def test_direct_route_same_bits_for_raw_array_and_generating_vector():
@@ -482,7 +492,7 @@ def test_direct_route_same_bits_for_raw_array_and_generating_vector():
     assert need * y_len <= _FFT_PRODUCT_THRESHOLD
     gen = GeneratingVector(values)
     out = hankel_apply(gen, x, 3, 1000)
-    assert not gen._spectra  # the direct route computes no spectra
+    assert _slot_plan(gen) is None  # the direct route computes no spectra
     assert np.array_equal(out, hankel_apply(values, x, 3, 1000))
     assert np.array_equal(out, apply_infinite(x, 3, 1000).values)
 
@@ -507,7 +517,7 @@ def test_hilbert_keeps_one_read_only_vector():
     gen = GeneratingVector.hilbert(100_045)
     assert GeneratingVector.hilbert(100_045) is gen
     assert not gen.values.flags.writeable
-    (spectra,) = gen._spectra.values()
+    spectra = _slot_plan(gen)[1][0]
     assert not spectra.flags.writeable
     old = weakref.ref(gen)
     del gen, spectra
@@ -627,8 +637,7 @@ def test_fast_length_is_scipys_next_fast_len():
 
 
 def _cached_spectra_key(gen):
-    (key,) = gen._spectra
-    return key
+    return _slot_plan(gen)[0]
 
 
 @pytest.mark.parametrize("m, n", [(2, 1500), (3, 900), (4, 600), (2, 10_000)])
@@ -728,11 +737,11 @@ def test_spectral_bounds_refuse_order_below_two(bound, order):
 
 
 def _route(gen):
-    """The route a plan took, read off the spectra it left on its fresh generating vector."""
-    if not gen._spectra:
+    """The route a plan took, read off the spectra it left in the slot for its fresh generating vector."""
+    plan = _slot_plan(gen)
+    if plan is None:
         return "direct"
-    (spectra,) = gen._spectra.values()
-    return "one-block" if spectra.shape[0] == 1 else "multi-block"
+    return "one-block" if plan[1][0].shape[0] == 1 else "multi-block"
 
 
 @pytest.mark.parametrize(
@@ -836,18 +845,92 @@ def test_fft_operators_sharing_work_arrays_return_fresh_results(route):
     m, n, out_len = plans[0]
     values = 1.0 / np.arange(1, generating_length(n, m, out_len) + 1)
     gen = GeneratingVector(values)
-    ops = [hankel_operator(gen, m, n, out_len) for m, n, out_len in plans]
-    assert _route(gen) == route and len(gen._work) == 1
     xs = [np.cos(np.arange(1, n + 1)) for _, n, _ in plans]
     alone = [hankel_operator(GeneratingVector(values), m, n, out_len)(x) for (m, n, out_len), x in zip(plans, xs)]
-    held = [*gen._work.values(), *gen._spectra.values()]
+    ops = [hankel_operator(gen, m, n, out_len) for m, n, out_len in plans]
+    assert _route(gen) == route
+    old_key, _, memory = _slot_plan(gen)
     for op, x, bits in [*zip(ops, xs, alone)] * 2:  # called alternately
         out = op(x)
         assert np.array_equal(out, bits)
-        assert not any(np.shares_memory(out, a) for a in held)
+        assert not np.shares_memory(out, memory)
         out[:] = np.nan  # the caller's to overwrite: the next call's bits stay
-    old_key, old_work = next(iter(gen._work)), weakref.ref(held[0])
-    del ops, op, held
-    hankel_operator(gen, m, n - 1, out_len)  # another shape drops the old work arrays with the spectra
-    assert gen._work.keys() == gen._spectra.keys() != {old_key}
-    assert old_work() is None
+    hankel_operator(gen, m, n - 1, out_len)  # another shape, in the slot's memory
+    assert _slot_plan(gen)[0] != old_key and _slot_plan(gen)[2] is memory
+    assert np.array_equal(ops[0](xs[0]), alone[0])
+
+
+# -- the plan slot: one per thread, its memory grows only -------------------------------
+
+
+def test_cold_plan_after_a_larger_one_allocates_only_its_result():
+    n = 10**5
+    x = np.cos(np.arange(1, n + 1))
+    HilbertTensor(4, n).apply_fast(x)  # the slot's memory now holds a (4, 10^5) plan
+    tracemalloc.start()
+    try:
+        HilbertTensor(3, n).apply_fast(x)  # a new vector and shape: its spectra go into the same memory
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * x.itemsize, peak / (n * x.itemsize)
+
+
+@pytest.mark.parametrize("plan", [pytest.param((2, 1500, None), id="one-block"),
+                                  pytest.param((4, 16, 100_000), id="multi-block")])
+@pytest.mark.parametrize("taker", ["another-shape", "another-vector"])
+def test_operator_whose_plan_another_took_from_the_slot_returns_its_own_bits(plan, taker):
+    m, n, out_len = plan
+    values = 1.0 / np.arange(1, generating_length(n, m, out_len or n) + 1)
+    x = np.cos(np.arange(1, n + 1))
+    alone = hankel_operator(GeneratingVector(values), m, n, out_len)(x)
+    gen = GeneratingVector(values)
+    op = hankel_operator(gen, m, n, out_len)
+    key = _slot_plan(gen)[0]
+    if taker == "another-shape":
+        hankel_operator(gen, m, n - 1, out_len)
+    else:  # the same key on other values: a hit read off the key alone would return their bits
+        hankel_operator(GeneratingVector(values[::-1]), m, n, out_len)
+    taken = _slot_plan(gen)
+    assert taken is None if taker == "another-vector" else taken[0] != key
+    for _ in range(3):  # the first call plans again, the next ones hit
+        assert np.array_equal(op(x), alone)
+    assert _slot_plan(gen)[0] == key
+
+
+def test_operators_in_two_threads_return_their_own_bits():
+    # one-block plans of different shapes; each call transforms about 10^5 points, long enough to interleave
+    plans = [(2, 30_000), (3, 20_000)]
+    xs = [np.cos(np.arange(1, n + 1)) for _, n in plans]
+    gens = [GeneratingVector(1.0 / np.arange(1, generating_length(n, m, n) + 1)) for m, n in plans]
+    alone = [hankel_operator(gen, m, n)(x) for gen, (m, n), x in zip(gens, plans, xs)]
+    start = threading.Barrier(2)
+
+    def calls(i):
+        op = hankel_operator(gens[i], *plans[i])
+        start.wait(timeout=60)
+        return [op(xs[i]) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between any two numpy calls
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            outs = list(pool.map(calls, range(2), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for out, bits in zip(outs, alone):
+        assert all(np.array_equal(o, bits) for o in out)
+
+
+def test_larger_plan_frees_the_slots_old_memory():
+    gen = GeneratingVector(1.0 / np.arange(1, 6000))
+
+    def plans():  # in a new thread, whose slot starts empty
+        hankel_operator(gen, 2, 1500)
+        old = weakref.ref(_slot_plan(gen)[2])
+        hankel_operator(gen, 2, 3000)
+        return old() is None, _slot_plan(gen)[0]
+
+    with ThreadPoolExecutor(1) as pool:
+        freed, key = pool.submit(plans).result(timeout=60)
+    assert freed and key[0] == 5999
