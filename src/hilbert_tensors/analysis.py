@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -141,9 +141,11 @@ def _warm_start(prev: EigenResult | None, n: int) -> np.ndarray | None:
     if prev is None:
         return None
     x = prev.vector.values[:n]
-    if not (np.isfinite(x).all() and (x > 0).all()):
+    if not (np.minimum.reduce(x) > 0 and np.maximum.reduce(x) < math.inf):  # a NaN entry makes both NaN
         return None
-    return np.concatenate([x, np.full(n - len(x), x[-1])])
+    start = np.empty(n)
+    start[: len(x)], start[len(x) :] = x, x[-1]
+    return start
 
 
 def solve_dims(
@@ -171,9 +173,10 @@ def solve_dims(
     h = z = None
     for n in dims:
         t = HilbertTensor(m, n)
-        h = replace(h_spectral_radius(t, tol=tol, max_iter=max_iter, x0=_warm_start(h, n)), trace=[])
-        z = replace(z_spectral_radius(t, tol=tol, max_iter=max_iter, x0=_warm_start(h if m == 2 else z, n)),
-                    trace=[])
+        h = h_spectral_radius(t, tol=tol, max_iter=max_iter, x0=_warm_start(h, n))
+        z = z_spectral_radius(t, tol=tol, max_iter=max_iter, x0=_warm_start(h if m == 2 else z, n))
+        h.trace.clear()
+        z.trace.clear()
         yield h, z
 
 

@@ -240,11 +240,12 @@ def convolution_power(x, k: int) -> np.ndarray:
     ``hankel_apply`` calls it only on its direct route, where
     need * len(y) <= ``_FFT_PRODUCT_THRESHOLD`` bounds the (k-1) len(x)^2
     multiply-adds, since (k-1) len(x)^2 <= len(y)^2 <= need * len(y).
+    At k = 1 it returns x itself as a float array (``np.asarray``), not a copy.
     """
     x = np.asarray(x, dtype=float)
     if k < 1:
         raise ValueError("convolution power needs k >= 1")
-    y = x.copy()
+    y = x
     for _ in range(k - 1):
         y = np.convolve(y, x)
     return y

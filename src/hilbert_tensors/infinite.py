@@ -90,13 +90,16 @@ class CertifiedNorm:
 
         inf where a finite term's p-th power overflows; where p-th powers
         underflow and the sum would fall below the larger term, it is taken
-        relative to that term.
+        relative to that term.  Computed in Python floats, which the library's
+        norms are, nonnegative: a negative end has no real p-th power.
         """
         value, tail, p = self.value, self.tail_bound, self.p
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):  # inf/nan in the result
-            big, vp, tp = np.fmax(value, tail), np.float64(value) ** p, np.float64(tail) ** p  # inf, not OverflowError
-            upper = np.inf if (vp == np.inf or tp == np.inf) and big < np.inf else (vp + tp) ** (1.0 / p)
-            return float(big * ((value / big) ** p + (tail / big) ** p) ** (1.0 / p) if upper < big else upper)
+        try:
+            upper = (value**p + tail**p) ** (1.0 / p)
+        except OverflowError:  # a finite term's p-th power
+            return math.inf
+        big = max(value, tail)
+        return big * ((value / big) ** p + (tail / big) ** p) ** (1.0 / p) if upper < big else upper
 
 
 def zeta_upper_bound(q: float) -> float:

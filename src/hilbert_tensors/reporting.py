@@ -67,33 +67,31 @@ def sweep_rows(sweep) -> list[dict]:
     return rows
 
 
-def _missing(value) -> bool:
-    return value is None or (isinstance(value, float) and not math.isfinite(value))
-
-
 def _csv_cell(value) -> str:
-    if _missing(value):
-        return ""
+    if isinstance(value, float):  # np.float64 too
+        return "%.17g" % value if math.isfinite(value) else ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
+    return "" if value is None else str(value)
 
 
-def _fmt(value) -> str:
+def _json_cell(value) -> str:
+    """``_csv_cell`` as JSON: strings quoted and escaped, empty cells ``null``."""
+    if isinstance(value, float):  # np.float64 too
+        return "%.17g" % value if math.isfinite(value) else "null"
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return _csv_cell(value) or "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "null" if value is None else str(value)
+
+
+_JSON_LINE = "{" + ", ".join(f'"{k}": %s' for k in ROW_KEYS) + "}\n"
 
 
 def to_json_lines(rows) -> str:
     """One JSON object per line, keys in ROW_KEYS order."""
-    lines = []
-    for row in rows:
-        body = ", ".join(f'"{k}": {_fmt(row.get(k))}' for k in ROW_KEYS)
-        lines.append("{" + body + "}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([_JSON_LINE % tuple([_json_cell(row.get(k)) for k in ROW_KEYS]) for row in rows])
 
 
 def to_csv(rows) -> str:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from hilbert_tensors import HilbertTensor, analysis, cli, eigensolvers, infinite, reporting
@@ -499,6 +500,44 @@ def test_json_17_digit_floats():
                            "slack": None, "certified": True, "iterations": 5}])
     assert '"value": 0.33333333333333331' in text
     assert text.endswith("\n")
+
+
+def _csv_cell_before(value):
+    """A report cell as the CSV and JSON writers formatted it before their one-call helpers: the reference."""
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
+
+
+def _json_lines_per_cell(rows):
+    """to_json_lines as it was: three helper calls and one f-string per cell, the reference for its bytes."""
+
+    def fmt(value):
+        if isinstance(value, str):
+            return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return _csv_cell_before(value) or "null"
+
+    lines = ["{" + ", ".join(f'"{k}": {fmt(row.get(k))}' for k in ROW_KEYS) + "}" for row in rows]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_report_lines_keep_the_per_cell_formatters_bytes():
+    cells = [True, False, 0, -7, np.int64(12), np.int64(-3), 1 / 3, 0.0, -0.0, 5e-324, math.nan, math.inf,
+             -math.inf, 1e300, np.float64(2 / 3), np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
+             None, "H", "", 'say "hi"', "back\\slash", '\\"']
+    rows = [dict.fromkeys(ROW_KEYS, cell) for cell in cells]  # every cell under every key
+    rows += [dict(zip(ROW_KEYS, cells[i:])) for i in range(len(cells))]  # each cell beside other kinds
+    rows += [{}, {"kind": "Z", "value": 1.5}]  # missing keys render as null
+    assert to_json_lines(rows).encode() == _json_lines_per_cell(rows).encode()
+    for row in rows:
+        assert to_json_lines([row]) == _json_lines_per_cell([row])
+    assert to_json_lines([]) == _json_lines_per_cell([]) == ""
+    csv_lines = [",".join(ROW_KEYS)] + [",".join(_csv_cell_before(row.get(k)) for k in ROW_KEYS) for row in rows]
+    assert to_csv(rows) == "\n".join(csv_lines) + "\n"
 
 
 def test_non_finite_floats_render_as_null():

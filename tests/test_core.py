@@ -822,14 +822,18 @@ def test_warm_one_block_apply_allocates_only_its_result(m):
 
 @pytest.mark.parametrize(
     "order, n, out_len, route",
-    [(3, 8, 1000, "direct"), (3, 8, 100_000, "direct"), (2, 1500, 1500, "one-block"),
+    [(2, 8, 8, "direct"), (3, 8, 1000, "direct"), (3, 8, 100_000, "direct"), (2, 1500, 1500, "one-block"),
      (4, 16, 100_000, "multi-block"), (3, 151, 3796 * 4, "multi-block")],
 )
 def test_every_route_returns_an_array_that_owns_its_memory(order, n, out_len, route):
     # so SequenceVector._owning takes it without a copy; the multi-block rows end exactly at out_len here
     gen = GeneratingVector(1.0 / np.arange(1, generating_length(n, order, out_len) + 1))
-    out = hankel_operator(gen, order, n, out_len)(np.cos(np.arange(1, n + 1)))
+    x = np.cos(np.arange(1, n + 1))
+    out = hankel_operator(gen, order, n, out_len)(x)
     assert _route(gen) == route and out.base is None and out.shape == (out_len,)
+    bits = out.copy()
+    x[:] = np.nan  # at m = 2 convolution_power returns x itself: the result must not alias it
+    assert np.array_equal(out, bits)
 
 
 # two plans per FFT route at one key (need, block, step): equal out_len and (m - 1)(n - 1)

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -84,6 +85,22 @@ def test_non_finite_start_is_rejected_without_warnings(solver, bad):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="finite start vector"):
             solver(HilbertTensor(2, 3), x0=[1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("solver", [h_spectral_radius, z_spectral_radius], ids=["H", "Z"])
+@pytest.mark.parametrize(
+    "x0, message",
+    [([1.0, math.nan, -1.0], "finite"), ([-1.0, 1.0, math.nan], "finite"), ([math.nan, 0.0, 1.0], "finite"),
+     ([1.0, -math.inf, 1.0], "finite"), ([1.0, 1.0, math.inf], "finite"), ([-math.inf, -1.0, math.inf], "finite"),
+     ([1.0, 0.0, 1.0], "positive"), ([0.0, 0.0, 0.0], "positive"), ([1.0, 2.0, -1e-300], "positive")],
+)
+def test_start_refusals_keep_their_precedence_and_messages(solver, x0, message):
+    # one pass over the start finds every refusal; a non-finite entry is named before a non-positive one
+    expected = {"finite": "needs a finite start vector", "positive": "needs an entrywise positive start vector"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=expected[message]):
+            solver(HilbertTensor(3, 3), x0=x0)
 
 
 @pytest.mark.parametrize("solver", [h_spectral_radius, z_spectral_radius])
@@ -254,6 +271,43 @@ def test_unconverged_result_describes_its_vector(solve):
     res = solve(t, max_iter=2)
     assert not res.converged and res.iterations == 2
     assert recomputed_residual(t, res) == res.residual
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("solve", [h_spectral_radius, z_spectral_radius], ids=["H", "Z"])
+@pytest.mark.parametrize(
+    "case, kwargs",
+    [("converged", {}), ("one iteration", {"max_iter": 1}), ("float-range start", {"x0": [1e308, 1.0, 1.0]})],
+)
+def test_residual_is_the_returned_pairs_equation_residual(solve, case, kwargs):
+    # Z reports its loop's last certificate as the residual: it must be the recomputed one, bit for bit
+    t = HilbertTensor(3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve(t, **kwargs)
+    if res.kind == "H" and case == "float-range start":  # stopped at the first non-finite bracket
+        assert not res.converged and res.upper == math.inf and res.iterations == 1
+    else:
+        assert res.converged == (case != "one iteration")
+    with np.errstate(all="ignore"):
+        assert _bits(res.residual) == _bits(recomputed_residual(t, res))
+
+
+@pytest.mark.parametrize("kind", ["H", "Z"])
+def test_residual_of_a_pair_stopped_at_a_non_finite_value(kind):
+    # entries near the float maximum overflow the first apply: value inf, residual NaN, as recomputed
+    gen = GeneratingVector(np.full(7, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = _power_iteration(kind, gen, 3, 3, 1e-10, 100, None)
+    assert res.value == math.inf and res.iterations == 1 and not res.converged
+    x = res.vector.values
+    with np.errstate(all="ignore"):
+        recomputed = equation_residual(kind, 3, x, core.hankel_operator(gen, 3, 3)(x), res.value)
+    assert math.isnan(res.residual) and _bits(res.residual) == _bits(recomputed)
 
 
 @pytest.mark.parametrize("solve", [h_spectral_radius, z_spectral_radius])
