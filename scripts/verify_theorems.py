@@ -28,6 +28,8 @@ import math
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this checkout's library, installed or not
+
 from hilbert_tensors import (
     HilbertTensor,
     check_positive_definite,

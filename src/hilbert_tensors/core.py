@@ -8,40 +8,19 @@ to a self-convolution of the input followed by one correlation against v.
 
 The pipeline is plan, then apply.  ``hankel_operator`` plans the contraction
 for one (v, order, len x, out_len): it checks the shapes and picks the route
-once, and the callable it returns does only the arithmetic of each x.
-``hankel_apply`` is that operator applied once; a solver plans one operator
-per solve.  The routes: when small, a valid-mode correlation of v against
-y = x^{*(m-1)}, which computes only the outputs returned; else overlap-save,
-irfft(rfft(v_j) * conj(rfft(x)^(m-1))) over blocks v_j of v, so the
-convolution power never leaves the frequency domain (the anti-circulant form
-of Ding, Qi and Wei, NLAA 2015).  Blocks are short, a power of two, when y is
-short against v; otherwise one block covers every offset read, at the
-smallest 2^a 3^b 5^c >= need, a length pocketfft transforms by radix-2, 3 and
-5 passes.  Every FFT plan runs one body: one product over all blocks and one
-batched irfft, into the arrays of one plan slot per thread, which holds the
-block spectra of v and the work of the last FFT plan the thread made.  The
-slot's memory only grows, so a new plan writes into pages already mapped.
-``GeneratingVector.hilbert`` keeps the last vector it built, so repeated plans
-at one shape (a norm search's full heads) transform only x, as does each call
-of one operator (solver iterations); a warm call allocates only its result.
-
-A ``GeneratingVector`` keeps its numbers in a private writeable buffer and
-shows them as the read-only view ``values``.  The direct route correlates
-against the buffer because ``np.correlate`` copies a read-only first operand:
-at 10^5 values and len(y) = 1 the call takes about 0.1 ms on the buffer and
-0.7-1.0 ms on a read-only view (2-core x86-64 VM, numpy 2.4).
-``GeneratingVector.hilbert`` computes 1/(s+1) once into a buffer
-of length L and serves every length from L/2 to L as a prefix view of it, so
-heads whose lengths differ by a few entries share one buffer.
-
-The direct route splits y at numpy's kernel limit.  ``np.correlate`` runs an
-unrolled loop for a kernel of at most 11 taps and one BLAS dot call per output
-above that (numpy's ``small_correlate``, limit measured on numpy 2.4).  So while
-11 < len(y) <= 22 and at least 1024 outputs are asked for, the route correlates
-against y[:11] and adds the correlation against y[11:], each an unrolled loop:
-at 10^5 outputs, len(y) = 12 to 22 took 0.84-1.87 ms in one call and
-0.44-0.78 ms split (2-core x86-64 VM, numpy 2.4).  At 256 outputs one call
-is as fast or faster.
+once, and returns a ``HankelPlan`` that states what it decided (``route``,
+``need``, ``y_len`` and, on the FFT route, ``block``, ``step``, ``n_blocks``)
+and, called on x, does only the arithmetic of x.  ``hankel_apply`` is that
+plan applied once; a solver plans once per solve.  The routes are a
+valid-mode correlation of v against y = x^{*(m-1)}, split at numpy's 11-tap
+kernel, and overlap-save, irfft(rfft(v_j) * conj(rfft(x)^(m-1))) over blocks
+v_j of v, so the convolution power never leaves the frequency domain (the
+anti-circulant form of Ding, Qi and Wei, NLAA 2015); ``hankel_operator``
+states when each is taken and what the FFT plan slot of each thread holds.
+``GeneratingVector.hilbert`` keeps the last vector it built, so repeated
+plans at one shape (a norm search's full heads) transform only x, as does
+each call of one plan (solver iterations); a warm call allocates only its
+result.
 
 Three routes compute the same contraction and quadratic form:
 
@@ -61,7 +40,7 @@ import math
 import operator
 import threading
 import weakref
-from collections.abc import Callable
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
@@ -81,7 +60,8 @@ _SMALL_KERNEL = 11
 _SPLIT_MIN_ROWS = 1024
 _SPLIT_ROWS = 8192
 
-# slot: this thread's (weakref to a GeneratingVector, key, (spectra, fy, fx, blocks), their grow-only memory)
+# slot: this thread's FFT plan, a _Slot: its vector (weakly), (need, block, step), arrays and grow-only memory
+_Slot = namedtuple("_Slot", "gen key spectra fy fx blocks memory")
 _plans = threading.local()
 
 
@@ -113,9 +93,7 @@ class SequenceVector:
         return iter(self.values)
 
     def __array__(self, dtype=None, copy=None):
-        if copy:
-            return np.array(self.values, dtype=dtype)
-        return np.asarray(self.values, dtype=dtype)
+        return np.asarray(self.values, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"SequenceVector({self.values.tolist()!r})"
@@ -166,14 +144,14 @@ class GeneratingVector:
     after construction, which is what lets a thread's FFT plan slot keep the
     block spectra of one shape of the instance.  The buffer is writeable, not
     read-only, because ``np.correlate`` copies a read-only first operand
-    (0.7-1.0 ms against 0.1 ms per 10^5 values), so the direct route of
-    ``hankel_operator`` reads the buffer itself.
+    (0.7-1.0 ms against 0.1 ms per 10^5 values, numpy 2.4), so the direct
+    route of ``hankel_operator`` reads the buffer itself.
     """
 
     values: np.ndarray
     _buffer: np.ndarray = field(init=False, repr=False)
 
-    # the last vector ``hilbert`` built; at most one is held
+    # the last vector ``hilbert`` built, shared by every thread; at most one is held
     _last_hilbert: ClassVar["GeneratingVector | None"] = None
 
     def __post_init__(self):
@@ -193,6 +171,9 @@ class GeneratingVector:
         computed at a length L and reused for each length from L/2 to L; a
         length outside that range gets a new buffer of its own length.  The
         FFT plan slots hold a vector weakly, so the last one dies when dropped.
+        The last vector is a class global, not per thread as the plan slots
+        are: nothing writes a vector after construction, so one serves every
+        thread, while every call of a plan writes its slot's work arrays.
         """
         if length < 1:
             raise ValueError("generating vector needs length >= 1")
@@ -251,121 +232,127 @@ def convolution_power(x, k: int) -> np.ndarray:
     return y
 
 
-def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> Callable[..., np.ndarray]:
-    """Plan the contraction of a Hankel tensor with generating sequence ``gen`` against x of length n.
+class HankelPlan:
+    """A contraction x -> H x^{m-1} planned by ``hankel_operator``, whose docstring names its fields; call it on x."""
 
-    The returned callable maps x to out[i] = sum_s gen[i + s] * y[s] for
-    0-based i < out_len (default n), y the (order-1)-fold self-convolution of
-    x; it raises ValueError on an x of another length, and the zero vector
-    maps to exact zeros.  ``gen`` must hold the need =
-    ``generating_length(n, order, out_len)`` values read, which raises
-    ValueError on bad input.  The checks, the route and what the route reads
-    of ``gen`` are fixed here, once; each call does only the arithmetic of x.
+    __slots__ = ("route", "need", "y_len", "block", "step", "n_blocks", "_gen", "_head", "_order", "_n", "_n_out")
 
-    While need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, one valid-mode correlation
-    (out_len * len(y) multiply-adds) on a view of ``gen``, the route's only
-    holding.  When 11 < len(y) <= 22 and out_len >= 1024 it is two: against
-    y[:11] into the result, then against y[11:], added in blocks of
-    ``_SPLIT_ROWS`` rows, so that ``np.correlate`` runs its unrolled loop for
-    both pieces and not one BLAS dot per output (the 11-tap limit is numpy's,
-    measured on numpy 2.4); the one temporary is one block.  Else overlap-save with
-    X = max(1024, the power of two >= 8 len(y)): each block of B offsets
-    yields B - len(y) + 1 outputs from one rfft(x, B) and the cached block
-    spectra of ``gen``.  While need <= X, B = ``_fast_length(need)``, the
-    smallest 2^a 3^b 5^c >= need: one block, the whole of v[:need], and one
-    irfft.  Past X, B = X, a power of two.  Each call multiplies every block
-    at once, runs one batched irfft and copies the first B - len(y) + 1
-    entries of each block into its result.  The spectra, the product (each
-    n_blocks (B//2 + 1) complex) and rfft(x), whose memory the blocks' irfft
-    overwrites, live in the calling thread's plan slot: about 3B doubles for
-    one block, about three heads for many (250 MB at out_len 10^7), in memory
-    that a larger plan frees before allocating its own and that lasts until
-    the thread ends.  The plan fills the slot; a call that finds another
-    plan there, or runs in another thread, transforms v into it again, so the
-    bits never depend on it and operators may be called from several threads
-    at once.  Besides these, pocketfft allocates about 2B doubles of scratch
-    per transform, which ``tracemalloc`` does not see.  A raw array is
-    wrapped in a throwaway ``GeneratingVector``.
+    def __init__(self, gen, order: int, n: int, out_len: int | None = None):
+        gen = gen if isinstance(gen, GeneratingVector) else GeneratingVector(gen)
+        n_out = n if out_len is None else int(out_len)
+        need = generating_length(n, order, n_out)
+        if gen.values.size < need:
+            raise ValueError(f"generating vector too short: need {need}, have {gen.values.size}")
+        y_len = need - n_out + 1
+        self.need, self.y_len, self._order, self._n, self._n_out = need, y_len, order, n, n_out
+        self._gen, self._head = gen, gen._buffer[:need]  # writeable, so np.correlate reads it without a copy
+        self.block = self.step = self.n_blocks = None
+        if need * y_len <= _FFT_PRODUCT_THRESHOLD:
+            split = _SMALL_KERNEL < y_len <= 2 * _SMALL_KERNEL and n_out >= _SPLIT_MIN_ROWS
+            self.route = "split" if split else "direct"
+            return
+        self.route, block = "fft", max(1024, 1 << (8 * y_len - 1).bit_length())
+        if need <= block:  # one block over v[:need], at a length no larger than the power of two >= need
+            block = _fast_length(need)
+        step = block - y_len + 1  # row i < step of a block reads offsets i + s <= block - 1: no wrap-around
+        self.block, self.step, self.n_blocks = block, step, -(-n_out // step)
+        self._slot()
 
-    Each call returns a fresh array, not a view, which the caller owns and may overwrite.
-    Any generating sequence is accepted; nothing here is specific to the
-    Hilbert choice gen[s] = 1/(s+1).
-    """
-    gen = gen if isinstance(gen, GeneratingVector) else GeneratingVector(gen)
-    v = gen.values
-    n_out = n if out_len is None else int(out_len)
-    need = generating_length(n, order, n_out)
-    if v.size < need:
-        raise ValueError(f"generating vector too short: need {need}, have {v.size}")
-    y_len = need - n_out + 1  # len(y)
-
-    def checked(x) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
         xv = as_vector(x)
-        if xv.size != n:
-            raise ValueError(f"operator planned for vectors of length {n}, got {xv.size}")
-        return xv
+        if xv.size != self._n:
+            raise ValueError(f"operator planned for vectors of length {self._n}, got {xv.size}")
+        if self.route == "direct":
+            return np.correlate(self._head, convolution_power(xv, self._order - 1), "valid")
+        return self._fft(xv) if self.route == "fft" else self._split(convolution_power(xv, self._order - 1))
 
-    if need * y_len <= _FFT_PRODUCT_THRESHOLD:
-        head = gen._buffer[:need]  # writeable, so np.correlate reads it without a copy
-        if not (_SMALL_KERNEL < y_len <= 2 * _SMALL_KERNEL and n_out >= _SPLIT_MIN_ROWS):
+    def _split(self, y: np.ndarray) -> np.ndarray:
+        head, n_out, first, rest = self._head, self._n_out, y[:_SMALL_KERNEL], y[_SMALL_KERNEL:]
+        out = np.correlate(head[: n_out + _SMALL_KERNEL - 1], first, "valid")
+        for start in range(0, n_out, _SPLIT_ROWS):
+            stop = min(start + _SPLIT_ROWS, n_out)
+            out[start:stop] += np.correlate(head[start + _SMALL_KERNEL : stop + self.y_len - 1], rest, "valid")
+        return out
 
-            def apply_direct(x) -> np.ndarray:
-                return np.correlate(head, convolution_power(checked(x), order - 1), "valid")
-
-            return apply_direct
-
-        def apply_split(x) -> np.ndarray:
-            y = convolution_power(checked(x), order - 1)
-            first, rest = y[:_SMALL_KERNEL], y[_SMALL_KERNEL:]
-            out = np.correlate(head[: n_out + _SMALL_KERNEL - 1], first, "valid")
-            for start in range(0, n_out, _SPLIT_ROWS):
-                stop = min(start + _SPLIT_ROWS, n_out)
-                out[start:stop] += np.correlate(head[start + _SMALL_KERNEL : stop + y_len - 1], rest, "valid")
-            return out
-
-        return apply_split
-    block = max(1024, 1 << (8 * y_len - 1).bit_length())
-    if need <= block:  # one block over v[:need], at a length no larger than the power of two >= need
-        block = _fast_length(need)
-    # row i < step of a block reads offsets i + s <= block - 1: no wrap-around
-    step = block - y_len + 1
-    key = (need, block, step)
-    whole, cut = divmod(n_out, step)  # rows that end by n_out, and the length of the last one's cut
-    n_blocks, half = whole + (cut > 0), block // 2 + 1
-    size = 4 * n_blocks * half + max(n_blocks * block, 2 * half)
-
-    def planned() -> tuple:
-        """This plan's (spectra, fy, fx, blocks) in this thread's slot; a miss transforms v into the slot."""
+    def _slot(self):
+        """This plan's arrays in this thread's slot; a miss transforms v into the slot."""
         slot = getattr(_plans, "slot", None)
-        if slot is not None and slot[0]() is gen and slot[1] == key:
-            return slot[2]
-        memory = slot[3] if slot is not None and slot[3].size >= size else None
+        key = (self.need, self.block, self.step)
+        if slot is not None and slot.gen() is self._gen and slot.key == key:
+            return slot
+        n_blocks, block, half = self.n_blocks, self.block, self.block // 2 + 1
+        size = 4 * n_blocks * half + max(n_blocks * block, 2 * half)
+        memory = slot.memory if slot is not None and slot.memory.size >= size else None
         _plans.slot = slot = None  # the old memory goes before new memory comes
         memory = np.empty(size) if memory is None else memory
         # the spectra, the product, then rfft(x), which the blocks' irfft overwrites once the product is made
         spectra, fy = memory[: 4 * n_blocks * half].view(complex).reshape(2, n_blocks, half)
         rest = memory[4 * n_blocks * half : size]
+        spectra = _block_spectra(self._head, block, self.step, spectra)
         fx, blocks = rest[: 2 * half].view(complex), rest[: n_blocks * block].reshape(n_blocks, block)
-        arrays = (_block_spectra(v[:need], block, step, spectra), fy, fx, blocks)
-        _plans.slot = (weakref.ref(gen), key, arrays, memory)
-        return arrays
+        _plans.slot = slot = _Slot(weakref.ref(self._gen), key, spectra, fy, fx, blocks, memory)
+        return slot
 
-    planned()
-
-    def apply_fft(x) -> np.ndarray:
-        spectra, fy, fx, blocks = planned()
-        np.fft.rfft(checked(x), block, out=fx)
-        np.conjugate(fx, out=fx)
-        np.multiply(spectra, fx, out=fy)  # fy = spectra * conj(fx)^(order-1)
-        for _ in range(order - 2):
-            np.multiply(fy, fx, out=fy)
-        np.fft.irfft(fy, block, out=blocks)
-        out = np.empty(n_out)
-        out[: whole * step].reshape(whole, step)[:] = blocks[:whole, :step]
-        out[whole * step :] = blocks[whole:, :cut].reshape(-1)  # no row when the rows end at n_out
+    def _fft(self, x: np.ndarray) -> np.ndarray:
+        slot, block, step = self._slot(), self.block, self.step
+        np.fft.rfft(x, block, out=slot.fx)
+        np.conjugate(slot.fx, out=slot.fx)
+        np.multiply(slot.spectra, slot.fx, out=slot.fy)  # fy = spectra * conj(fx)^(order-1)
+        for _ in range(self._order - 2):
+            np.multiply(slot.fy, slot.fx, out=slot.fy)
+        np.fft.irfft(slot.fy, block, out=slot.blocks)
+        whole, cut = divmod(self._n_out, step)  # rows that end by n_out, and the length of the last one's cut
+        out = np.empty(self._n_out)
+        out[: whole * step].reshape(whole, step)[:] = slot.blocks[:whole, :step]
+        out[whole * step :] = slot.blocks[whole:, :cut].reshape(-1)  # no row when the rows end at n_out
         return out
 
-    return apply_fft
+
+def hankel_operator(gen, order: int, n: int, out_len: int | None = None) -> HankelPlan:
+    """Plan the contraction of a Hankel tensor with generating sequence ``gen`` against x of length n.
+
+    The returned ``HankelPlan``, called on x, returns
+    out[i] = sum_s gen[i + s] * y[s] for 0-based i < out_len (default n), y
+    the (order-1)-fold self-convolution of x; it raises ValueError on an x of
+    another length, and the zero vector maps to exact zeros.  ``gen`` must
+    hold the ``need`` = ``generating_length(n, order, out_len)`` values read,
+    which raises ValueError on bad input.  The checks, the route and what the
+    route reads of ``gen`` are fixed here, once, and stated as the plan's
+    fields: ``route``, ``need``, ``y_len`` = len(y) and, on the FFT route
+    only, the block length ``block`` (B), its ``step`` of outputs and
+    ``n_blocks`` (None elsewhere).  Nothing assigns a field after planning.
+
+    While need * len(y) <= ``_FFT_PRODUCT_THRESHOLD``, route "direct": one
+    valid-mode correlation (out_len * len(y) multiply-adds) on a view of
+    ``gen``, the route's only holding.  When 11 < len(y) <= 22 and
+    out_len >= 1024, route "split", two: against y[:11] into the result, then
+    against y[11:], added in blocks of ``_SPLIT_ROWS`` rows, so that
+    ``np.correlate`` runs its unrolled loop for both pieces and not one BLAS
+    dot per output (the 11-tap limit is numpy's ``small_correlate``, measured
+    on numpy 2.4, timed in README); the one temporary is one block.  Else route
+    "fft", overlap-save with X = max(1024, the power of two >= 8 len(y)): each
+    block of B offsets yields B - len(y) + 1 outputs from one rfft(x, B) and
+    the cached block spectra of ``gen``.  While need <= X,
+    B = ``_fast_length(need)``, the smallest 2^a 3^b 5^c >= need: one block,
+    the whole of v[:need], and one irfft.  Past X, B = X, a power of two.  Each
+    call multiplies every block at once, runs one batched irfft and copies the
+    first B - len(y) + 1 entries of each block into its result.  The spectra,
+    the product (each n_blocks (B//2 + 1) complex) and rfft(x), whose memory
+    the blocks' irfft overwrites, live in the calling thread's plan slot:
+    about 3B doubles for one block, about three heads for many (250 MB at
+    out_len 10^7), in memory that a larger plan frees before allocating its
+    own and that lasts until the thread ends.  The plan fills the slot; a call
+    that finds another plan there, or runs in another thread, transforms v
+    into it again, so the bits never depend on it and plans may be called from
+    several threads at once.  Besides these, pocketfft allocates about 2B
+    doubles of scratch per transform, which ``tracemalloc`` does not see.  A
+    raw array is wrapped in a throwaway ``GeneratingVector``.
+
+    Each call returns a fresh array, not a view, which the caller owns and may overwrite.
+    Any generating sequence is accepted; nothing here is specific to the
+    Hilbert choice gen[s] = 1/(s+1).
+    """
+    return HankelPlan(gen, order, n, out_len)
 
 
 def hankel_apply(gen, x, order: int, out_len: int | None = None) -> np.ndarray:

@@ -27,7 +27,6 @@ from hilbert_tensors import (
     spectral_bound_z,
 )
 from hilbert_tensors.core import (
-    _FFT_PRODUCT_THRESHOLD,
     _SPLIT_ROWS,
     _fast_length,
     _plans,
@@ -145,12 +144,15 @@ def test_sequence_vector_norms_and_cache():
 
 
 def test_sequence_vector_array_copies_on_request():
+    # numpy 2's copy: True copies, None shares the read-only values, False shares or raises
     x = SequenceVector([3.0, -4.0])
-    copied = np.array(x)
-    assert not np.shares_memory(copied, x.values)
+    copied, shared = np.array(x, copy=True), np.array(x, copy=None)
+    assert not np.shares_memory(copied, x.values) and np.shares_memory(shared, x.values)
     copied[0] = 1.0  # a new array is writable, and the vector keeps its values
-    assert x.values.tolist() == [3.0, -4.0]
-    assert np.shares_memory(np.asarray(x), x.values)
+    assert x.values.tolist() == [3.0, -4.0] and not shared.flags.writeable
+    assert np.shares_memory(np.array(x, copy=False), x.values)
+    with pytest.raises(ValueError):
+        np.array(x, dtype=np.float32, copy=False)  # a dtype change needs the copy that copy=False forbids
 
 
 # -- dense materialization -------------------------------------------------------
@@ -329,15 +331,16 @@ def test_convolution_power_fft_path_matches_direct():
 # -- the FFT route of hankel_apply, past the sizes the naive sum reaches ------------------
 
 
-def _route_sizes(order, support, out_len):
-    y_len = (order - 1) * (support - 1) + 1
-    return y_len, out_len + y_len - 1
+def _plan(order, support, out_len):
+    """The plan of apply_infinite(x, order, out_len) for an x of ``support`` entries."""
+    gen = GeneratingVector.hilbert(generating_length(support, order, out_len))
+    return hankel_operator(gen, order, support, out_len)
 
 
 def _slot_plan(gen):
-    """(key, (spectra, fy, fx, blocks), memory) of this thread's FFT plan slot if it holds gen's plan, else None."""
+    """This thread's FFT plan slot if it holds gen's plan, else None."""
     slot = getattr(_plans, "slot", None)
-    return slot[1:] if slot is not None and slot[0]() is gen else None
+    return slot if slot is not None and slot.gen() is gen else None
 
 
 def _longdouble_rows(x, order, out_len, rows):
@@ -350,24 +353,20 @@ def _longdouble_rows(x, order, out_len, rows):
     return np.array([v[i : i + y.size] @ y for i in rows])
 
 
-def _fft_route_bound(x, order, out_len):
-    """8 eps log2(S) ||v[:need]||_2 || |x|^{*(m-1)} ||_2, S the power of two >= need."""
-    _, need = _route_sizes(order, len(x), out_len)
-    size = 1 << (need - 1).bit_length()
+def _assert_fft_route_accurate(x, order, out_len, out, rows=None, size=None):
+    """out[rows] (default both ends and 14 sampled) within 8 eps log2(S) ||v[:need]||_2 || |x|^{*(m-1)} ||_2 of the
+    long double sums, S the transform length (default the power of two >= need)."""
+    assert _plan(order, len(x), out_len).route == "fft"  # the case really takes the FFT route
+    if rows is None:
+        rows = np.unique(np.concatenate([[0, out_len - 1], np.random.default_rng(order).integers(0, out_len, 14)]))
+    need = generating_length(len(x), order, out_len)
     ay = np.abs(x)
     for _ in range(order - 2):
         ay = np.convolve(ay, np.abs(x))
     v_norm = np.linalg.norm(1.0 / np.arange(1, need + 1))
-    return 8 * np.finfo(float).eps * np.log2(size) * v_norm * np.linalg.norm(ay)
-
-
-def _assert_fft_route_accurate(x, order, out_len, out):
-    y_len, need = _route_sizes(order, len(x), out_len)
-    assert need * y_len > _FFT_PRODUCT_THRESHOLD  # the case really takes the FFT route
-    sampled = np.random.default_rng(order).integers(0, out_len, 14)
-    rows = np.unique(np.concatenate([[0, out_len - 1], sampled]))
+    bound = 8 * np.finfo(float).eps * np.log2(size or 1 << (need - 1).bit_length()) * v_norm * np.linalg.norm(ay)
     err = np.max(np.abs(out[rows].astype(np.longdouble) - _longdouble_rows(x, order, out_len, rows)))
-    assert float(err) <= _fft_route_bound(x, order, out_len)
+    assert float(err) <= bound
 
 
 @pytest.mark.parametrize("m, n", [(2, 1500), (3, 900), (4, 600)])
@@ -401,11 +400,11 @@ def test_fft_route_long_by_short_apply_infinite():
 def test_direct_route_is_convolve_of_convolution_power(m, n, out_len):
     # small dimensions, the last dimension before the FFT route, and
     # long-by-short correlations off the split: direct sums, bit for bit
-    y_len, need = _route_sizes(m, n, out_len)
-    assert need * y_len <= _FFT_PRODUCT_THRESHOLD
+    plan = _plan(m, n, out_len)
+    assert plan.route == "direct"
     x = np.cos(np.arange(1, n + 1))
     y = convolution_power(x, m - 1)
-    gen = GeneratingVector.hilbert(need).values
+    gen = GeneratingVector.hilbert(plan.need).values
     expected = convolve(gen, y[::-1])[y.size - 1 : y.size - 1 + out_len]
     out = HilbertTensor(m, n).apply_fast(x) if out_len == n else apply_infinite(x, m, out_len)
     assert np.array_equal(out.values, expected)
@@ -416,11 +415,11 @@ def test_direct_route_is_convolve_of_convolution_power(m, n, out_len):
 def test_split_route_is_the_two_correlations_summed(m, n, out_len):
     # 11 < len(y) <= 22 from 1024 outputs on: v against y[:11], plus v against y[11:] added in row blocks, whose
     # rounding is that of the two np.correlate calls summed; the rows err by at most gamma_len(y) (v * |y|)
-    y_len, need = _route_sizes(m, n, out_len)
-    assert need * y_len <= _FFT_PRODUCT_THRESHOLD and 11 < y_len <= 22
-    x = np.cos(np.arange(1, n + 1))
+    plan = _plan(m, n, out_len)
+    assert plan.route == "split"
+    y_len, x = plan.y_len, np.cos(np.arange(1, n + 1))
     y = convolution_power(x, m - 1)
-    v = GeneratingVector.hilbert(need).values
+    v = GeneratingVector.hilbert(plan.need).values
     out = apply_infinite(x, m, out_len).values
     pieces = np.correlate(v[: out_len + 10], y[:11], "valid") + np.correlate(v[11:], y[11:], "valid")
     assert np.array_equal(out, pieces)
@@ -435,13 +434,6 @@ def test_split_route_is_the_two_correlations_summed(m, n, out_len):
 # -- overlap-save blocks of the FFT route and the cached generating vector -----------
 
 
-def _block_step(order, support, out_len):
-    """Outputs per overlap-save block: B - len(y) + 1, B = min(S, max(1024, pow2 >= 8 len(y)))."""
-    y_len, need = _route_sizes(order, support, out_len)
-    size = 1 << (need - 1).bit_length()
-    return min(size, max(1024, 1 << (8 * y_len - 1).bit_length())) - y_len + 1
-
-
 @pytest.mark.parametrize(
     "order, support, out_len, case",
     [
@@ -452,22 +444,19 @@ def _block_step(order, support, out_len):
     ],
 )
 def test_fft_route_block_boundaries(order, support, out_len, case):
-    step = _block_step(order, support, out_len)
-    y_len, need = _route_sizes(order, support, out_len)
-    assert need * y_len > _FFT_PRODUCT_THRESHOLD
+    plan = _plan(order, support, out_len)
+    step = plan.step
     assert {
         "short": out_len < step,
         "multiple": out_len % step == 0,
         "one-past": out_len % step == 1,
-        "y_len-1": y_len == 1,
+        "y_len-1": plan.y_len == 1,
     }[case]
     x = np.cos(np.arange(1, support + 1))
     out = apply_infinite(x, order, out_len).values
     last = (out_len - 1) // step * step  # first row of the last block
     edges = (0, 1, step - 1, step, step + 1, last - 1, last, out_len - 2, out_len - 1)
-    rows = np.unique([r for r in edges if 0 <= r < out_len])
-    err = np.max(np.abs(out[rows].astype(np.longdouble) - _longdouble_rows(x, order, out_len, rows)))
-    assert float(err) <= _fft_route_bound(x, order, out_len)
+    _assert_fft_route_accurate(x, order, out_len, out, np.unique([r for r in edges if 0 <= r < out_len]))
 
 
 def test_fft_route_same_bits_on_cache_miss_hit_and_raw_array():
@@ -475,22 +464,21 @@ def test_fft_route_same_bits_on_cache_miss_hit_and_raw_array():
     values = 1.0 / np.arange(1, 100_000 + 45 + 1)
     gen = GeneratingVector(values)
     miss = hankel_apply(gen, x, 4, 100_000)
-    key = _slot_plan(gen)[0]
+    key = _slot_plan(gen).key
     hit = hankel_apply(gen, x, 4, 100_000)
     raw = hankel_apply(values, x, 4, 100_000)
     assert np.array_equal(miss, hit)
     assert np.array_equal(miss, raw)
     assert np.array_equal(miss, apply_infinite(x, 4, 100_000).values)
     hankel_apply(gen, x[:15], 4, 100_000)  # another shape replaces the plan in the slot
-    assert _slot_plan(gen)[0] != key
+    assert _slot_plan(gen).key != key
 
 
 def test_direct_route_same_bits_for_raw_array_and_generating_vector():
     x = np.cos(np.arange(1, 9))
     values = 1.0 / np.arange(1, 1000 + 14 + 1)
-    y_len, need = _route_sizes(3, x.size, 1000)
-    assert need * y_len <= _FFT_PRODUCT_THRESHOLD
     gen = GeneratingVector(values)
+    assert hankel_operator(gen, 3, x.size, 1000).route == "direct"
     out = hankel_apply(gen, x, 3, 1000)
     assert _slot_plan(gen) is None  # the direct route computes no spectra
     assert np.array_equal(out, hankel_apply(values, x, 3, 1000))
@@ -517,7 +505,7 @@ def test_hilbert_keeps_one_read_only_vector():
     gen = GeneratingVector.hilbert(100_045)
     assert GeneratingVector.hilbert(100_045) is gen
     assert not gen.values.flags.writeable
-    spectra = _slot_plan(gen)[1][0]
+    spectra = _slot_plan(gen).spectra
     assert not spectra.flags.writeable
     old = weakref.ref(gen)
     del gen, spectra
@@ -584,15 +572,9 @@ _SMOOTH_LENGTHS = sorted(
 )
 
 
-def _smallest_smooth_at_least(n):
-    return _SMOOTH_LENGTHS[bisect.bisect_left(_SMOOTH_LENGTHS, n)]
-
-
-def _one_shot_blocks(x, order, out_len):
-    """The multi-block FFT route with every block in one product and one batched irfft."""
-    y_len, need = _route_sizes(order, x.size, out_len)
-    block = min(_smallest_smooth_at_least(need), max(1024, 1 << (8 * y_len - 1).bit_length()))
-    step = block - y_len + 1
+def _one_shot_blocks(x, order, out_len, plan):
+    """The multi-block FFT route with every block in one product and one batched irfft, at the plan's blocks."""
+    need, block, step = plan.need, plan.block, plan.step
     n_blocks = -(-(need - block + step) // step)
     padded = np.zeros((n_blocks - 1) * step + block)
     padded[:need] = GeneratingVector.hilbert(need).values
@@ -611,11 +593,10 @@ def test_grouped_fft_route_is_the_one_shot_blocks_bit_for_bit(blocks):
     else:  # len(y) = 301, B = 4096, step = 3796
         order, x = 3, np.cos(np.arange(1, 152))
         out_len = blocks * 3796 - 7
-    y_len, need = _route_sizes(order, x.size, out_len)
-    assert need * y_len > _FFT_PRODUCT_THRESHOLD
-    n_blocks, expected = _one_shot_blocks(x, order, out_len)
-    assert n_blocks == blocks
-    out = hankel_apply(GeneratingVector.hilbert(need), x, order, out_len)
+    plan = _plan(order, x.size, out_len)
+    n_blocks, expected = _one_shot_blocks(x, order, out_len, plan)
+    assert n_blocks == plan.n_blocks == blocks
+    out = hankel_apply(GeneratingVector.hilbert(plan.need), x, order, out_len)
     assert np.array_equal(out, expected)
 
 
@@ -626,7 +607,7 @@ _SCALE_NEEDS = [199_999, 299_999, 399_997]  # m = 2, 3, 4 at n = 10^5
 
 def test_fast_length_is_the_smallest_5_smooth_length():
     for n in [*range(1, 5001), *_SCALE_NEEDS]:
-        assert _fast_length(n) == _smallest_smooth_at_least(n), n
+        assert _fast_length(n) == _SMOOTH_LENGTHS[bisect.bisect_left(_SMOOTH_LENGTHS, n)], n
     assert [_fast_length(n) for n in _SCALE_NEEDS] == [200_000, 300_000, 400_000]
 
 
@@ -636,18 +617,12 @@ def test_fast_length_is_scipys_next_fast_len():
         assert _fast_length(n) == fft.next_fast_len(n, real=True), n
 
 
-def _cached_spectra_key(gen):
-    return _slot_plan(gen)[0]
-
-
 @pytest.mark.parametrize("m, n", [(2, 1500), (3, 900), (4, 600), (2, 10_000)])
 def test_one_block_route_transforms_at_the_fast_length(m, n):
-    tensor = HilbertTensor(m, n)
-    tensor.apply_fast(np.cos(np.arange(1, n + 1)))
-    y_len, need = _route_sizes(m, n, n)
-    block = _fast_length(need)
-    assert _cached_spectra_key(GeneratingVector.hilbert(generating_length(n, m, n))) == (need, block, block - y_len + 1)
-    assert block < 1 << (need - 1).bit_length()
+    HilbertTensor(m, n).apply_fast(np.cos(np.arange(1, n + 1)))
+    key, plan = _slot_plan(GeneratingVector.hilbert(generating_length(n, m, n))).key, _plan(m, n, n)
+    assert key == (plan.need, plan.block, plan.step) and plan.n_blocks == 1
+    assert plan.block == _fast_length(plan.need) < 1 << (plan.need - 1).bit_length()
 
 
 @pytest.mark.parametrize("m, n", [(2, 50), (3, 50), (4, 50), (2, 1500), (3, 900), (4, 600)])
@@ -662,28 +637,13 @@ def test_apply_fast_is_the_head_of_apply_infinite(m, n):
     assert np.array_equal(fast, head)
 
 
-def test_multi_block_route_keeps_power_of_two_blocks():
-    x = np.cos(np.arange(1, 17))
-    apply_infinite(x, 4, 100_000)
-    y_len, need = _route_sizes(4, x.size, 100_000)
-    assert _cached_spectra_key(GeneratingVector.hilbert(need)) == (need, 1024, 1024 - y_len + 1)
-
-
 @pytest.mark.parametrize("m, n, block", [(2, 1550, 5**5), (3, 1000, 2**3 * 3 * 5**3), (4, 675, 2**2 * 3**3 * 5**2)])
 def test_one_block_route_accurate_at_a_5_smooth_length(m, n, block):
     # m = 2: irfft at an odd length; m = 3, 4: lengths with radix-3 and radix-5 passes
     x = np.cos(np.arange(1, n + 1))
     out = HilbertTensor(m, n).apply_fast(x).values
-    y_len, need = _route_sizes(m, n, n)
-    assert need * y_len > _FFT_PRODUCT_THRESHOLD
-    assert _cached_spectra_key(GeneratingVector.hilbert(need))[1] == block
-    ay = np.abs(x)
-    for _ in range(m - 2):
-        ay = np.convolve(ay, np.abs(x))
-    v_norm = np.linalg.norm(1.0 / np.arange(1, need + 1))
-    bound = 8 * np.finfo(float).eps * np.log2(block) * v_norm * np.linalg.norm(ay)
-    err = np.max(np.abs(out.astype(np.longdouble) - _longdouble_rows(x, m, n, range(n))))
-    assert float(err) <= bound
+    assert _plan(m, n, n).block == block
+    _assert_fft_route_accurate(x, m, n, out, np.arange(n), block)
 
 
 @pytest.mark.parametrize("y", [[], [0.0, 2.0, 3.0], [-0.0, 1e-300, np.inf]])
@@ -736,12 +696,9 @@ def test_spectral_bounds_refuse_order_below_two(bound, order):
 # -- plan, then apply: hankel_operator ------------------------------------------------
 
 
-def _route(gen):
-    """The route a plan took, read off the spectra it left in the slot for its fresh generating vector."""
-    plan = _slot_plan(gen)
-    if plan is None:
-        return "direct"
-    return "one-block" if plan[1][0].shape[0] == 1 else "multi-block"
+def _route(plan):
+    """The plan's route, with the FFT route told apart by its number of blocks."""
+    return plan.route if plan.route != "fft" else "one-block" if plan.n_blocks == 1 else "multi-block"
 
 
 @pytest.mark.parametrize(
@@ -756,14 +713,14 @@ def _route(gen):
         pytest.param(4, 591, None, "direct", id="4-591"),
         pytest.param(4, 592, None, "one-block", id="4-592"),
         pytest.param(4, 16, 100_000, "multi-block", id="multi-block"),
-        pytest.param(3, 8, 100_000, "direct", id="split"),
+        pytest.param(3, 8, 100_000, "split", id="split"),
     ],
 )
 def test_hankel_operator_is_hankel_apply_bit_for_bit(order, n, out_len, route):
     need = generating_length(n, order, out_len or n)
-    gen = GeneratingVector(1.0 / np.arange(1, need + 1))  # fresh, so the route is read off its spectra
+    gen = GeneratingVector(1.0 / np.arange(1, need + 1))
     apply = hankel_operator(gen, order, n, out_len)
-    assert _route(gen) == route
+    assert _route(apply) == route
     xs = [np.cos(np.arange(1, n + 1)), np.array(SplitMix64(n).uniforms(n, -1, 1)), np.zeros(n)]
     # each x twice and in turn: no call leaves anything behind for the next
     for x in xs + xs:
@@ -822,15 +779,16 @@ def test_warm_one_block_apply_allocates_only_its_result(m):
 
 @pytest.mark.parametrize(
     "order, n, out_len, route",
-    [(2, 8, 8, "direct"), (3, 8, 1000, "direct"), (3, 8, 100_000, "direct"), (2, 1500, 1500, "one-block"),
+    [(2, 8, 8, "direct"), (3, 8, 1000, "direct"), (3, 8, 100_000, "split"), (2, 1500, 1500, "one-block"),
      (4, 16, 100_000, "multi-block"), (3, 151, 3796 * 4, "multi-block")],
 )
 def test_every_route_returns_an_array_that_owns_its_memory(order, n, out_len, route):
     # so SequenceVector._owning takes it without a copy; the multi-block rows end exactly at out_len here
     gen = GeneratingVector(1.0 / np.arange(1, generating_length(n, order, out_len) + 1))
     x = np.cos(np.arange(1, n + 1))
-    out = hankel_operator(gen, order, n, out_len)(x)
-    assert _route(gen) == route and out.base is None and out.shape == (out_len,)
+    plan = hankel_operator(gen, order, n, out_len)
+    out = plan(x)
+    assert _route(plan) == route and out.base is None and out.shape == (out_len,)
     bits = out.copy()
     x[:] = np.nan  # at m = 2 convolution_power returns x itself: the result must not alias it
     assert np.array_equal(out, bits)
@@ -852,15 +810,15 @@ def test_fft_operators_sharing_work_arrays_return_fresh_results(route):
     xs = [np.cos(np.arange(1, n + 1)) for _, n, _ in plans]
     alone = [hankel_operator(GeneratingVector(values), m, n, out_len)(x) for (m, n, out_len), x in zip(plans, xs)]
     ops = [hankel_operator(gen, m, n, out_len) for m, n, out_len in plans]
-    assert _route(gen) == route
-    old_key, _, memory = _slot_plan(gen)
+    assert _route(ops[0]) == route
+    old_key, memory = _slot_plan(gen).key, _slot_plan(gen).memory
     for op, x, bits in [*zip(ops, xs, alone)] * 2:  # called alternately
         out = op(x)
         assert np.array_equal(out, bits)
         assert not np.shares_memory(out, memory)
         out[:] = np.nan  # the caller's to overwrite: the next call's bits stay
     hankel_operator(gen, m, n - 1, out_len)  # another shape, in the slot's memory
-    assert _slot_plan(gen)[0] != old_key and _slot_plan(gen)[2] is memory
+    assert _slot_plan(gen).key != old_key and _slot_plan(gen).memory is memory
     assert np.array_equal(ops[0](xs[0]), alone[0])
 
 
@@ -890,16 +848,16 @@ def test_operator_whose_plan_another_took_from_the_slot_returns_its_own_bits(pla
     alone = hankel_operator(GeneratingVector(values), m, n, out_len)(x)
     gen = GeneratingVector(values)
     op = hankel_operator(gen, m, n, out_len)
-    key = _slot_plan(gen)[0]
+    key = _slot_plan(gen).key
     if taker == "another-shape":
         hankel_operator(gen, m, n - 1, out_len)
     else:  # the same key on other values: a hit read off the key alone would return their bits
         hankel_operator(GeneratingVector(values[::-1]), m, n, out_len)
     taken = _slot_plan(gen)
-    assert taken is None if taker == "another-vector" else taken[0] != key
+    assert taken is None if taker == "another-vector" else taken.key != key
     for _ in range(3):  # the first call plans again, the next ones hit
         assert np.array_equal(op(x), alone)
-    assert _slot_plan(gen)[0] == key
+    assert _slot_plan(gen).key == key
 
 
 def test_operators_in_two_threads_return_their_own_bits():
@@ -931,10 +889,10 @@ def test_larger_plan_frees_the_slots_old_memory():
 
     def plans():  # in a new thread, whose slot starts empty
         hankel_operator(gen, 2, 1500)
-        old = weakref.ref(_slot_plan(gen)[2])
-        hankel_operator(gen, 2, 3000)
-        return old() is None, _slot_plan(gen)[0]
+        old = weakref.ref(_slot_plan(gen).memory)
+        plan = hankel_operator(gen, 2, 3000)
+        return old() is None, _slot_plan(gen).key == (plan.need, plan.block, plan.step)
 
     with ThreadPoolExecutor(1) as pool:
-        freed, key = pool.submit(plans).result(timeout=60)
-    assert freed and key[0] == 5999
+        freed, holds = pool.submit(plans).result(timeout=60)
+    assert freed and holds

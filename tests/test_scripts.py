@@ -17,14 +17,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_verify_theorems_smoke(tmp_path, capsys):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # from a bare checkout: the script puts the checkout's src/ on its path, so it needs no PYTHONPATH or install
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "verify_theorems.py"),
          "--orders", "2,3", "--max-dim", "4", "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout
@@ -55,15 +53,11 @@ def test_verify_theorems_reports_failed_positive_definiteness(tmp_path, capsys, 
         return dataclasses.replace(rep, min_form_lower=-1.0) if rep.n == 3 else rep
 
     monkeypatch.setattr(hilbert_tensors, "check_positive_definite", failing_at_3)
-    monkeypatch.setattr(sys, "argv", ["verify_theorems.py", "--orders", "2", "--max-dim", "4",
-                                      "--out", str(tmp_path)])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(ROOT / "scripts" / "verify_theorems.py"), run_name="__main__")
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert "positive definiteness certified over n=2..4: FAILED at n=3" in captured.out
-    assert "certified over n=2..4: ok" not in captured.out
-    assert "1 check(s) FAILED" in captured.err
+    code, out, err = run_verify_theorems(monkeypatch, capsys, "--orders", "2", "--max-dim", "4", "--out", str(tmp_path))
+    assert code == 2
+    assert "positive definiteness certified over n=2..4: FAILED at n=3" in out
+    assert "certified over n=2..4: ok" not in out
+    assert "1 check(s) FAILED" in err
 
 
 def run_verify_theorems(monkeypatch, capsys, *argv):
